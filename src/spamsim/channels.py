@@ -14,6 +14,7 @@ Conventions shared by every channel:
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -235,9 +236,29 @@ def _pair_key(a: StateLabel, b: StateLabel) -> tuple[StateLabel, StateLabel]:
 # Configuration documents
 # =========================================================================
 
-def _config_schema() -> dict:
-    text = resources.files("spamsim.schemas").joinpath("config.schema.json").read_text()
-    return json.loads(text)
+@functools.lru_cache(maxsize=None)
+def schema_validator(schema_name: str):
+    """The validator for one bundled schema, built once per process.
+
+    The schema itself is checked against its metaschema here, on first use,
+    so later documents pay only for their own validation.
+    """
+    from jsonschema.validators import validator_for
+
+    text = resources.files("spamsim.schemas").joinpath(schema_name).read_text()
+    schema = json.loads(text)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_document(document: dict, schema_name: str) -> None:
+    """Raise the error ``jsonschema.validate`` would raise for ``document``."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(schema_validator(schema_name).iter_errors(document))
+    if error is not None:
+        raise error
 
 
 def model_to_config(model: ErrorModel) -> dict:
@@ -277,11 +298,11 @@ def model_to_config(model: ErrorModel) -> dict:
 
 def model_from_config(document: dict) -> ErrorModel:
     """Build an :class:`ErrorModel` from a validated JSON document."""
-    import jsonschema
+    from jsonschema.exceptions import ValidationError
 
     try:
-        jsonschema.validate(document, _config_schema())
-    except jsonschema.ValidationError as exc:
+        validate_document(document, "config.schema.json")
+    except ValidationError as exc:
         raise ConfigError(f"invalid configuration: {exc.message}") from exc
 
     try:

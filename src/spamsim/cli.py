@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from importlib import resources
 
 import numpy as np
 
@@ -35,14 +35,21 @@ from .analytics import (
     rejection_contributions,
     spam_summary,
 )
-from .channels import ConfigError, default_model, load_error_model
+from .channels import ConfigError, default_model, load_error_model, validate_document
 from .detection import (
     ThresholdSeparationError,
     calibrate_threshold,
     read_histogram_csv,
     write_histogram_csv,
 )
-from .engine import ExperimentConfig, Mode, reason_from_code, run_experiment
+from .engine import (
+    CHUNK_SHOTS,
+    ExperimentConfig,
+    FlagReason,
+    Mode,
+    reason_from_code,
+    run_experiment,
+)
 from .sequence import Prepare, build_sequence
 
 EXIT_OK = 0
@@ -78,15 +85,8 @@ def _load_model(args):
     return default_model(), None
 
 
-def _validate_json(document: dict, schema_name: str) -> None:
-    import jsonschema
-
-    text = resources.files("spamsim.schemas").joinpath(schema_name).read_text()
-    jsonschema.validate(document, json.loads(text))
-
-
 def _write_json(path: str, document: dict, schema_name: str) -> None:
-    _validate_json(document, schema_name)
+    validate_document(document, schema_name)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
@@ -123,28 +123,55 @@ def _ensure_out_dir(path: str) -> None:
 # run-spam
 # =========================================================================
 
-def _write_records_csv(path: str, records: dict) -> None:
-    import csv
+_RECORD_HEADER = "shot,prepared,R0,R1,R2,R3,R4,R5,flagged,reason,inferred\r\n"
+_STATE_NAMES = ("", "zero", "one")  # indexed by code + 1, code -1 meaning none
+# Value ranges of (prepared + 1, R0..R5 pattern, flagged, reason, inferred + 1).
+_RECORD_DIMS = (3, 64, 2, len(FlagReason), 3)
 
+
+def _record_suffix(prepared: int, pattern: int, flagged: int, reason: int,
+                   inferred: int) -> str:
+    """One records row after its shot index, as ``csv.writer`` renders it."""
+    symbols = ",".join("b" if pattern >> bit & 1 else "d" for bit in range(6))
+    return (
+        f"{_STATE_NAMES[prepared]},{symbols},{flagged},"
+        f"{reason_from_code(reason).value},{'' if flagged else _STATE_NAMES[inferred]}\r\n"
+    )
+
+
+def _write_records_csv(path: str, records: dict) -> None:
+    """Write one row per shot, ``CHUNK_SHOTS`` rows per ``write()``.
+
+    Everything after the shot index depends only on a few small-ranged
+    fields, so each distinct suffix is rendered once and rows pick theirs by
+    an integer key into a lookup table.
+    """
     bright = records["bright"]
     prepared = records["prepared"]
     flagged = records["flagged"]
     reason = records["reason"]
     inferred = records["inferred"]
-    names = {0: "zero", 1: "one", -1: ""}
-    symbols = np.where(bright, "b", "d")
+    weights = 1 << np.arange(6)
+    table = np.empty(math.prod(_RECORD_DIMS), dtype=object)
+    rendered = np.zeros(table.size, dtype=bool)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["shot", "prepared", "R0", "R1", "R2", "R3", "R4", "R5",
-             "flagged", "reason", "inferred"]
-        )
-        for index in range(bright.shape[1]):
-            writer.writerow(
-                [index, names[int(prepared[index])], *symbols[:, index],
-                 int(flagged[index]), reason_from_code(int(reason[index])).value,
-                 "" if flagged[index] else names[int(inferred[index])]]
+        handle.write(_RECORD_HEADER)
+        for start in range(0, bright.shape[1], CHUNK_SHOTS):
+            stop = min(start + CHUNK_SHOTS, bright.shape[1])
+            rows = slice(start, stop)
+            key = np.ravel_multi_index(
+                (prepared[rows] + 1, weights @ bright[:, rows], flagged[rows],
+                 reason[rows], inferred[rows] + 1),
+                _RECORD_DIMS,
             )
+            seen = np.bincount(key, minlength=table.size).astype(bool)
+            for index in np.flatnonzero(seen & ~rendered):
+                table[index] = _record_suffix(
+                    *(int(v) for v in np.unravel_index(index, _RECORD_DIMS))
+                )
+            rendered |= seen
+            lines = zip(range(start, stop), table[key].tolist())
+            handle.write("".join([f"{shot},{suffix}" for shot, suffix in lines]))
 
 
 def cmd_run_spam(args, argv: list[str]) -> int:

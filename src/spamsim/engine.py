@@ -143,11 +143,13 @@ class _ScalarIon:
         self.state = state
         self.split = False  # equal superposition over the encoding basis
         self.p_zero = 0.0  # collapse probability recorded at rotation time
+        self.prepared: int | None = None  # collapse outcome, 0 for zero
 
     def collapse(self, rng: np.random.Generator, zero: StateLabel, one: StateLabel) -> None:
         if not self.split:
             return
-        self.state = zero if rng.random() < self.p_zero else one
+        self.prepared = 0 if rng.random() < self.p_zero else 1
+        self.state = one if self.prepared else zero
         self.split = False
 
 
@@ -188,7 +190,8 @@ def run_shot(
     as ``WrongGround`` otherwise; optical pumping is what establishes a known
     state.  A ``Rotate`` step marks the qubit subspace as an equal
     superposition which is Born-projected at the first subsequent step that
-    distinguishes the two basis states.
+    distinguishes the two basis states; the record's ``prepared`` is the
+    outcome of that projection (``None`` if none took place).
     """
     encoding = sequence.encoding
     ion = _ScalarIon(LOST if rng.random() < model.loss_probability_per_shot else WRONG_GROUND)
@@ -235,11 +238,7 @@ def run_shot(
 
     ion.collapse(rng, encoding.zero, encoding.one)
     flagged, reason, inferred = evaluate_flags(outcomes, strict)
-    prepared = {Prepare.ZERO: 0, Prepare.ONE: 1}.get(sequence.prepare)
-    if sequence.prepare is Prepare.SUPERPOSITION:
-        prepared = (
-            0 if ion.state == encoding.zero else 1 if ion.state == encoding.one else None
-        )
+    prepared = {Prepare.ZERO: 0, Prepare.ONE: 1}.get(sequence.prepare, ion.prepared)
     return ShotRecord(
         prepared=prepared,
         outcomes=tuple(outcomes),  # type: ignore[arg-type]

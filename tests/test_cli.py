@@ -1,3 +1,4 @@
+import csv
 import json
 from importlib import resources
 
@@ -7,7 +8,10 @@ import pytest
 
 import spamsim as sp
 from spamsim import cli
+from spamsim.channels import schema_validator
 from spamsim.detection import sample_counts
+from spamsim.engine import reason_from_code
+from spamsim.sequence import Prepare
 
 
 def load_schema(name):
@@ -63,6 +67,87 @@ def test_run_spam_records_flag(tmp_path):
     lines = (out / "records_zero.csv").read_text().splitlines()
     assert lines[0] == "shot,prepared,R0,R1,R2,R3,R4,R5,flagged,reason,inferred"
     assert len(lines) == 501
+
+
+def write_records_reference(path, records):
+    """The row-by-row ``csv.writer`` loop the column-wise writer replaces."""
+    names = {0: "zero", 1: "one", -1: ""}
+    symbols = np.where(records["bright"], "b", "d")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["shot", "prepared", "R0", "R1", "R2", "R3", "R4", "R5",
+                         "flagged", "reason", "inferred"])
+        for index in range(records["bright"].shape[1]):
+            flagged = records["flagged"][index]
+            writer.writerow(
+                [index, names[int(records["prepared"][index])], *symbols[:, index],
+                 int(flagged), reason_from_code(int(records["reason"][index])).value,
+                 "" if flagged else names[int(records["inferred"][index])]]
+            )
+
+
+RECORD_CASES = {
+    "M-post-select": dict(encoding="M"),
+    "O-rus-strict": dict(encoding="O", mode=sp.Mode.REPEAT_UNTIL_SUCCESS,
+                         max_attempts=3, strict_flags=True),
+    "G-superposition": dict(encoding="G", interleave=False,
+                            prepare=Prepare.SUPERPOSITION),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_records_csv_matches_row_writer(tmp_path, model, monkeypatch, case):
+    # 4000 rows span three write blocks, the last one partial.
+    monkeypatch.setattr(cli, "CHUNK_SHOTS", 1_500)
+    cfg = sp.ExperimentConfig(model=model, shots=4_000, seed=15, **RECORD_CASES[case])
+    res = sp.run_experiment(cfg, workers=1, collect_histograms=False, keep_records=True)
+    for name, records in res.records.items():
+        cli._write_records_csv(str(tmp_path / f"{name}.csv"), records)
+        write_records_reference(tmp_path / f"{name}-reference.csv", records)
+        written = (tmp_path / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}-reference.csv").read_bytes(), name
+        assert written.count(b"\r\n") == 4_001
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in resources.files("spamsim.schemas").iterdir()
+                   if p.name.endswith(".json")),
+)
+def test_bundled_schemas_are_valid(name):
+    schema = load_schema(name)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    # Built and meta-checked once, then reused for every document.
+    assert schema_validator(name) is schema_validator(name)
+
+
+def test_invalid_config_message_matches_jsonschema(tmp_path, model, capsys):
+    # A oneOf failure: the best match is a sub-error, not the first error.
+    document = sp.model_to_config(model)
+    document["decay"]["lifetime"] = -1.0
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(document, load_schema("config.schema.json"))
+    with pytest.raises(sp.ConfigError) as raised:
+        sp.model_from_config(document)
+    assert str(raised.value) == f"invalid configuration: {expected.value.message}"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    code = cli.main(["run-spam", "--shots", "10", "--config", str(bad),
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
+def test_invalid_summary_raises_jsonschema_error(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["run-spam", "--shots", "200", "--seed", "4", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    summary["states"]["zero"]["error_rate"][5] = 1.5
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(summary, load_schema("summary.schema.json"))
+    with pytest.raises(jsonschema.ValidationError) as raised:
+        cli._write_json(str(tmp_path / "summary.json"), summary, "summary.schema.json")
+    assert raised.value.message == expected.value.message
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_run_spam_rus_mode(tmp_path):
@@ -162,7 +247,6 @@ def test_predict_rejection_all_encodings(tmp_path, model):
     document = validate(out / "rejection.json", "rejection.schema.json")
     assert len(document["rows"]) == 6
     by_key = {(r["encoding"], r["prepared"]): r for r in document["rows"]}
-    from spamsim.sequence import Prepare
     for (enc, prepared), row in by_key.items():
         seq = sp.build_sequence(enc, Prepare.ZERO if prepared == "zero" else Prepare.ONE)
         assert row["first_order"] == pytest.approx(sp.predict_rejection(seq, model))

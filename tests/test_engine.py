@@ -199,3 +199,16 @@ def test_records_capture(model):
         assert cols["bright"].shape == (6, n)
         assert cols["flagged"].sum() == n - res.states[name].accepted
         assert cols["attempts"].max() == res.states[name].attempts_max
+
+
+@pytest.mark.parametrize("encoding", ["O", "M"])
+def test_scalar_superposition_records_collapse_outcome(perfect, encoding):
+    # The prepared value is the Born outcome of the pi/2 rotation, not a
+    # reading of the final state, so it is an even coin under any readout.
+    rng = np.random.default_rng(31)
+    seq = sp.build_sequence(encoding, Prepare.SUPERPOSITION)
+    shots = 2_000
+    prepared = [sp.run_shot(seq, perfect, rng).prepared for _ in range(shots)]
+    assert set(prepared) <= {0, 1}
+    sigma = 0.5 * math.sqrt(shots)
+    assert abs(sum(prepared) - shots / 2) < 5.0 * sigma
