@@ -8,6 +8,13 @@ draws from its own generator seeded by ``SeedSequence(master_seed,
 spawn_key=(batch, chunk))``, so aggregate results are identical for any worker
 count and chunks can be replayed in isolation.
 
+In repeat-until-success mode, each retry round gathers the shots whose R1
+detection was bright into a compacted sub-chunk, re-runs the preparation ops
+on it alone and scatters the results back, so a round draws random numbers
+only for the shots that retry.  Every op acts on the whole (sub-)chunk it is
+given.  Retry streams therefore differ from versions that re-ran the round
+over the full chunk under a mask; post-select streams are unchanged.
+
 Timing conventions: metastable population may decay across the duration of
 every cooling, pumping, transfer and detection step.  Decay during a detection
 window leaves partial fluorescence in that window's counts (see
@@ -294,8 +301,9 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
 
     ops: list[tuple] = []
     retry_at = prep_end = 0
+    rotated = False  # no shot can be split before the first Rotate
     for index, step in enumerate(sequence.steps):
-        needs_collapse = _distinguishes(step, encoding, model)
+        needs_collapse = rotated and _distinguishes(step, encoding, model)
         if index == sequence.retry_start:
             retry_at = len(ops)
         if isinstance(step, Cool):
@@ -326,6 +334,7 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
         elif isinstance(step, Rotate):
             half = 0.5 * step.angle
             ops.append(("rotate", math.cos(half) ** 2, math.sin(half) ** 2))
+            rotated = True
         else:
             raise TypeError(f"unknown step type {type(step).__name__}")
 
@@ -344,25 +353,61 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
     )
 
 
+@dataclass
 class _ChunkState:
-    """All per-shot arrays of one chunk."""
+    """All per-shot arrays of one chunk, or of a sub-chunk gathered from one.
 
-    def __init__(self, size: int, rng: np.random.Generator,
-                 loss_probability: float):
-        self.rng = rng
-        self.state = np.full(size, _WG, dtype=np.int16)
+    The shot axis is the last axis of every array.  ``counts`` holds the raw
+    detection counts and is ``None`` when no histograms are collected.
+    """
+
+    rng: np.random.Generator
+    state: np.ndarray
+    split: np.ndarray
+    p_zero: np.ndarray
+    prepared: np.ndarray
+    bright: np.ndarray
+    counts: np.ndarray | None
+
+    @classmethod
+    def start(cls, size: int, rng: np.random.Generator, loss_probability: float,
+              prepared_code: int, with_counts: bool) -> "_ChunkState":
+        state = np.full(size, _WG, dtype=np.int16)
         if loss_probability > 0:
-            self.state[rng.random(size) < loss_probability] = _LOST
-        self.split = np.zeros(size, dtype=bool)
-        self.p_zero = np.zeros(size)
-        self.prepared = np.full(size, -1, dtype=np.int8)
-        self.bright = np.zeros((6, size), dtype=bool)
-        self.counts = np.zeros((6, size), dtype=np.int64)
-        self.size = size
+            state[rng.random(size) < loss_probability] = _LOST
+        return cls(
+            rng=rng,
+            state=state,
+            split=np.zeros(size, dtype=bool),
+            p_zero=np.zeros(size),
+            prepared=np.full(size, prepared_code, dtype=np.int8),
+            bright=np.zeros((6, size), dtype=bool),
+            counts=np.zeros((6, size), dtype=np.int64) if with_counts else None,
+        )
+
+    @property
+    def size(self) -> int:
+        return self.state.size
+
+    def _per_shot(self) -> tuple[np.ndarray | None, ...]:
+        return (self.state, self.split, self.p_zero, self.prepared,
+                self.bright, self.counts)
+
+    def take(self, idx: np.ndarray) -> "_ChunkState":
+        """Copy of the shots at ``idx`` that draws from the same generator."""
+        return _ChunkState(
+            self.rng, *(None if a is None else a[..., idx] for a in self._per_shot())
+        )
+
+    def put(self, idx: np.ndarray, sub: "_ChunkState") -> None:
+        """Write a sub-chunk from :meth:`take` back to the shots at ``idx``."""
+        for target, values in zip(self._per_shot(), sub._per_shot()):
+            if target is not None:
+                target[..., idx] = values
 
 
-def _collapse(chunk: _ChunkState, compiled: _Compiled, mask: np.ndarray) -> None:
-    m = mask & chunk.split
+def _collapse(chunk: _ChunkState, compiled: _Compiled) -> None:
+    m = chunk.split
     if not m.any():
         return
     to_zero = chunk.rng.random(chunk.size) < chunk.p_zero
@@ -371,72 +416,74 @@ def _collapse(chunk: _ChunkState, compiled: _Compiled, mask: np.ndarray) -> None
     chunk.split[m] = False
 
 
-def _vector_decay(chunk: _ChunkState, compiled: _Compiled, p: float,
-                  active: np.ndarray) -> None:
+def _vector_decay(chunk: _ChunkState, compiled: _Compiled, p: float) -> None:
     if p <= 0.0:
         return
-    m = active & compiled.is_b[chunk.state]
-    decayed = m & (chunk.rng.random(chunk.size) < p)
+    decayed = compiled.is_b[chunk.state] & (chunk.rng.random(chunk.size) < p)
     chunk.state[decayed] = _WG
     chunk.split[decayed] = False
 
 
 def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple,
-              model: ErrorModel, active: np.ndarray) -> None:
+              model: ErrorModel) -> None:
     rng = chunk.rng
     kind = op[0]
     if kind == "decay":
         _, p, needs_collapse = op
         if needs_collapse:
-            _collapse(chunk, compiled, active)
-        _vector_decay(chunk, compiled, p, active)
+            _collapse(chunk, compiled)
+        _vector_decay(chunk, compiled, p)
     elif kind == "pump":
         _, error_rate, target_id, p, needs_collapse = op
         if needs_collapse:
-            _collapse(chunk, compiled, active)
-        _vector_decay(chunk, compiled, p, active)
-        m = active & compiled.fluor[chunk.state]
+            _collapse(chunk, compiled)
+        _vector_decay(chunk, compiled, p)
+        m = compiled.fluor[chunk.state]
         failed = m & (rng.random(chunk.size) < error_rate)
         chunk.state[m] = target_id
         chunk.state[failed] = _WG
     elif kind == "transfer":
         _, from_id, to_id, p_success, p, needs_collapse = op
         if needs_collapse:
-            _collapse(chunk, compiled, active)
-        _vector_decay(chunk, compiled, p, active)
-        moved = active & (chunk.state == from_id) & (rng.random(chunk.size) < p_success)
+            _collapse(chunk, compiled)
+        _vector_decay(chunk, compiled, p)
+        moved = (chunk.state == from_id) & (rng.random(chunk.size) < p_success)
         chunk.state[moved] = to_id
     elif kind == "detect":
         _, label, p, needs_collapse = op
         if needs_collapse:
-            _collapse(chunk, compiled, active)
+            _collapse(chunk, compiled)
         det = model.detection
         fraction = compiled.fluor[chunk.state].astype(float)
         if p > 0.0:
-            in_b = active & compiled.is_b[chunk.state]
-            decayed = in_b & (rng.random(chunk.size) < p)
-            instant = -compiled.lifetime * np.log1p(-rng.random(chunk.size) * p)
-            instant = np.minimum(instant, det.total_duration)
-            fraction[decayed] = (det.total_duration - instant[decayed]) / det.total_duration
+            decayed = compiled.is_b[chunk.state] & (rng.random(chunk.size) < p)
+            # The instant is drawn for every shot to keep the stream fixed,
+            # but only the decayed shots need it.
+            u = rng.random(chunk.size)[decayed]
+            instant = np.minimum(
+                -compiled.lifetime * np.log1p(-u * p), det.total_duration
+            )
+            fraction[decayed] = (det.total_duration - instant) / det.total_duration
             chunk.state[decayed] = _WG
             chunk.split[decayed] = False
         lam = fraction * det.mean_bright + (1.0 - fraction) * det.mean_dark
         values = rng.poisson(lam).astype(float)
         if det.read_noise_sigma > 0:
             values += rng.normal(0.0, det.read_noise_sigma, chunk.size)
-        values = np.rint(values).astype(np.int64)
-        chunk.counts[label, active] = values[active]
-        chunk.bright[label, active] = values[active] > det.threshold
+        values = np.rint(values)
+        if chunk.counts is not None:
+            chunk.counts[label] = values
+        chunk.bright[label] = values > det.threshold
     elif kind == "deshelve":
         _, needs_collapse = op
         if needs_collapse:
-            _collapse(chunk, compiled, active)
-        m = active & compiled.is_b[chunk.state]
+            _collapse(chunk, compiled)
+        m = compiled.is_b[chunk.state]
         chunk.state[m] = _WG
         chunk.split[m] = False
     elif kind == "rotate":
         _, pz_from_zero, pz_from_one = op
-        m = active & ((chunk.state == compiled.zero_id) | (chunk.state == compiled.one_id))
+        m = (chunk.state == compiled.zero_id) | (chunk.state == compiled.one_id)
         chunk.p_zero[m] = np.where(
             chunk.state[m] == compiled.zero_id, pz_from_zero, pz_from_one
         )
@@ -478,8 +525,12 @@ def _stage_masks(bright: np.ndarray, strict: bool) -> list[np.ndarray]:
 
 
 def _count_values(values: np.ndarray) -> dict[int, int]:
-    uniques, counts = np.unique(values, return_counts=True)
-    return {int(v): int(c) for v, c in zip(uniques, counts)}
+    if values.size == 0:
+        return {}
+    low = int(values.min())
+    counts = np.bincount(values - low)
+    nonzero = np.flatnonzero(counts)
+    return dict(zip((nonzero + low).tolist(), counts[nonzero].tolist()))
 
 
 def _run_chunk(
@@ -495,32 +546,31 @@ def _run_chunk(
     keep_records: bool,
 ) -> _ChunkResult:
     rng = np.random.default_rng(seed_seq)
-    chunk = _ChunkState(size, rng, model.loss_probability_per_shot)
-    if prepared_code >= 0:
-        chunk.prepared[:] = prepared_code
-    everyone = np.ones(size, dtype=bool)
+    chunk = _ChunkState.start(size, rng, model.loss_probability_per_shot,
+                              prepared_code, collect_histograms)
     attempts = np.ones(size, dtype=np.int32)
 
     ops = compiled.ops
     if mode is Mode.REPEAT_UNTIL_SUCCESS and max_attempts > 1:
-        for op in ops[: compiled.retry_at]:
-            _apply_op(chunk, compiled, op, model, everyone)
+        for op in ops[: compiled.prep_end + 1]:
+            _apply_op(chunk, compiled, op, model)
         prep_ops = ops[compiled.retry_at : compiled.prep_end + 1]
-        for op in prep_ops:
-            _apply_op(chunk, compiled, op, model, everyone)
         for _ in range(max_attempts - 1):
-            retry = chunk.bright[int(DetectLabel.R1)]
-            if not retry.any():
+            # Only the R1-bright shots retry, on a compacted sub-chunk.
+            retry = np.flatnonzero(chunk.bright[int(DetectLabel.R1)])
+            if retry.size == 0:
                 break
             attempts[retry] += 1
+            sub = chunk.take(retry)
             for op in prep_ops:
-                _apply_op(chunk, compiled, op, model, retry)
+                _apply_op(sub, compiled, op, model)
+            chunk.put(retry, sub)
         for op in ops[compiled.prep_end + 1 :]:
-            _apply_op(chunk, compiled, op, model, everyone)
+            _apply_op(chunk, compiled, op, model)
     else:
         for op in ops:
-            _apply_op(chunk, compiled, op, model, everyone)
-    _collapse(chunk, compiled, everyone)
+            _apply_op(chunk, compiled, op, model)
+    _collapse(chunk, compiled)
 
     flagged, reason, inferred = evaluate_flags_array(chunk.bright, strict)
     stages = _stage_masks(chunk.bright, strict)
@@ -663,6 +713,12 @@ def run_experiment(
     Results are bitwise independent of ``workers``: work is split into fixed
     chunks whose generators derive from the master seed and the chunk index
     alone, and chunk results merge in index order.
+
+    Repeat-until-success retry rounds draw only for the retrying shots, so a
+    seed gives other retry outcomes than in versions that re-ran each round
+    over the whole chunk (same distribution, tested by chi-square); with
+    ``Mode.POST_SELECT`` a seed gives the same results as before.  Raw
+    detection counts are only kept when ``collect_histograms`` is set.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

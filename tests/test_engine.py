@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import spamsim as sp
+from spamsim import engine
 from spamsim.sequence import Prepare
 
 
@@ -212,3 +215,92 @@ def test_scalar_superposition_records_collapse_outcome(perfect, encoding):
     assert set(prepared) <= {0, 1}
     sigma = 0.5 * math.sqrt(shots)
     assert abs(sum(prepared) - shots / 2) < 5.0 * sigma
+
+
+def _outcome_keys(prepared, attempts, bright):
+    """One integer per shot for its (prepared, attempts, R0..R5 pattern)."""
+    pattern = (bright * (1 << np.arange(6))[:, None]).sum(axis=0)
+    return ((prepared.astype(np.int64) + 1) * 8 + attempts) * 64 + pattern
+
+
+def _reference_rus(model, encoding, prepare, shots, seed, max_attempts):
+    """Repeat-until-success with full-width retry rounds.
+
+    Every retry round runs the preparation ops over a copy of the whole
+    chunk, and only the shots that retried are merged back from the copy.
+    """
+    code = {Prepare.ZERO: 0, Prepare.ONE: 1, Prepare.SUPERPOSITION: -1}[prepare]
+    compiled = engine._compile(sp.build_sequence(encoding, prepare), model)
+    chunk = engine._ChunkState.start(shots, np.random.default_rng(seed),
+                                     model.loss_probability_per_shot, code, False)
+    attempts = np.ones(shots, dtype=np.int32)
+    ops = compiled.ops
+    for op in ops[: compiled.prep_end + 1]:
+        engine._apply_op(chunk, compiled, op, model)
+    names = ("state", "split", "p_zero", "prepared", "bright")
+    for _ in range(max_attempts - 1):
+        retry = chunk.bright[1].copy()
+        attempts[retry] += 1
+        trial = dataclasses.replace(chunk, **{n: getattr(chunk, n).copy() for n in names})
+        for op in ops[compiled.retry_at : compiled.prep_end + 1]:
+            engine._apply_op(trial, compiled, op, model)
+        for n in names:
+            getattr(chunk, n)[..., retry] = getattr(trial, n)[..., retry]
+    for op in ops[compiled.prep_end + 1 :]:
+        engine._apply_op(chunk, compiled, op, model)
+    engine._collapse(chunk, compiled)
+    return _outcome_keys(chunk.prepared, attempts, chunk.bright)
+
+
+@pytest.mark.parametrize("encoding, prepare, strict", [
+    ("O", Prepare.ZERO, True),
+    ("M", Prepare.SUPERPOSITION, False),
+])
+def test_compacted_retries_match_full_width_reference(model, encoding, prepare, strict):
+    # Two independent samples of the (prepared, attempts, pattern) outcome,
+    # compared by a chi-square test of homogeneity; sparse cells are pooled.
+    noisy = dataclasses.replace(model, pump=dataclasses.replace(model.pump, error_rate=0.2))
+    shots, max_attempts = 200_000, 3
+    cfg = sp.ExperimentConfig(model=noisy, encoding=encoding, shots=shots, seed=41,
+                              interleave=False, prepare=prepare, strict_flags=strict,
+                              mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=max_attempts)
+    res = sp.run_experiment(cfg, workers=2, collect_histograms=False, keep_records=True)
+    cols = res.records[prepare.value]
+    assert cols["attempts"].max() == max_attempts
+    got = _outcome_keys(cols["prepared"], cols["attempts"], cols["bright"])
+    want = _reference_rus(noisy, encoding, prepare, shots, 42, max_attempts)
+
+    size = 4 * 8 * 64
+    table = np.stack([np.bincount(got, minlength=size), np.bincount(want, minlength=size)])
+    common = table.sum(axis=0) >= 20
+    rare = table[:, ~common].sum(axis=1, keepdims=True)
+    table = np.hstack([table[:, common], rare]) if rare.sum() else table[:, common]
+    chi2, p, dof, _ = stats.chi2_contingency(table)
+    assert dof >= 5
+    assert p > 1e-4, (chi2, dof, p)
+
+
+@pytest.mark.parametrize("encoding", ["O", "M", "G"])
+@pytest.mark.parametrize("interleave, prepare", [
+    (True, Prepare.ZERO),
+    (False, Prepare.SUPERPOSITION),
+])
+def test_rus_without_retries_matches_post_select(perfect, encoding, interleave, prepare):
+    # No dark counts, no read noise and perfect channels: R1 is never bright,
+    # so a retry round must not draw and both modes see the same stream.
+    quiet = dataclasses.replace(
+        perfect,
+        detection=dataclasses.replace(perfect.detection, mean_dark=0.0, read_noise_sigma=0.0),
+        loss_probability_per_shot=0.2,
+    )
+    common = dict(model=quiet, encoding=encoding, shots=40_000, seed=43,
+                  interleave=interleave, prepare=prepare)
+    ps = sp.run_experiment(sp.ExperimentConfig(**common), workers=2)
+    rus = sp.run_experiment(
+        sp.ExperimentConfig(**common, mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=3),
+        workers=2,
+    )
+    assert all(t.reasons["R1Bright"] == 0 for t in ps.states.values())
+    assert rus.states == ps.states
+    assert rus.histograms == ps.histograms
+    assert rus.accepted_r3 == ps.accepted_r3
