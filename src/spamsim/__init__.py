@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .analytics import (
     BIAS_FAMILIES,
     BiasFamily,
-    BiasModel,
     BiasPoint,
     DetectionErrorBudget,
     LifetimeFit,

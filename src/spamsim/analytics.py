@@ -341,24 +341,6 @@ def bias_closed_form(gamma: float, p_zero: float) -> float:
     return (gamma * p_zero - p_one) / (gamma * p_zero + p_one) - (p_zero - p_one)
 
 
-@dataclass(frozen=True)
-class BiasModel:
-    """Acceptance-skewed measurement of Z = |0><0| - |1><1|."""
-
-    gamma: float
-    p_zero: float
-
-    def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not 0.0 <= self.p_zero <= 1.0:
-            raise ValueError(f"p_zero must be a probability, got {self.p_zero}")
-
-    @property
-    def bias(self) -> float:
-        return bias_closed_form(self.gamma, self.p_zero)
-
-
 def correct_bias(
     p_bright_accepted: float,
     p_bright_accepted_given_zero: float,

@@ -174,7 +174,6 @@ class ErrorModel:
     decay: DecayChannel
     detection: DetectionModel
     cooling_duration: float = 1e-3
-    deshelve_duration: float = 5e-6
     loss_probability_per_shot: float = 0.0
 
     # internal canonical lookup keyed by the unordered level pair
@@ -184,7 +183,7 @@ class ErrorModel:
 
     def __post_init__(self) -> None:
         _check_probability(self.loss_probability_per_shot, "loss_probability_per_shot")
-        if self.cooling_duration < 0 or self.deshelve_duration < 0:
+        if self.cooling_duration < 0:
             raise ValueError("durations must be non-negative")
         lookup: dict[tuple[StateLabel, StateLabel], TransferPulse] = {}
         for pulse in self.pulses:
@@ -284,14 +283,10 @@ def model_to_config(model: ErrorModel) -> dict:
             "mean_bright": model.detection.mean_bright,
             "mean_dark": model.detection.mean_dark,
             "read_noise_sigma": model.detection.read_noise_sigma,
-            "exposure": model.detection.exposure,
             "total_duration": model.detection.total_duration,
             "threshold": model.detection.threshold,
         },
-        "durations": {
-            "cooling": model.cooling_duration,
-            "deshelve": model.deshelve_duration,
-        },
+        "durations": {"cooling": model.cooling_duration},
         "loss_probability_per_shot": model.loss_probability_per_shot,
     }
 
@@ -326,7 +321,6 @@ def model_from_config(document: dict) -> ErrorModel:
             mean_bright=det["mean_bright"],
             mean_dark=det["mean_dark"],
             read_noise_sigma=det["read_noise_sigma"],
-            exposure=det["exposure"],
             total_duration=det["total_duration"],
             threshold=det["threshold"],
         )
@@ -339,7 +333,6 @@ def model_from_config(document: dict) -> ErrorModel:
             decay=decay,
             detection=detection,
             cooling_duration=durations.get("cooling", 1e-3),
-            deshelve_duration=durations.get("deshelve", 5e-6),
             loss_probability_per_shot=document.get("loss_probability_per_shot", 0.0),
         )
     except ValueError as exc:

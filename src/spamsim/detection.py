@@ -35,7 +35,6 @@ class DetectionModel:
     mean_bright: float
     mean_dark: float
     read_noise_sigma: float
-    exposure: float = 400e-6
     total_duration: float = 458.6e-6
     threshold: int = 0
 
@@ -44,8 +43,8 @@ class DetectionModel:
             raise ValueError("count means must be non-negative")
         if self.read_noise_sigma < 0:
             raise ValueError("read noise sigma must be non-negative")
-        if not 0 < self.exposure <= self.total_duration:
-            raise ValueError("need 0 < exposure <= total_duration")
+        if self.total_duration <= 0:
+            raise ValueError("total_duration must be positive")
 
 
 @dataclass(frozen=True)

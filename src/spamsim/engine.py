@@ -74,6 +74,13 @@ class FlagReason(enum.Enum):
 
 _REASON_CODES = tuple(FlagReason)
 
+# Tally stage at which each reason first rejects a shot; accepted shots pass
+# all five checks.  ``BatchTally.kept[k]`` counts shots whose stage is > k.
+_FAIL_STAGE = {FlagReason.R0_DARK: 1, FlagReason.R1_BRIGHT: 2, FlagReason.R2_BRIGHT: 3,
+               FlagReason.R3_R4_DARK: 4, FlagReason.R4_DARK: 4, FlagReason.R5_DARK: 5,
+               FlagReason.NONE: 6}
+_ACCEPTED = _FAIL_STAGE[FlagReason.NONE]
+
 
 def evaluate_flags(
     outcomes: SequenceType[bool], strict: bool = False
@@ -88,20 +95,53 @@ def evaluate_flags(
     """
     if len(outcomes) != 6:
         raise ValueError(f"need exactly six outcomes R0..R5, got {len(outcomes)}")
+    reason, readout = _flag_rules(outcomes, strict)
+    flagged = reason is not FlagReason.NONE
+    return flagged, reason, None if flagged else readout
+
+
+def _flag_rules(outcomes: SequenceType[bool], strict: bool) -> tuple[FlagReason, int]:
+    """The flag rules of :func:`evaluate_flags`, stated once for every caller.
+
+    Returns the reason and the readout (0 iff R3 bright), which the stage
+    tallies need for flagged shots too.
+    """
     r0, r1, r2, r3, r4, r5 = (bool(o) for o in outcomes)
+    readout = 0 if r3 else 1
     if not r0:
-        return True, FlagReason.R0_DARK, None
+        return FlagReason.R0_DARK, readout
     if r1:
-        return True, FlagReason.R1_BRIGHT, None
+        return FlagReason.R1_BRIGHT, readout
     if r2:
-        return True, FlagReason.R2_BRIGHT, None
+        return FlagReason.R2_BRIGHT, readout
     if not r3 and not r4:
-        return True, FlagReason.R3_R4_DARK, None
+        return FlagReason.R3_R4_DARK, readout
     if strict and r3 and not r4:
-        return True, FlagReason.R4_DARK, None
+        return FlagReason.R4_DARK, readout
     if not r5:
-        return True, FlagReason.R5_DARK, None
-    return False, FlagReason.NONE, 0 if r3 else 1
+        return FlagReason.R5_DARK, readout
+    return FlagReason.NONE, readout
+
+
+def _flag_table(strict: bool) -> np.ndarray:
+    """Rows: reason code, fail stage, readout; columns: R0..R5 patterns (bit i = Ri)."""
+    table = np.empty((3, 64), dtype=np.int8)
+    for pattern in range(64):
+        reason, readout = _flag_rules([pattern >> i & 1 for i in range(6)], strict)
+        table[:, pattern] = (_REASON_CODES.index(reason), _FAIL_STAGE[reason], readout)
+    return table
+
+
+_FLAG_TABLES = (_flag_table(False), _flag_table(True))  # indexed by strict
+
+
+_BIT_WEIGHTS = (1 << np.arange(6, dtype=np.uint8))[:, None]
+
+
+def _patterns(bright: np.ndarray) -> np.ndarray:
+    """Pack a (6, n) outcome matrix into n R0..R5 patterns (bit i = Ri)."""
+    # A weighted sum runs far faster than np.packbits along the short axis.
+    return (bright.astype(np.uint8) * _BIT_WEIGHTS).sum(axis=0, dtype=np.uint8)
 
 
 def evaluate_flags_array(
@@ -109,23 +149,16 @@ def evaluate_flags_array(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`evaluate_flags` over a (6, n) outcome matrix.
 
-    Returns ``(flagged, reason_code, inferred)`` where ``reason_code`` indexes
-    :class:`FlagReason` in declaration order and ``inferred`` is 0/1.
+    A lookup of each shot's packed R0..R5 pattern in a 64-entry table built
+    once from the :func:`evaluate_flags` rules.  Returns ``(flagged,
+    reason_code, inferred)`` where ``reason_code`` indexes :class:`FlagReason`
+    in declaration order and ``inferred`` is the 0/1 readout of every shot,
+    flagged or not.
     """
     if bright.shape[0] != 6:
         raise ValueError("outcome matrix must have six rows R0..R5")
-    conditions = [
-        ~bright[0],
-        bright[1],
-        bright[2],
-        ~bright[3] & ~bright[4],
-        bright[3] & ~bright[4] if strict else np.zeros(bright.shape[1], dtype=bool),
-        ~bright[5],
-    ]
-    choices = [1, 2, 3, 4, 5, 6]
-    reason = np.select(conditions, choices, default=0).astype(np.uint8)
-    inferred = np.where(bright[3], 0, 1).astype(np.int8)
-    return reason != 0, reason, inferred
+    reason, _, inferred = _FLAG_TABLES[strict].take(_patterns(bright), axis=1)
+    return reason != 0, reason.astype(np.uint8), inferred
 
 
 # =========================================================================
@@ -494,43 +527,26 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple,
 
 @dataclass
 class _ChunkResult:
-    size: int
-    kept: np.ndarray
-    wrong: np.ndarray
-    reasons: np.ndarray
-    accepted_zero: int
-    accepted_one: int
-    prepared_counts: np.ndarray  # shots collapsed/prepared as [zero, one]
+    """What one chunk contributes to a batch; chunks merge by addition.
+
+    ``tally[prepared + 1, pattern]`` counts the shots of each prepared code
+    (-1 for none) and R0..R5 pattern.  ``histograms`` holds ``(lowest value,
+    counts)`` pairs for R0..R5 and then for the accepted shots' R3.
+    """
+
+    tally: np.ndarray
     attempts_total: int
     attempts_max: int
-    label_counters: list[dict[int, int]] | None
-    accepted_r3: dict[int, int] | None
+    histograms: list[tuple[int, np.ndarray]] | None
     records: tuple[np.ndarray, ...] | None
 
 
-def _stage_masks(bright: np.ndarray, strict: bool) -> list[np.ndarray]:
-    keep = np.ones(bright.shape[1], dtype=bool)
-    stages = [keep]
-    keep = keep & bright[0]
-    stages.append(keep)
-    keep = keep & ~bright[1]
-    stages.append(keep)
-    keep = keep & ~bright[2]
-    stages.append(keep)
-    keep = keep & (bright[4] if strict else (bright[3] | bright[4]))
-    stages.append(keep)
-    keep = keep & bright[5]
-    stages.append(keep)
-    return stages
-
-
-def _count_values(values: np.ndarray) -> dict[int, int]:
+def _value_counts(values: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(lowest value, counts)`` with ``counts[i]`` the frequency of lowest + i."""
     if values.size == 0:
-        return {}
+        return 0, np.zeros(0, dtype=np.int64)
     low = int(values.min())
-    counts = np.bincount(values - low)
-    nonzero = np.flatnonzero(counts)
-    return dict(zip((nonzero + low).tolist(), counts[nonzero].tolist()))
+    return low, np.bincount(values - low)
 
 
 def _run_chunk(
@@ -545,6 +561,14 @@ def _run_chunk(
     collect_histograms: bool,
     keep_records: bool,
 ) -> _ChunkResult:
+    """Run one chunk of shots on its own generator and count what came out.
+
+    Every tally of the batch is a function of each shot's prepared code and
+    R0..R5 pattern, so the chunk returns just their 3x64 count matrix plus the
+    attempt totals.  Raw-count histograms (R0..R5, then R3 of accepted shots)
+    come as ``(lowest value, counts)`` pairs when ``collect_histograms`` is
+    set, and per-shot columns when ``keep_records`` is.
+    """
     rng = np.random.default_rng(seed_seq)
     chunk = _ChunkState.start(size, rng, model.loss_probability_per_shot,
                               prepared_code, collect_histograms)
@@ -572,45 +596,28 @@ def _run_chunk(
             _apply_op(chunk, compiled, op, model)
     _collapse(chunk, compiled)
 
-    flagged, reason, inferred = evaluate_flags_array(chunk.bright, strict)
-    stages = _stage_masks(chunk.bright, strict)
-    valid = chunk.prepared >= 0
-    wrong_mask = valid & (inferred != chunk.prepared)
-    kept = np.array([int(s.sum()) for s in stages], dtype=np.int64)
-    wrong = np.array([int((s & wrong_mask).sum()) for s in stages], dtype=np.int64)
-    accepted = stages[5]
+    patterns = _patterns(chunk.bright)
+    tally = np.bincount(
+        (chunk.prepared.astype(np.intp) + 1) * 64 + patterns, minlength=3 * 64
+    ).reshape(3, 64)
 
-    label_counters = None
-    accepted_r3 = None
+    histograms = None
     if collect_histograms:
-        label_counters = [_count_values(chunk.counts[i]) for i in range(6)]
-        accepted_r3 = _count_values(chunk.counts[3, accepted])
+        _, stage, _ = _FLAG_TABLES[strict]
+        accepted = stage.take(patterns) == _ACCEPTED
+        histograms = [_value_counts(values) for values in chunk.counts]
+        histograms.append(_value_counts(chunk.counts[3, accepted]))
 
     records = None
     if keep_records:
-        records = (
-            chunk.prepared.copy(),
-            chunk.bright.copy(),
-            flagged,
-            reason,
-            inferred,
-            attempts.copy(),
-        )
+        records = (chunk.prepared, chunk.bright,
+                   *evaluate_flags_array(chunk.bright, strict), attempts)
 
     return _ChunkResult(
-        size=size,
-        kept=kept,
-        wrong=wrong,
-        reasons=np.bincount(reason, minlength=len(_REASON_CODES)),
-        accepted_zero=int((accepted & (inferred == 0)).sum()),
-        accepted_one=int((accepted & (inferred == 1)).sum()),
-        prepared_counts=np.array(
-            [int((chunk.prepared == 0).sum()), int((chunk.prepared == 1).sum())]
-        ),
+        tally=tally,
         attempts_total=int(attempts.sum()),
         attempts_max=int(attempts.max()),
-        label_counters=label_counters,
-        accepted_r3=accepted_r3,
+        histograms=histograms,
         records=records,
     )
 
@@ -628,6 +635,12 @@ class ExperimentConfig:
     only ``prepare`` runs.  ``transfer_durations`` overrides the duration of
     specific pulses, keyed by oriented (from, to) state pairs; the bias scans
     use this to detune single transfers away from their calibrated length.
+
+    Random streams depend on ``seed``, the batch index and the chunk index
+    only.  Two configurations run at one seed therefore draw the same numbers
+    wherever their op lists agree (the shared cooling and pumping prefix, for
+    instance), and their results are correlated; use different seeds for
+    independent comparisons.
     """
 
     model: ErrorModel
@@ -689,16 +702,40 @@ class ExperimentResult:
     records: dict[str, dict[str, np.ndarray]] | None = None
 
 
-def _merge_counter(into: dict[int, int], other: dict[int, int]) -> None:
-    for value, count in other.items():
-        into[value] = into.get(value, 0) + count
+def _batch_tally(name: str, tally: np.ndarray, table: np.ndarray,
+                 attempts_total: int, attempts_max: int) -> BatchTally:
+    """Derive every count of a batch from its (prepared, pattern) tally."""
+    reason, stage, inferred = table
+    shots = tally.sum(axis=0)
+    misread = tally[1] * (inferred != 0) + tally[2] * (inferred != 1)
+    accepted = stage == _ACCEPTED
+    return BatchTally(
+        prepared=name,
+        shots=int(shots.sum()),
+        kept=tuple(int(shots[stage > k].sum()) for k in range(6)),
+        wrong=tuple(int(misread[stage > k].sum()) for k in range(6)),
+        reasons={r.value: int(shots[reason == code].sum())
+                 for code, r in enumerate(_REASON_CODES)},
+        accepted_zero=int(shots[accepted & (inferred == 0)].sum()),
+        accepted_one=int(shots[accepted & (inferred == 1)].sum()),
+        prepared_zero=int(tally[1].sum()),
+        prepared_one=int(tally[2].sum()),
+        attempts_total=attempts_total,
+        attempts_max=attempts_max,
+    )
 
 
-def _counter_histogram(counter: dict[int, int], label: str) -> CountHistogram | None:
-    if not counter:
+def _merged_histogram(parts: list[tuple[int, np.ndarray]], label: str) -> CountHistogram | None:
+    """Sum ``(lowest value, counts)`` parts over the union of their ranges."""
+    parts = [(low, counts) for low, counts in parts if counts.size]
+    if not parts:
         return None
-    bins = sorted(counter)
-    return CountHistogram(tuple(bins), tuple(counter[b] for b in bins), label)
+    low = min(part_low for part_low, _ in parts)
+    total = np.zeros(max(l + c.size for l, c in parts) - low, dtype=np.int64)
+    for part_low, counts in parts:
+        total[part_low - low : part_low - low + counts.size] += counts
+    bins = np.flatnonzero(total)
+    return CountHistogram(tuple((bins + low).tolist()), tuple(total[bins].tolist()), label)
 
 
 def run_experiment(
@@ -712,7 +749,15 @@ def run_experiment(
 
     Results are bitwise independent of ``workers``: work is split into fixed
     chunks whose generators derive from the master seed and the chunk index
-    alone, and chunk results merge in index order.
+    alone, and chunk results merge in index order.  Chunks merge by adding
+    their (prepared, R0..R5 pattern) count matrices and histogram arrays;
+    each :class:`BatchTally` is then derived from the summed matrix and the
+    flag table built from :func:`evaluate_flags`.
+
+    A chunk's stream depends on (seed, batch index, chunk index) only, so runs
+    of different encodings or preparations at one seed share their draws
+    wherever their op lists agree: comparisons between such runs at one seed
+    are correlated samples, not independent ones.
 
     Repeat-until-success retry rounds draw only for the retrying shots, so a
     seed gives other retry outcomes than in versions that re-ran each round
@@ -762,53 +807,33 @@ def run_experiment(
             outputs = list(pool.map(execute, tasks))
     outputs.sort(key=lambda item: (item[0], item[1]))
 
+    table = _FLAG_TABLES[config.strict_flags]
     states: dict[str, BatchTally] = {}
-    label_counters: list[dict[int, int]] = [dict() for _ in range(6)]
-    accepted_counters: dict[str, dict[int, int]] = {}
+    accepted_r3: dict[str, CountHistogram] = {}
     records: dict[str, dict[str, np.ndarray]] = {}
-    for batch_index, (prepare, code) in enumerate(batches):
+    for batch_index, (prepare, _) in enumerate(batches):
         chunk_results = [r for b, _, r in outputs if b == batch_index]
-        kept = np.sum([r.kept for r in chunk_results], axis=0)
-        wrong = np.sum([r.wrong for r in chunk_results], axis=0)
-        reasons = np.sum([r.reasons for r in chunk_results], axis=0)
         name = prepare.value
-        states[name] = BatchTally(
-            prepared=name,
-            shots=int(sum(r.size for r in chunk_results)),
-            kept=tuple(int(k) for k in kept),
-            wrong=tuple(int(w) for w in wrong),
-            reasons={
-                reason.value: int(count)
-                for reason, count in zip(_REASON_CODES, reasons)
-            },
-            accepted_zero=sum(r.accepted_zero for r in chunk_results),
-            accepted_one=sum(r.accepted_one for r in chunk_results),
-            prepared_zero=sum(int(r.prepared_counts[0]) for r in chunk_results),
-            prepared_one=sum(int(r.prepared_counts[1]) for r in chunk_results),
+        states[name] = _batch_tally(
+            name, sum(r.tally for r in chunk_results), table,
             attempts_total=sum(r.attempts_total for r in chunk_results),
             attempts_max=max(r.attempts_max for r in chunk_results),
         )
         if collect_histograms:
-            merged: dict[int, int] = {}
-            for result in chunk_results:
-                for index in range(6):
-                    _merge_counter(label_counters[index], result.label_counters[index])
-                _merge_counter(merged, result.accepted_r3)
-            accepted_counters[name] = merged
+            hist = _merged_histogram(
+                [r.histograms[6] for r in chunk_results], f"R3|prepared={name},accepted"
+            )
+            if hist is not None:
+                accepted_r3[name] = hist
         if keep_records:
             records[name] = _stack_records(chunk_results)
 
     histograms = {}
-    accepted_r3 = {}
     if collect_histograms:
         for index in range(6):
-            hist = _counter_histogram(label_counters[index], f"R{index}")
+            hist = _merged_histogram([r.histograms[index] for _, _, r in outputs], f"R{index}")
             if hist is not None:
                 histograms[f"R{index}"] = hist
-        for name, counter in accepted_counters.items():
-            hist = _counter_histogram(counter, f"R3|prepared={name},accepted")
-            if hist is not None:
-                accepted_r3[name] = hist
 
     return ExperimentResult(
         config=config,

@@ -76,7 +76,6 @@ def test_default_model_parameters(model):
     assert model.pump.duration == pytest.approx(20e-6)
     assert model.decay.lifetime == pytest.approx(27.2)
     assert model.cooling_duration == pytest.approx(1e-3)
-    assert model.deshelve_duration == pytest.approx(5e-6)
     assert model.loss_probability_per_shot == 0.0
     assert model.detection.threshold == 161
     assert model.detection.total_duration == pytest.approx(458.6e-6)

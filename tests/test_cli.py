@@ -314,3 +314,17 @@ def test_version_and_unknown_command():
         cli.main(["--version"])
     with pytest.raises(SystemExit):
         cli.main(["definitely-not-a-command"])
+
+
+def test_config_with_removed_exposure_field_is_rejected(tmp_path, model, capsys):
+    # detection.exposure was parsed but never simulated; it is no longer a field.
+    document = sp.model_to_config(model)
+    document["detection"]["exposure"] = 400e-6
+    with pytest.raises(sp.ConfigError):
+        sp.model_from_config(document)
+    bad = tmp_path / "old.json"
+    bad.write_text(json.dumps(document))
+    code = cli.main(["run-spam", "--shots", "10", "--config", str(bad),
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "exposure" in capsys.readouterr().err

@@ -304,3 +304,87 @@ def test_rus_without_retries_matches_post_select(perfect, encoding, interleave, 
     assert rus.states == ps.states
     assert rus.histograms == ps.histograms
     assert rus.accepted_r3 == ps.accepted_r3
+
+
+# Tally stage at which each reason first rejects a shot (6: accepted).
+_FAIL_STAGE = {"R0Dark": 1, "R1Bright": 2, "R2Bright": 3, "R3R4Dark": 4, "R4Dark": 4,
+               "R5Dark": 5, "None": 6}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("encoding, interleave, prepare", [
+    ("M", True, Prepare.ZERO),
+    ("G", False, Prepare.SUPERPOSITION),
+])
+@pytest.mark.parametrize("mode, max_attempts", [
+    (sp.Mode.POST_SELECT, 1),
+    (sp.Mode.REPEAT_UNTIL_SUCCESS, 3),
+])
+def test_tallies_match_per_shot_recount(model, strict, encoding, interleave, prepare,
+                                        mode, max_attempts):
+    # Every BatchTally count, recounted shot by shot from the records with the
+    # scalar flag rules.  A dimmer bright level makes every flag reason common,
+    # the strict-only R4Dark included.
+    noisy = dataclasses.replace(
+        model,
+        pump=dataclasses.replace(model.pump, error_rate=0.2),
+        detection=dataclasses.replace(model.detection, mean_bright=190.0),
+    )
+    cfg = sp.ExperimentConfig(model=noisy, encoding=encoding, shots=20_000, seed=51,
+                              interleave=interleave, prepare=prepare, strict_flags=strict,
+                              mode=mode, max_attempts=max_attempts)
+    res = sp.run_experiment(cfg, workers=2, collect_histograms=False, keep_records=True)
+    for name, tally in res.states.items():
+        cols = res.records[name]
+        kept, wrong = [0] * 6, [0] * 6
+        reasons = dict.fromkeys((r.value for r in sp.FlagReason), 0)
+        accepted = {0: 0, 1: 0}
+        for index, (prepared, outcomes) in enumerate(zip(cols["prepared"].tolist(),
+                                                         cols["bright"].T.tolist())):
+            flagged, reason, inferred = sp.evaluate_flags(outcomes, strict=strict)
+            assert engine.reason_from_code(int(cols["reason"][index])) is reason
+            assert bool(cols["flagged"][index]) == flagged
+            readout = 0 if outcomes[3] else 1
+            assert int(cols["inferred"][index]) == readout
+            stage = _FAIL_STAGE[reason.value]
+            reasons[reason.value] += 1
+            for k in range(stage):
+                kept[k] += 1
+                wrong[k] += prepared >= 0 and readout != prepared
+            if not flagged:
+                accepted[inferred] += 1
+        assert tally.shots == cols["prepared"].size
+        assert tally.kept == tuple(kept)
+        assert tally.wrong == tuple(wrong)
+        assert tally.reasons == reasons
+        assert (tally.accepted_zero, tally.accepted_one) == (accepted[0], accepted[1])
+        assert tally.prepared_zero == int((cols["prepared"] == 0).sum())
+        assert tally.prepared_one == int((cols["prepared"] == 1).sum())
+        assert tally.attempts_total == int(cols["attempts"].sum())
+    assert all(sum(t.reasons[r.value] for t in res.states.values()) > 0
+               for r in sp.FlagReason if strict or r is not sp.FlagReason.R4_DARK)
+
+
+def test_histograms_when_nothing_is_accepted(model):
+    lossy = dataclasses.replace(model, loss_probability_per_shot=1.0)
+    cfg = sp.ExperimentConfig(model=lossy, encoding="M", shots=3_000, seed=52)
+    res = sp.run_experiment(cfg, workers=2, collect_histograms=True)
+    assert all(t.accepted == 0 for t in res.states.values())
+    assert res.accepted_r3 == {}
+    assert set(res.histograms) == {f"R{i}" for i in range(6)}
+    assert all(h.total == 2 * 3_000 for h in res.histograms.values())
+
+
+@pytest.mark.parametrize("chunks", [
+    [[3, 4, 4], [10, 12, 12, 12]],  # disjoint ranges
+    [[5, 6, 7, 7], [6, 7, 8], [7]],  # overlapping ranges
+    [[-4, -1, 0, 2], [-9, -9, 3], [1]],  # negative values
+    [[], [2, 2, -3], [], [0]],  # empty parts
+])
+def test_merged_histogram_matches_from_samples(chunks):
+    parts = [engine._value_counts(np.array(values, dtype=np.int64)) for values in chunks]
+    merged = engine._merged_histogram(parts, "merged")
+    samples = [v for values in chunks for v in values]
+    assert merged == sp.CountHistogram.from_samples(samples, label="merged")
+    empty = engine._value_counts(np.zeros(0, dtype=np.int64))
+    assert engine._merged_histogram([empty, empty], "empty") is None
