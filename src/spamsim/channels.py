@@ -1,7 +1,8 @@
 """Stochastic error channels: transfer pulses, optical pumping, metastable decay.
 
-All channels act on a single :class:`~spamsim.states.StateLabel` per shot.
-Conventions shared by every channel:
+The channels are stated here as parameters and probabilities; the engine
+applies them to the state labels of whole chunks of shots.  Conventions
+shared by every channel:
 
 * a failed transfer pulse leaves the population in its source state,
 * a failed pump attempt leaves the population as ``WrongGround`` (still in the
@@ -21,13 +22,10 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Mapping
 
-import numpy as np
-
 from .detection import DetectionModel
 from .states import (
     Manifold,
     StateLabel,
-    WRONG_GROUND,
     format_state,
     parse_state,
     transition_allowed,
@@ -124,45 +122,6 @@ def pulse_success_probability(duration: float, pulse: TransferPulse) -> float:
     if pulse.order is PulseOrder.DOUBLE:
         factor *= factor
     return (1.0 - pulse.error_rate) * factor
-
-
-def apply_transfer(
-    state: StateLabel,
-    pulse: TransferPulse,
-    duration: float,
-    rng: np.random.Generator,
-) -> StateLabel:
-    """Apply one transfer pulse to a definite state.
-
-    Population that is not in ``pulse.from_state`` (including sentinels) is
-    left untouched.
-    """
-    if state != pulse.from_state:
-        return state
-    if rng.random() < pulse_success_probability(duration, pulse):
-        return pulse.to_state
-    return state
-
-
-def apply_decay(
-    state: StateLabel,
-    duration: float,
-    decay: DecayChannel,
-    rng: np.random.Generator,
-) -> tuple[StateLabel, float | None]:
-    """Let a B-state decay over ``duration`` seconds.
-
-    Returns the post-window state and, when decay happened, the decay instant
-    measured from the start of the window (an exponential arrival conditioned
-    on falling inside the window).  States outside manifold B pass through.
-    """
-    if not state.in_manifold(Manifold.B):
-        return state, None
-    p_window = decay_probability(duration, decay)
-    if p_window == 0.0 or rng.random() >= p_window:
-        return state, None
-    instant = -decay.lifetime * math.log1p(-rng.random() * p_window)
-    return WRONG_GROUND, min(instant, duration)
 
 
 @dataclass(frozen=True)

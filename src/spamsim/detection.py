@@ -14,14 +14,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from .states import Manifold, StateLabel, WRONG_GROUND
-
-if TYPE_CHECKING:  # structural only; avoids a module cycle
-    from .channels import DecayChannel
 
 
 class ThresholdSeparationError(ValueError):
@@ -130,39 +125,6 @@ def sample_counts(
 def classify(counts: float, threshold: float) -> bool:
     """True means bright.  Strict comparison: a tie with the threshold is dark."""
     return counts > threshold
-
-
-def detect(
-    state: StateLabel,
-    model: DetectionModel,
-    decay: "DecayChannel | None",
-    rng: np.random.Generator,
-) -> tuple[bool, StateLabel]:
-    """Run one detection window on a definite state.
-
-    Manifold-A population and ``WrongGround`` fluoresce for the full window.
-    A B-state may decay partway through; the counts then mix the dark and
-    bright rates in proportion to the time spent on each side, and the
-    post-window state is ``WrongGround``.  ``Lost`` never fluoresces.
-    Returns ``(bright, post_state)``.
-    """
-    post = state
-    if state.fluoresces():
-        fraction = 1.0
-    elif state.in_manifold(Manifold.B) and decay is not None and not math.isinf(decay.lifetime):
-        t_d = model.total_duration
-        p_window = -math.expm1(-t_d / decay.lifetime)
-        if rng.random() < p_window:
-            instant = -decay.lifetime * math.log1p(-rng.random() * p_window)
-            instant = min(instant, t_d)
-            fraction = (t_d - instant) / t_d
-            post = WRONG_GROUND
-        else:
-            fraction = 0.0
-    else:
-        fraction = 0.0
-    counts = sample_counts(fraction, model, rng)
-    return classify(counts, model.threshold), post
 
 
 # =========================================================================

@@ -1,12 +1,18 @@
 """Shot-by-shot execution of flagged SPAM sequences.
 
-Two execution paths produce statistically identical results: a scalar
-interpreter (:func:`run_shot`) that walks one ion through the step list, and a
-vectorized chunk runner used by :func:`run_experiment` for batches.  Batches
-are split into fixed-size chunks of :data:`CHUNK_SHOTS` shots; every chunk
+One interpreter runs every shot: a sequence is compiled into one op per step,
+and the ops act on a chunk of shots at once.  :func:`run_experiment` splits
+its batches into fixed-size chunks of :data:`CHUNK_SHOTS` shots; every chunk
 draws from its own generator seeded by ``SeedSequence(master_seed,
 spawn_key=(batch, chunk))``, so aggregate results are identical for any worker
-count and chunks can be replayed in isolation.
+count and chunks can be replayed in isolation.  :func:`run_shot` runs a
+single shot as a one-shot chunk on the caller's generator.
+
+A ``Rotate`` step Born-projects every shot in the qubit subspace on the spot,
+and that outcome is the shot's prepared value.  Built sequences apply no
+second coherent operation after it, so projecting at once gives the same
+outcome distribution as projecting at the first step that tells the two basis
+states apart.
 
 In repeat-until-success mode, each retry round gathers the shots whose R1
 detection was bright into a compacted sub-chunk, re-runs the preparation ops
@@ -17,9 +23,9 @@ over the full chunk under a mask; post-select streams are unchanged.
 
 Timing conventions: metastable population may decay across the duration of
 every cooling, pumping, transfer and detection step.  Decay during a detection
-window leaves partial fluorescence in that window's counts (see
-:func:`spamsim.detection.detect`); decay anywhere else simply strands the ion
-in ``WrongGround`` before the next step.
+window leaves partial fluorescence in that window's counts, in proportion to
+the time spent on each side of the decay; decay anywhere else simply strands
+the ion in ``WrongGround`` before the next step.
 """
 
 from __future__ import annotations
@@ -32,14 +38,8 @@ from typing import Iterable, Sequence as SequenceType
 
 import numpy as np
 
-from .channels import (
-    ErrorModel,
-    apply_decay,
-    apply_transfer,
-    decay_probability,
-    pulse_success_probability,
-)
-from .detection import CountHistogram, detect
+from .channels import ErrorModel, decay_probability, pulse_success_probability
+from .detection import CountHistogram
 from .sequence import (
     Cool,
     Deshelve,
@@ -162,145 +162,19 @@ def evaluate_flags_array(
 
 
 # =========================================================================
-# Scalar reference path
-# =========================================================================
-
-@dataclass(frozen=True)
-class ShotRecord:
-    prepared: int | None
-    outcomes: tuple[bool, bool, bool, bool, bool, bool]
-    flagged: bool
-    flag_reason: FlagReason
-    inferred: int | None
-    attempts: int = 1
-    trace: tuple[tuple[int, StateLabel], ...] | None = None
-
-
-class _ScalarIon:
-    """Mutable single-ion state for the scalar interpreter."""
-
-    def __init__(self, state: StateLabel):
-        self.state = state
-        self.split = False  # equal superposition over the encoding basis
-        self.p_zero = 0.0  # collapse probability recorded at rotation time
-        self.prepared: int | None = None  # collapse outcome, 0 for zero
-
-    def collapse(self, rng: np.random.Generator, zero: StateLabel, one: StateLabel) -> None:
-        if not self.split:
-            return
-        self.prepared = 0 if rng.random() < self.p_zero else 1
-        self.state = one if self.prepared else zero
-        self.split = False
-
-
-def _distinguishes(step, encoding, model) -> bool:
-    """Whether a step treats the two basis states differently.
-
-    A split ion must be projected before such a step.  Steps that act on both
-    branches identically (shared-manifold decay, detections of two dark
-    states) keep the superposition intact.
-    """
-    zero, one = encoding.zero, encoding.one
-    same_manifold = zero.manifold is one.manifold
-    decay_splits = not same_manifold and not model.decay.disabled
-    if isinstance(step, Transfer):
-        return step.from_state in (zero, one) or decay_splits
-    if isinstance(step, Detect):
-        return not same_manifold
-    if isinstance(step, Pump):
-        return zero.in_manifold(Manifold.A) or one.in_manifold(Manifold.A)
-    if isinstance(step, Deshelve):
-        return not same_manifold
-    if isinstance(step, Cool):
-        return decay_splits
-    return False
-
-
-def run_shot(
-    sequence: Sequence,
-    model: ErrorModel,
-    rng: np.random.Generator,
-    *,
-    strict: bool = False,
-    keep_trace: bool = False,
-) -> ShotRecord:
-    """Execute one shot and evaluate its flags.
-
-    The ion starts as ``Lost`` with the model's per-shot loss probability and
-    as ``WrongGround`` otherwise; optical pumping is what establishes a known
-    state.  A ``Rotate`` step marks the qubit subspace as an equal
-    superposition which is Born-projected at the first subsequent step that
-    distinguishes the two basis states; the record's ``prepared`` is the
-    outcome of that projection (``None`` if none took place).
-    """
-    encoding = sequence.encoding
-    ion = _ScalarIon(LOST if rng.random() < model.loss_probability_per_shot else WRONG_GROUND)
-    outcomes: list[bool] = []
-    trace: list[tuple[int, StateLabel]] = []
-
-    for index, step in enumerate(sequence.steps):
-        if ion.split and _distinguishes(step, encoding, model):
-            ion.collapse(rng, encoding.zero, encoding.one)
-        if isinstance(step, Cool):
-            duration = model.cooling_duration if step.duration is None else step.duration
-            ion.state, _ = apply_decay(ion.state, duration, model.decay, rng)
-        elif isinstance(step, Pump):
-            ion.state, _ = apply_decay(ion.state, model.pump.duration, model.decay, rng)
-            if ion.state.fluoresces():
-                failed = rng.random() < model.pump.error_rate
-                ion.state = WRONG_GROUND if failed else model.pump.target
-        elif isinstance(step, Transfer):
-            pulse = model.pulse_for(step.from_state, step.to_state)
-            duration = pulse.t_pi if step.duration is None else step.duration
-            ion.state, _ = apply_decay(ion.state, duration, model.decay, rng)
-            ion.state = apply_transfer(ion.state, pulse, duration, rng)
-        elif isinstance(step, Detect):
-            # Split metastable pairs decay as one; a decay destroys the split.
-            was_b = ion.state.in_manifold(Manifold.B)
-            bright, ion.state = detect(ion.state, model.detection, model.decay, rng)
-            if was_b and ion.state is WRONG_GROUND:
-                ion.split = False
-            outcomes.append(bright)
-        elif isinstance(step, Deshelve):
-            if ion.state.in_manifold(Manifold.B):
-                ion.state = WRONG_GROUND
-                ion.split = False
-        elif isinstance(step, Rotate):
-            if ion.state in (encoding.zero, encoding.one):
-                half = 0.5 * step.angle
-                from_zero = ion.state == encoding.zero
-                ion.p_zero = math.cos(half) ** 2 if from_zero else math.sin(half) ** 2
-                ion.split = True
-        else:
-            raise TypeError(f"unknown step type {type(step).__name__}")
-        if keep_trace:
-            trace.append((index, ion.state))
-
-    ion.collapse(rng, encoding.zero, encoding.one)
-    flagged, reason, inferred = evaluate_flags(outcomes, strict)
-    prepared = {Prepare.ZERO: 0, Prepare.ONE: 1}.get(sequence.prepare, ion.prepared)
-    return ShotRecord(
-        prepared=prepared,
-        outcomes=tuple(outcomes),  # type: ignore[arg-type]
-        flagged=flagged,
-        flag_reason=reason,
-        inferred=inferred,
-        attempts=1,
-        trace=tuple(trace) if keep_trace else None,
-    )
-
-
-# =========================================================================
-# Vectorized chunk runner
+# Compiled sequences and the chunk runner
 # =========================================================================
 
 _WG = 0
 _LOST = 1
 
+# Prepared code of a shot before any Rotate; -1 means none.
+_PREPARED_CODES = {Prepare.ZERO: 0, Prepare.ONE: 1, Prepare.SUPERPOSITION: -1}
+
 
 @dataclass
 class _Compiled:
-    """A sequence bound to a model: integer state table plus an op list."""
+    """A sequence bound to a model: integer state table plus one op per step."""
 
     labels: list[StateLabel]
     fluor: np.ndarray
@@ -333,41 +207,29 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
         return 0.0 if model.decay.disabled else decay_probability(duration, model.decay)
 
     ops: list[tuple] = []
-    retry_at = prep_end = 0
-    rotated = False  # no shot can be split before the first Rotate
-    for index, step in enumerate(sequence.steps):
-        needs_collapse = rotated and _distinguishes(step, encoding, model)
-        if index == sequence.retry_start:
-            retry_at = len(ops)
+    for step in sequence.steps:
         if isinstance(step, Cool):
             duration = model.cooling_duration if step.duration is None else step.duration
-            ops.append(("decay", p_dec(duration), needs_collapse))
+            ops.append(("decay", p_dec(duration)))
         elif isinstance(step, Pump):
             ops.append(
                 ("pump", model.pump.error_rate, intern(model.pump.target),
-                 p_dec(model.pump.duration), needs_collapse)
+                 p_dec(model.pump.duration))
             )
         elif isinstance(step, Transfer):
             pulse = model.pulse_for(step.from_state, step.to_state)
             duration = pulse.t_pi if step.duration is None else step.duration
             ops.append(
                 ("transfer", intern(step.from_state), intern(step.to_state),
-                 pulse_success_probability(duration, pulse), p_dec(duration),
-                 needs_collapse)
+                 pulse_success_probability(duration, pulse), p_dec(duration))
             )
         elif isinstance(step, Detect):
-            det = model.detection
-            ops.append(
-                ("detect", int(step.label), p_dec(det.total_duration), needs_collapse)
-            )
-            if step.label is DetectLabel.R1:
-                prep_end = len(ops) - 1
+            ops.append(("detect", int(step.label), p_dec(model.detection.total_duration)))
         elif isinstance(step, Deshelve):
-            ops.append(("deshelve", needs_collapse))
+            ops.append(("deshelve",))
         elif isinstance(step, Rotate):
             half = 0.5 * step.angle
             ops.append(("rotate", math.cos(half) ** 2, math.sin(half) ** 2))
-            rotated = True
         else:
             raise TypeError(f"unknown step type {type(step).__name__}")
 
@@ -380,8 +242,8 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
         zero_id=zero_id,
         one_id=one_id,
         ops=ops,
-        retry_at=retry_at,
-        prep_end=prep_end,
+        retry_at=sequence.retry_start,
+        prep_end=sequence.prep_end,
         lifetime=model.decay.lifetime,
     )
 
@@ -396,8 +258,6 @@ class _ChunkState:
 
     rng: np.random.Generator
     state: np.ndarray
-    split: np.ndarray
-    p_zero: np.ndarray
     prepared: np.ndarray
     bright: np.ndarray
     counts: np.ndarray | None
@@ -411,8 +271,6 @@ class _ChunkState:
         return cls(
             rng=rng,
             state=state,
-            split=np.zeros(size, dtype=bool),
-            p_zero=np.zeros(size),
             prepared=np.full(size, prepared_code, dtype=np.int8),
             bright=np.zeros((6, size), dtype=bool),
             counts=np.zeros((6, size), dtype=np.int64) if with_counts else None,
@@ -423,8 +281,7 @@ class _ChunkState:
         return self.state.size
 
     def _per_shot(self) -> tuple[np.ndarray | None, ...]:
-        return (self.state, self.split, self.p_zero, self.prepared,
-                self.bright, self.counts)
+        return (self.state, self.prepared, self.bright, self.counts)
 
     def take(self, idx: np.ndarray) -> "_ChunkState":
         """Copy of the shots at ``idx`` that draws from the same generator."""
@@ -439,22 +296,11 @@ class _ChunkState:
                 target[..., idx] = values
 
 
-def _collapse(chunk: _ChunkState, compiled: _Compiled) -> None:
-    m = chunk.split
-    if not m.any():
-        return
-    to_zero = chunk.rng.random(chunk.size) < chunk.p_zero
-    chunk.state[m] = np.where(to_zero[m], compiled.zero_id, compiled.one_id)
-    chunk.prepared[m] = np.where(to_zero[m], 0, 1)
-    chunk.split[m] = False
-
-
 def _vector_decay(chunk: _ChunkState, compiled: _Compiled, p: float) -> None:
     if p <= 0.0:
         return
     decayed = compiled.is_b[chunk.state] & (chunk.rng.random(chunk.size) < p)
     chunk.state[decayed] = _WG
-    chunk.split[decayed] = False
 
 
 def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple,
@@ -462,30 +308,21 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple,
     rng = chunk.rng
     kind = op[0]
     if kind == "decay":
-        _, p, needs_collapse = op
-        if needs_collapse:
-            _collapse(chunk, compiled)
-        _vector_decay(chunk, compiled, p)
+        _vector_decay(chunk, compiled, op[1])
     elif kind == "pump":
-        _, error_rate, target_id, p, needs_collapse = op
-        if needs_collapse:
-            _collapse(chunk, compiled)
+        _, error_rate, target_id, p = op
         _vector_decay(chunk, compiled, p)
         m = compiled.fluor[chunk.state]
         failed = m & (rng.random(chunk.size) < error_rate)
         chunk.state[m] = target_id
         chunk.state[failed] = _WG
     elif kind == "transfer":
-        _, from_id, to_id, p_success, p, needs_collapse = op
-        if needs_collapse:
-            _collapse(chunk, compiled)
+        _, from_id, to_id, p_success, p = op
         _vector_decay(chunk, compiled, p)
         moved = (chunk.state == from_id) & (rng.random(chunk.size) < p_success)
         chunk.state[moved] = to_id
     elif kind == "detect":
-        _, label, p, needs_collapse = op
-        if needs_collapse:
-            _collapse(chunk, compiled)
+        _, label, p = op
         det = model.detection
         fraction = compiled.fluor[chunk.state].astype(float)
         if p > 0.0:
@@ -498,7 +335,6 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple,
             )
             fraction[decayed] = (det.total_duration - instant) / det.total_duration
             chunk.state[decayed] = _WG
-            chunk.split[decayed] = False
         lam = fraction * det.mean_bright + (1.0 - fraction) * det.mean_dark
         values = rng.poisson(lam).astype(float)
         if det.read_noise_sigma > 0:
@@ -508,19 +344,17 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple,
             chunk.counts[label] = values
         chunk.bright[label] = values > det.threshold
     elif kind == "deshelve":
-        _, needs_collapse = op
-        if needs_collapse:
-            _collapse(chunk, compiled)
-        m = compiled.is_b[chunk.state]
-        chunk.state[m] = _WG
-        chunk.split[m] = False
+        chunk.state[compiled.is_b[chunk.state]] = _WG
     elif kind == "rotate":
+        # Born projection on the spot; draws only when a shot can be projected.
         _, pz_from_zero, pz_from_one = op
-        m = (chunk.state == compiled.zero_id) | (chunk.state == compiled.one_id)
-        chunk.p_zero[m] = np.where(
-            chunk.state[m] == compiled.zero_id, pz_from_zero, pz_from_one
-        )
-        chunk.split[m] = True
+        from_zero = chunk.state == compiled.zero_id
+        m = from_zero | (chunk.state == compiled.one_id)
+        if m.any():
+            to_zero = (rng.random(chunk.size)
+                       < np.where(from_zero, pz_from_zero, pz_from_one))[m]
+            chunk.state[m] = np.where(to_zero, compiled.zero_id, compiled.one_id)
+            chunk.prepared[m] = np.where(to_zero, 0, 1)
     else:
         raise ValueError(f"unknown opcode {kind!r}")
 
@@ -594,7 +428,6 @@ def _run_chunk(
     else:
         for op in ops:
             _apply_op(chunk, compiled, op, model)
-    _collapse(chunk, compiled)
 
     patterns = _patterns(chunk.bright)
     tally = np.bincount(
@@ -619,6 +452,66 @@ def _run_chunk(
         attempts_max=int(attempts.max()),
         histograms=histograms,
         records=records,
+    )
+
+
+# =========================================================================
+# Single shots
+# =========================================================================
+
+@dataclass(frozen=True)
+class ShotRecord:
+    """One shot's outcomes and flags.
+
+    ``prepared`` is 0 or 1 for zero and one preparations.  For a
+    superposition it is the ``Rotate`` outcome of a shot that was in the
+    qubit subspace at ``Rotate``, and ``None`` for any other shot.
+    """
+
+    prepared: int | None
+    outcomes: tuple[bool, bool, bool, bool, bool, bool]
+    flagged: bool
+    flag_reason: FlagReason
+    inferred: int | None
+    attempts: int = 1
+    trace: tuple[tuple[int, StateLabel], ...] | None = None
+
+
+def run_shot(
+    sequence: Sequence,
+    model: ErrorModel,
+    rng: np.random.Generator,
+    *,
+    strict: bool = False,
+    keep_trace: bool = False,
+) -> ShotRecord:
+    """Execute one shot, as a one-shot chunk on ``rng``, and evaluate its flags.
+
+    The ion starts as ``Lost`` with the model's per-shot loss probability and
+    as ``WrongGround`` otherwise; optical pumping is what establishes a known
+    state.  A ``Rotate`` step Born-projects a shot in the qubit subspace on
+    the spot, and the record's ``prepared`` is that outcome (see
+    :class:`ShotRecord`).  With ``keep_trace`` the record holds ``(step
+    index, state)`` after every step.
+    """
+    compiled = _compile(sequence, model)
+    chunk = _ChunkState.start(1, rng, model.loss_probability_per_shot,
+                              _PREPARED_CODES[sequence.prepare], False)
+    trace = []
+    for index, op in enumerate(compiled.ops):
+        _apply_op(chunk, compiled, op, model)
+        if keep_trace:
+            trace.append((index, compiled.labels[chunk.state[0]]))
+    outcomes = tuple(bool(bright) for bright in chunk.bright[:, 0])
+    flagged, reason, inferred = evaluate_flags(outcomes, strict)
+    prepared = int(chunk.prepared[0])
+    return ShotRecord(
+        prepared=None if prepared < 0 else prepared,
+        outcomes=outcomes,  # type: ignore[arg-type]
+        flagged=flagged,
+        flag_reason=reason,
+        inferred=inferred,
+        trace=tuple(trace) if keep_trace else None,
     )
 
 
@@ -666,7 +559,13 @@ class ExperimentConfig:
 
 @dataclass
 class BatchTally:
-    """Aggregated outcomes for all shots of one prepared state."""
+    """Aggregated outcomes for all shots of one prepared state.
+
+    ``prepared_zero`` and ``prepared_one`` count the shots prepared in each
+    basis state: every shot of a zero or one batch, and for a superposition
+    the ``Rotate`` outcomes of the shots that were in the qubit subspace at
+    ``Rotate``.  ``wrong`` counts misreads against that prepared value.
+    """
 
     prepared: str
     shots: int
@@ -771,8 +670,7 @@ def run_experiment(
     if config.interleave:
         batches = [(Prepare.ZERO, 0), (Prepare.ONE, 1)]
     else:
-        codes = {Prepare.ZERO: 0, Prepare.ONE: 1, Prepare.SUPERPOSITION: -1}
-        batches = [(config.prepare, codes[config.prepare])]
+        batches = [(config.prepare, _PREPARED_CODES[config.prepare])]
 
     tasks = []
     for batch_index, (prepare, code) in enumerate(batches):

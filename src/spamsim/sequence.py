@@ -109,6 +109,10 @@ class Sequence:
                 raise ValueError(f"{r_label.name} must directly follow a readout transfer into A")
         if not isinstance(self.steps[self.detect_index(DetectLabel.R5) - 1], Deshelve):
             raise ValueError("R5 must directly follow the deshelve step")
+        # The engine projects at Rotate; with a second coherent operation that
+        # would differ from projecting at the first step that tells zero from one.
+        if sum(isinstance(s, Rotate) for s in self.steps) > 1:
+            raise ValueError("a sequence may hold at most one Rotate")
 
     def detect_index(self, label: DetectLabel) -> int:
         for i, step in enumerate(self.steps):
@@ -140,9 +144,6 @@ class Sequence:
             for s in self.steps
         )
         return Sequence(self.encoding, self.prepare, steps)
-
-    def transfers(self) -> tuple[Transfer, ...]:
-        return tuple(s for s in self.steps if isinstance(s, Transfer))
 
 
 def _detects(*labels: DetectLabel) -> list[SequenceStep]:

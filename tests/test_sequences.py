@@ -95,6 +95,17 @@ def test_superposition_rotation_follows_the_preparation_check():
         assert seq.steps[rotate].angle == pytest.approx(3.14159265 / 2.0)
 
 
+@pytest.mark.parametrize("encoding", ["O", "M", "G"])
+def test_second_rotation_is_rejected(encoding):
+    # The engine projects at Rotate, which matches deferred projection only
+    # when no second coherent operation follows.
+    seq = sp.build_sequence(encoding, Prepare.SUPERPOSITION)
+    rotate = next(i for i, s in enumerate(seq.steps) if isinstance(s, Rotate))
+    steps = seq.steps[: rotate + 1] + (Rotate(),) + seq.steps[rotate + 1 :]
+    with pytest.raises(ValueError, match="at most one Rotate"):
+        sp.Sequence(seq.encoding, seq.prepare, steps)
+
+
 def test_with_transfer_durations_overrides_matching_pairs_only():
     seq = sp.build_sequence("M", Prepare.ONE)
     assert all(s.duration is None for s in seq.steps if isinstance(s, Transfer))
