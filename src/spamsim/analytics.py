@@ -1,10 +1,15 @@
 """Closed-form predictors and estimators for flagged SPAM experiments.
 
 Everything here is deterministic given its inputs: Wilson score intervals,
-rejection-fraction predictions obtained by propagating failure events through
-the flag rules, the per-detection error budget, post-selection bias formulas
-and their inversions, metastable lifetime fitting, and the summary statistics
-derived from a batch run.
+rejection-fraction predictions, the per-detection error budget,
+post-selection bias formulas and their inversions, metastable lifetime
+fitting, and the summary statistics derived from a batch run.
+
+The rejection predictions interpret the same compiled op list the engine
+runs (:func:`spamsim.engine._compile`): one forward propagation of
+probability over (state label x R0..R5 pattern) gives the exact rejected
+fraction, and propagations with one failure event forced classify each
+first-order contribution.
 """
 
 from __future__ import annotations
@@ -16,30 +21,21 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .channels import (
-    ErrorModel,
-    decay_probability,
-    default_model,
-    pulse_success_probability,
-)
+from .channels import ErrorModel, default_model
 from .engine import (
+    _FLAG_TABLES,
+    _LOST,
+    _WG,
     ExperimentConfig,
     ExperimentResult,
     FlagReason,
-    evaluate_flags,
+    _compile,
+    _Compiled,
+    reason_from_code,
     run_experiment,
 )
-from .sequence import (
-    Cool,
-    Deshelve,
-    Detect,
-    Prepare,
-    Pump,
-    Rotate,
-    Sequence,
-    Transfer,
-)
-from .states import A_2_0, B_1_M1, B_2_M1, B_2_P1, LOST, WRONG_GROUND, Manifold, StateLabel
+from .sequence import Prepare, Sequence
+from .states import A_2_0, B_1_M1, B_2_M1, B_2_P1, StateLabel
 
 
 # =========================================================================
@@ -97,46 +93,64 @@ class RejectionContribution:
     flag_reason: FlagReason
 
 
-def _transfer_duration(step: Transfer, model: ErrorModel) -> float:
-    pulse = model.pulse_for(step.from_state, step.to_state)
-    return pulse.t_pi if step.duration is None else step.duration
+def _propagate(
+    compiled: _Compiled,
+    loss: float = 0.0,
+    *,
+    ideal: bool = False,
+    forced: tuple[int, str] | None = None,
+) -> list[np.ndarray]:
+    """Push probability over (state label x R0..R5 pattern) through the ops.
 
-
-def _outcomes_with_failures(
-    sequence: Sequence,
-    model: ErrorModel,
-    failed_steps: frozenset[int],
-    decayed_steps: frozenset[int],
-    lost: bool,
-) -> list[bool]:
-    """Walk the sequence deterministically with the given events forced.
-
-    A failed pump leaves WrongGround; a failed transfer leaves the ion where
-    it was; a decay event strands the ion in WrongGround at the start of that
-    step (so a decay during a detection window reads bright).  Everything else
-    follows the ideal path.
+    Reads are noiseless (a label reads bright iff it fluoresces) and nothing
+    decays.  A shot starts as ``Lost`` with probability ``loss`` and as
+    ``WrongGround`` otherwise.  With ``ideal`` every pump and transfer
+    succeeds.  ``forced`` is one event ``(op index, "fail" | "decay")``: a
+    failed pump leaves its population in ``WrongGround``, a failed transfer
+    moves none, and a decay strands the B-manifold population in
+    ``WrongGround`` at the start of the op; ``(-1, "fail")`` loses the ion
+    before the first op.  Returns the matrix before each op and, last, the
+    final one.
     """
-    state = LOST if lost else WRONG_GROUND
-    outcomes: list[bool] = []
-    for index, step in enumerate(sequence.steps):
-        if index in decayed_steps and state.in_manifold(Manifold.B):
-            state = WRONG_GROUND
-        if isinstance(step, Cool):
-            pass
-        elif isinstance(step, Pump):
-            if state.fluoresces():
-                state = WRONG_GROUND if index in failed_steps else model.pump.target
-        elif isinstance(step, Transfer):
-            if state == step.from_state and index not in failed_steps:
-                state = step.to_state
-        elif isinstance(step, Detect):
-            outcomes.append(state.fluoresces())
-        elif isinstance(step, Deshelve):
-            if state.in_manifold(Manifold.B):
-                state = WRONG_GROUND
-        elif isinstance(step, Rotate):
+    fluor, is_b = compiled.fluor, compiled.is_b
+    mass = np.zeros((len(compiled.labels), 64))
+    mass[_LOST, 0] = 1.0 if forced == (-1, "fail") else loss
+    mass[_WG, 0] = 1.0 - mass[_LOST, 0]
+
+    def strand_b() -> None:
+        mass[_WG] += mass[is_b].sum(axis=0)
+        mass[is_b] = 0.0
+
+    history = []
+    for index, op in enumerate(compiled.ops):
+        history.append(mass.copy())
+        kind = op[0]
+        failed = forced == (index, "fail")
+        if forced == (index, "decay"):
+            strand_b()
+        if kind == "pump":
+            rate = 1.0 if failed else 0.0 if ideal else op[1]
+            moved = mass[fluor].sum(axis=0)
+            mass[fluor] = 0.0
+            mass[op[2]] += moved * (1.0 - rate)
+            mass[_WG] += moved * rate
+        elif kind == "transfer":
+            _, source, target, success, _ = op
+            success = 0.0 if failed else 1.0 if ideal else success
+            moved = mass[source] * success
+            mass[source] *= 1.0 - success
+            mass[target] += moved
+        elif kind == "detect":
+            # Axis 2 of this view is the op's R bit of the pattern index.
+            split = mass.reshape(len(mass), -1, 2, 1 << op[1])
+            split[fluor, :, 1] += split[fluor, :, 0]
+            split[fluor, :, 0] = 0.0
+        elif kind == "deshelve":
+            strand_b()
+        elif kind == "rotate":
             raise ValueError("rejection prediction is defined for basis-state preparations only")
-    return outcomes
+    history.append(mass)
+    return history
 
 
 def rejection_contributions(
@@ -148,63 +162,49 @@ def rejection_contributions(
 ) -> list[RejectionContribution]:
     """Classify every lone failure event by propagating it through the flags.
 
-    Pump and addressed-transfer failures are always listed; with
-    ``include_decay`` a decay event is added for each step whose duration the
-    ideal path spends in the metastable manifold.  Events whose lone failure
-    leaves the shot unflagged appear with ``raises_flag=False`` (a transfer
-    failure can self-correct when the same pulse is addressed again later).
+    Pump and addressed-transfer failures on the ideal path (every channel
+    succeeds) are always listed; with ``include_decay`` a decay event is added
+    for each step whose duration the ideal path spends in the metastable
+    manifold.  Each event is classified by one propagation with only that
+    event forced: a failed pump leaves ``WrongGround``, a failed transfer
+    leaves the ion where it was, and a decay strands the ion in
+    ``WrongGround`` at the start of its step, so a decay forced in a
+    detection step reads bright for the whole window (the engine instead
+    counts partial fluorescence).  Events whose lone failure leaves the shot
+    unflagged appear with ``raises_flag=False`` (a transfer failure can
+    self-correct when the same pulse is addressed again later).
     """
-    events: list[tuple[int, str, float, frozenset[int], frozenset[int], bool]] = []
+    compiled = _compile(sequence, model)
+    events: list[tuple[int, str, float, str]] = []
     if model.loss_probability_per_shot > 0:
-        events.append(
-            (-1, "ion loss", model.loss_probability_per_shot,
-             frozenset(), frozenset(), True)
-        )
-    state = WRONG_GROUND
-    for index, step in enumerate(sequence.steps):
-        if isinstance(step, Rotate):
-            raise ValueError("rejection prediction is defined for basis-state preparations only")
-        in_b = state.in_manifold(Manifold.B)
-        if include_decay and in_b and not model.decay.disabled:
-            duration = None
-            if isinstance(step, Cool):
-                duration = model.cooling_duration if step.duration is None else step.duration
-            elif isinstance(step, Transfer):
-                duration = _transfer_duration(step, model)
-            elif isinstance(step, Detect):
-                duration = model.detection.total_duration
-            elif isinstance(step, Pump):
-                duration = model.pump.duration
-            if duration:
-                events.append(
-                    (index, f"decay during step {index} ({type(step).__name__})",
-                     decay_probability(duration, model.decay),
-                     frozenset(), frozenset({index}), False)
-                )
-        if isinstance(step, Pump) and state.fluoresces():
+        events.append((-1, "ion loss", model.loss_probability_per_shot, "fail"))
+    ideal = _propagate(compiled, ideal=True)
+    for index, (op, mass) in enumerate(zip(compiled.ops, ideal)):
+        step = sequence.steps[index]
+        occupied = mass.sum(axis=1) > 0
+        # Every op but deshelve ends with its decay probability.
+        if (include_decay and op[0] != "deshelve" and op[-1] > 0
+                and occupied[compiled.is_b].any()):
             events.append(
-                (index, "optical pumping failure", model.pump.error_rate,
-                 frozenset({index}), frozenset(), False)
+                (index, f"decay during step {index} ({type(step).__name__})", op[-1], "decay")
             )
-            state = model.pump.target
-        elif isinstance(step, Transfer) and state == step.from_state:
-            pulse = model.pulse_for(step.from_state, step.to_state)
-            duration = _transfer_duration(step, model)
-            failure = 1.0 - pulse_success_probability(duration, pulse)
+        if op[0] == "pump" and occupied[compiled.fluor].any():
+            events.append((index, "optical pumping failure", op[1], "fail"))
+        elif op[0] == "transfer" and occupied[op[1]]:
             events.append(
                 (index, f"transfer {step.from_state} -> {step.to_state} failure",
-                 failure, frozenset({index}), frozenset(), False)
+                 1.0 - op[3], "fail")
             )
-            state = step.to_state
-        elif isinstance(step, Deshelve) and in_b:
-            state = WRONG_GROUND
 
+    reasons = _FLAG_TABLES[strict][0]
     contributions = []
-    for index, description, probability, failed, decayed, lost in events:
-        outcomes = _outcomes_with_failures(sequence, model, failed, decayed, lost)
-        flagged, reason, _ = evaluate_flags(outcomes, strict)
+    for index, description, probability, kind in events:
+        final = _propagate(compiled, ideal=True, forced=(index, kind))[-1]
+        reason = reason_from_code(reasons[final.sum(axis=0).argmax()])
         contributions.append(
-            RejectionContribution(index, description, probability, flagged, reason)
+            RejectionContribution(
+                index, description, probability, reason is not FlagReason.NONE, reason
+            )
         )
     return contributions
 
@@ -231,69 +231,15 @@ def predict_rejection_exact(
     model: ErrorModel,
     *,
     strict: bool = False,
-    max_events: int = 20,
 ) -> float:
     """Exact rejected fraction under the channel model (no decay, no read noise).
 
-    Enumerates every success/failure combination of the pump and transfer
-    events by branching wherever the walked state addresses a fallible
-    channel, and sums the probability of the flagged leaves.
+    Propagates the probability of every (state label, R0..R5 pattern) pair
+    through the compiled ops, splitting it at every pump and transfer by the
+    channel rates, and sums the final probability of the flagged patterns.
     """
-    event_count = sum(
-        isinstance(step, (Pump, Transfer)) for step in sequence.steps
-    ) + (1 if model.loss_probability_per_shot > 0 else 0)
-    if event_count > max_events:
-        raise ValueError(
-            f"{event_count} stochastic events exceed the enumeration limit {max_events}"
-        )
-
-    steps = sequence.steps
-    total = 0.0
-
-    def walk(index: int, state: StateLabel, probability: float, outcomes: tuple[bool, ...]) -> None:
-        nonlocal total
-        if probability == 0.0:
-            return
-        if index == len(steps):
-            flagged, _, _ = evaluate_flags(outcomes, strict)
-            if flagged:
-                total += probability
-            return
-        step = steps[index]
-        if isinstance(step, Cool):
-            walk(index + 1, state, probability, outcomes)
-        elif isinstance(step, Pump):
-            if state.fluoresces():
-                rate = model.pump.error_rate
-                walk(index + 1, model.pump.target, probability * (1.0 - rate), outcomes)
-                if rate > 0:
-                    walk(index + 1, WRONG_GROUND, probability * rate, outcomes)
-            else:
-                walk(index + 1, state, probability, outcomes)
-        elif isinstance(step, Transfer):
-            if state == step.from_state:
-                pulse = model.pulse_for(step.from_state, step.to_state)
-                success = pulse_success_probability(_transfer_duration(step, model), pulse)
-                walk(index + 1, step.to_state, probability * success, outcomes)
-                if success < 1.0:
-                    walk(index + 1, state, probability * (1.0 - success), outcomes)
-            else:
-                walk(index + 1, state, probability, outcomes)
-        elif isinstance(step, Detect):
-            walk(index + 1, state, probability, outcomes + (state.fluoresces(),))
-        elif isinstance(step, Deshelve):
-            after = WRONG_GROUND if state.in_manifold(Manifold.B) else state
-            walk(index + 1, after, probability, outcomes)
-        elif isinstance(step, Rotate):
-            raise ValueError("rejection prediction is defined for basis-state preparations only")
-        else:
-            raise TypeError(f"unknown step type {type(step).__name__}")
-
-    loss = model.loss_probability_per_shot
-    if loss > 0:
-        walk(0, LOST, loss, ())
-    walk(0, WRONG_GROUND, 1.0 - loss, ())
-    return total
+    final = _propagate(_compile(sequence, model), model.loss_probability_per_shot)[-1]
+    return float(final[:, _FLAG_TABLES[strict][0] != 0].sum())
 
 
 # =========================================================================

@@ -174,7 +174,12 @@ _PREPARED_CODES = {Prepare.ZERO: 0, Prepare.ONE: 1, Prepare.SUPERPOSITION: -1}
 
 @dataclass
 class _Compiled:
-    """A sequence bound to a model: integer state table plus one op per step."""
+    """A sequence bound to a model: integer state table plus one op per step.
+
+    The chunk runner (:func:`_apply_op`) and the analytic propagator
+    (``analytics._propagate``) both interpret ``ops``.  Every op but
+    ``deshelve`` and ``rotate`` ends with its decay probability.
+    """
 
     labels: list[StateLabel]
     fluor: np.ndarray

@@ -12,13 +12,16 @@ Frozen expectations and where they come from:
   preparing, once dark at R4 after a lone earlier failure)... the six sums
   below were tabulated by hand from the sequence listings before the
   implementation existed.
-* Exact rejection fractions: a tree walk over every combination of step
-  outcomes (success/failure) with compounding, which is what a shot-level
-  simulator realizes.  Frozen from an independent enumeration; the values sit
-  below the first-order sums by at most the pairwise product bound
-  sum_{i<j} p_i p_j.
+* Exact rejection fractions: a forward propagation of probability over
+  every (state label, R0..R5 pattern) pair through the compiled ops, so every
+  combination of step outcomes (success/failure) compounds as a shot-level
+  simulator realizes it.  Frozen from an independent enumeration (a tree walk
+  over those combinations); the values sit below the first-order sums by at
+  most the pairwise product bound sum_{i<j} p_i p_j, on the default model and
+  on drawn ones.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -128,17 +131,53 @@ def test_exact_rejection_frozen(model, encoding, state):
     assert sp.predict_rejection_exact(seq, model) == pytest.approx(EXACT[encoding, state], abs=5e-8)
 
 
-@pytest.mark.parametrize("encoding,state", sorted(EXACT))
-def test_exact_sits_below_first_order_by_second_order_terms(model, encoding, state):
+def assert_exact_below_first_order(seq, model, strict=False):
     # The union bound makes the first-order sum an upper limit; the deficit is
     # quadratic in the channel rates.  Benign failures count toward the
     # envelope because they reroute the path and change later flag exposure.
-    seq = sp.build_sequence(encoding, Prepare.ZERO if state == "zero" else Prepare.ONE)
-    first = sp.predict_rejection(seq, model)
-    exact = sp.predict_rejection_exact(seq, model)
-    rates = [c.probability for c in sp.rejection_contributions(seq, model)]
+    first = sp.predict_rejection(seq, model, strict=strict)
+    exact = sp.predict_rejection_exact(seq, model, strict=strict)
+    rates = [c.probability for c in sp.rejection_contributions(seq, model, strict=strict)]
     assert exact <= first
     assert first - exact <= sum(rates) ** 2 + 1e-12
+
+
+@pytest.mark.parametrize("encoding,state", sorted(EXACT))
+def test_exact_sits_below_first_order_by_second_order_terms(model, encoding, state):
+    seq = sp.build_sequence(encoding, Prepare.ZERO if state == "zero" else Prepare.ONE)
+    assert_exact_below_first_order(seq, model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    encoding=st.sampled_from("OMG"),
+    prepare=st.sampled_from([Prepare.ZERO, Prepare.ONE]),
+    strict=st.booleans(),
+    pump_error=st.floats(0.0, 0.1),
+    pulse_errors=st.lists(st.floats(0.0, 0.1), min_size=5, max_size=5),
+    loss=st.one_of(st.just(0.0), st.floats(0.0, 0.01)),
+)
+def test_exact_sits_below_first_order_on_drawn_models(
+    model, encoding, prepare, strict, pump_error, pulse_errors, loss
+):
+    assert len(pulse_errors) == len(model.pulses)
+    drawn = dataclasses.replace(
+        model,
+        pump=dataclasses.replace(model.pump, error_rate=pump_error),
+        pulses=tuple(dataclasses.replace(pulse, error_rate=error)
+                     for pulse, error in zip(model.pulses, pulse_errors)),
+        loss_probability_per_shot=loss,
+    )
+    assert_exact_below_first_order(sp.build_sequence(encoding, prepare), drawn, strict)
+
+
+@pytest.mark.parametrize("encoding", ["O", "M", "G"])
+def test_rejection_prediction_rejects_superposition(model, encoding):
+    seq = sp.build_sequence(encoding, Prepare.SUPERPOSITION)
+    with pytest.raises(ValueError, match="basis-state"):
+        sp.predict_rejection_exact(seq, model)
+    with pytest.raises(ValueError, match="basis-state"):
+        sp.rejection_contributions(seq, model, include_decay=True)
 
 
 def test_rejection_contributions_structure(model):
@@ -159,7 +198,6 @@ def test_rejection_contributions_structure(model):
 
 
 def test_rejection_contributions_include_loss(model):
-    import dataclasses
     lossy = dataclasses.replace(model, loss_probability_per_shot=1e-4)
     rows = sp.rejection_contributions(sp.build_sequence("M", Prepare.ZERO), lossy)
     loss_rows = [r for r in rows if r.step_index == -1]

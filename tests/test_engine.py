@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import spamsim as sp
-from spamsim import engine
+from spamsim import analytics, engine
 from spamsim.sequence import Prepare
 
 
@@ -80,6 +80,44 @@ def test_rejection_rates_track_exact_predictions(model):
             expected = sp.predict_rejection_exact(seq, model)
             sigma = math.sqrt(expected * (1.0 - expected) / shots)
             assert abs(tally.rejected_fraction - expected) < 4.0 * sigma, (encoding, name)
+
+
+@pytest.mark.parametrize("encoding", ["O", "M", "G"])
+@pytest.mark.parametrize("state", ["zero", "one"])
+def test_pattern_distribution_matches_propagator(model, encoding, state):
+    # With noiseless reads and no decay the analytic propagator gives the
+    # exact probability of every R0..R5 pattern.  Goodness of fit by
+    # chi-square, cells expecting fewer than 20 shots pooled into one.
+    noiseless = dataclasses.replace(
+        model,
+        pump=dataclasses.replace(model.pump, error_rate=0.2),
+        decay=sp.DecayChannel(lifetime=math.inf),
+        detection=dataclasses.replace(model.detection, mean_dark=0.0,
+                                      read_noise_sigma=0.0, threshold=0),
+        loss_probability_per_shot=0.01,
+    )
+    prepare = Prepare(state)
+    shots = 200_000
+    cfg = sp.ExperimentConfig(model=noiseless, encoding=encoding, shots=shots, seed=51,
+                              interleave=False, prepare=prepare)
+    res = sp.run_experiment(cfg, workers=2, collect_histograms=False, keep_records=True)
+    observed = np.bincount(engine._patterns(res.records[prepare.value]["bright"]),
+                           minlength=64)
+    compiled = engine._compile(sp.build_sequence(encoding, prepare), noiseless)
+    final = analytics._propagate(compiled, noiseless.loss_probability_per_shot)[-1]
+    probability = final.sum(axis=0)
+    assert probability.sum() == pytest.approx(1.0, abs=1e-12)
+    assert observed[probability == 0].sum() == 0
+
+    expected = shots * probability
+    common = expected >= 20
+    observed = np.append(observed[common], observed[~common].sum())
+    expected = np.append(expected[common], expected[~common].sum())
+    if expected[-1] == 0:
+        observed, expected = observed[:-1], expected[:-1]
+    chi2, p = stats.chisquare(observed, expected)
+    assert expected.size >= 3
+    assert p > 1e-4, (chi2, expected.size - 1, p)
 
 
 def test_scalar_shot_agrees_with_batch_statistics(model):
