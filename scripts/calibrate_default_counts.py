@@ -24,14 +24,8 @@ def main(argv=None):
 
     model = sp.default_model()
     rng = np.random.default_rng(args.seed)
-    dark = np.array([
-        detection.sample_counts(0.0, model.detection, rng)
-        for _ in range(args.samples)
-    ])
-    bright = np.array([
-        detection.sample_counts(1.0, model.detection, rng)
-        for _ in range(args.samples)
-    ])
+    dark = detection.sample_counts(np.zeros(args.samples), model.detection, rng)
+    bright = detection.sample_counts(np.ones(args.samples), model.detection, rng)
 
     result = detection.calibrate_threshold(
         detection.CountHistogram.from_samples(dark, label="dark"),

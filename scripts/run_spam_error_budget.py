@@ -8,9 +8,9 @@ detections).
 """
 
 import argparse
-import math
 
 import spamsim as sp
+from spamsim.channels import decay_probability
 
 
 def main(argv=None):
@@ -53,7 +53,7 @@ def main(argv=None):
     bright_err, dark_err = sp.optical_error_rates(model.detection)
     transfer = model.pulse_for(sp.B_1_M1, sp.A_2_0)
     exposure = model.detection.total_duration + transfer.t_pi
-    eps_d = -math.expm1(-exposure / model.decay.lifetime)
+    eps_d = decay_probability(exposure, model.decay)
     budget = sp.detection_error_budget(bright_err, dark_err, eps_d)
     print(
         f"analytic budget {budget.average:.3e}"

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .channels import ErrorModel, default_model
+from .channels import DecayChannel, ErrorModel, decay_probability, default_model
 from .engine import (
     _FLAG_TABLES,
     _LOST,
@@ -95,7 +95,6 @@ class RejectionContribution:
 
 def _propagate(
     compiled: _Compiled,
-    loss: float = 0.0,
     *,
     ideal: bool = False,
     forced: tuple[int, str] | None = None,
@@ -103,18 +102,18 @@ def _propagate(
     """Push probability over (state label x R0..R5 pattern) through the ops.
 
     Reads are noiseless (a label reads bright iff it fluoresces) and nothing
-    decays.  A shot starts as ``Lost`` with probability ``loss`` and as
-    ``WrongGround`` otherwise.  With ``ideal`` every pump and transfer
-    succeeds.  ``forced`` is one event ``(op index, "fail" | "decay")``: a
-    failed pump leaves its population in ``WrongGround``, a failed transfer
-    moves none, and a decay strands the B-manifold population in
-    ``WrongGround`` at the start of the op; ``(-1, "fail")`` loses the ion
-    before the first op.  Returns the matrix before each op and, last, the
-    final one.
+    decays.  A shot starts as ``Lost`` with the compiled per-shot loss
+    probability and as ``WrongGround`` otherwise.  With ``ideal`` no ion is
+    lost and every pump and transfer succeeds.  ``forced`` is one event
+    ``(op index, "fail" | "decay")``: a failed pump leaves its population in
+    ``WrongGround``, a failed transfer moves none, and a decay strands the
+    B-manifold population in ``WrongGround`` at the start of the op;
+    ``(-1, "fail")`` loses the ion before the first op.  Returns the matrix
+    before each op and, last, the final one.
     """
     fluor, is_b = compiled.fluor, compiled.is_b
     mass = np.zeros((len(compiled.labels), 64))
-    mass[_LOST, 0] = 1.0 if forced == (-1, "fail") else loss
+    mass[_LOST, 0] = 1.0 if forced == (-1, "fail") else 0.0 if ideal else compiled.loss
     mass[_WG, 0] = 1.0 - mass[_LOST, 0]
 
     def strand_b() -> None:
@@ -176,8 +175,8 @@ def rejection_contributions(
     """
     compiled = _compile(sequence, model)
     events: list[tuple[int, str, float, str]] = []
-    if model.loss_probability_per_shot > 0:
-        events.append((-1, "ion loss", model.loss_probability_per_shot, "fail"))
+    if compiled.loss > 0:
+        events.append((-1, "ion loss", compiled.loss, "fail"))
     ideal = _propagate(compiled, ideal=True)
     for index, (op, mass) in enumerate(zip(compiled.ops, ideal)):
         step = sequence.steps[index]
@@ -238,7 +237,7 @@ def predict_rejection_exact(
     through the compiled ops, splitting it at every pump and transfer by the
     channel rates, and sums the final probability of the flagged patterns.
     """
-    final = _propagate(_compile(sequence, model), model.loss_probability_per_shot)[-1]
+    final = _propagate(_compile(sequence, model))[-1]
     return float(final[:, _FLAG_TABLES[strict][0] != 0].sum())
 
 
@@ -467,7 +466,7 @@ def sample_decay_events(
         raise ValueError(f"lifetime must be positive, got {lifetime}")
     rows = []
     for delay in delays:
-        probability = -math.expm1(-delay / lifetime)
+        probability = decay_probability(delay, DecayChannel(lifetime))
         decayed = int(rng.binomial(shots_per_delay, probability))
         rows.append((float(delay), decayed, shots_per_delay))
     return rows

@@ -237,7 +237,8 @@ def model_to_config(model: ErrorModel) -> dict:
             }
             for p in model.pulses
         ],
-        "decay": {"lifetime": model.decay.lifetime},
+        # JSON has no infinity; null is the config form of "no decay".
+        "decay": {"lifetime": None if model.decay.disabled else model.decay.lifetime},
         "detection": {
             "mean_bright": model.detection.mean_bright,
             "mean_dark": model.detection.mean_dark,

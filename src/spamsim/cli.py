@@ -472,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--encoding", choices=_ENCODINGS + ("all",), default="all")
     pred.add_argument("--strict-flags", action="store_true")
     pred.add_argument("--include-decay", action="store_true",
-                      help="add metastable-decay contributions")
+                      help="add metastable-decay contributions to the first-order "
+                           "column; the exact column never includes decay")
     pred.add_argument("--out", default=None, help="output directory")
     pred.set_defaults(func=cmd_predict_rejection)
 

@@ -110,19 +110,28 @@ def read_histogram_csv(path: str, label: str = "unlabeled") -> CountHistogram:
 # =========================================================================
 
 def sample_counts(
-    fluorescing_fraction: float, model: DetectionModel, rng: np.random.Generator
-) -> int:
-    """Draw one integer count value for a window with the given bright fraction."""
-    if not 0.0 <= fluorescing_fraction <= 1.0:
+    fluorescing_fraction: float | np.ndarray, model: DetectionModel, rng: np.random.Generator
+) -> int | np.ndarray:
+    """Draw integer count values for windows with the given bright fractions.
+
+    A scalar fraction gives one ``int``; an array gives int64 counts of the
+    same shape, one Poisson draw per window and then, with read noise, one
+    normal draw per window.
+    """
+    fraction = np.asarray(fluorescing_fraction, dtype=float)
+    # Two reductions, no temporaries: NaN propagates to fail both tests, and
+    # ``initial`` lets an empty array pass.
+    if not (fraction.min(initial=0.0) >= 0.0 and fraction.max(initial=1.0) <= 1.0):
         raise ValueError(f"fluorescing fraction must be in [0, 1], got {fluorescing_fraction}")
-    lam = fluorescing_fraction * model.mean_bright + (1.0 - fluorescing_fraction) * model.mean_dark
-    counts = float(rng.poisson(lam))
+    lam = fraction * model.mean_bright + (1.0 - fraction) * model.mean_dark
+    counts = rng.poisson(lam, fraction.shape).astype(float)
     if model.read_noise_sigma > 0:
-        counts += rng.normal(0.0, model.read_noise_sigma)
-    return int(np.rint(counts))
+        counts += rng.normal(0.0, model.read_noise_sigma, fraction.shape)
+    counts = np.rint(counts, out=counts).astype(np.int64)
+    return int(counts) if counts.ndim == 0 else counts
 
 
-def classify(counts: float, threshold: float) -> bool:
+def classify(counts: float | np.ndarray, threshold: float) -> bool | np.ndarray:
     """True means bright.  Strict comparison: a tie with the threshold is dark."""
     return counts > threshold
 

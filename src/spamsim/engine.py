@@ -8,13 +8,18 @@ spawn_key=(batch, chunk))``, so aggregate results are identical for any worker
 count and chunks can be replayed in isolation.  :func:`run_shot` runs a
 single shot as a one-shot chunk on the caller's generator.
 
+:func:`_compile` binds a sequence to an :class:`ErrorModel` once, and nothing
+after it reads the model: the interpreters get all they need from its output.
+
 A ``Rotate`` step Born-projects every shot in the qubit subspace on the spot,
 and that outcome is the shot's prepared value.  Built sequences apply no
 second coherent operation after it, so projecting at once gives the same
 outcome distribution as projecting at the first step that tells the two basis
 states apart.
 
-In repeat-until-success mode, each retry round gathers the shots whose R1
+A chunk runs the ops up to the R1 detection, then ``max_attempts - 1``
+repeat-until-success retry rounds, then the remaining ops; post-selection is
+the case with no retry round.  Each retry round gathers the shots whose R1
 detection was bright into a compacted sub-chunk, re-runs the preparation ops
 on it alone and scatters the results back, so a round draws random numbers
 only for the shots that retry.  Every op acts on the whole (sub-)chunk it is
@@ -34,12 +39,12 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence as SequenceType
+from typing import Sequence as SequenceType
 
 import numpy as np
 
 from .channels import ErrorModel, decay_probability, pulse_success_probability
-from .detection import CountHistogram
+from .detection import CountHistogram, DetectionModel, classify, sample_counts
 from .sequence import (
     Cool,
     Deshelve,
@@ -178,7 +183,9 @@ class _Compiled:
 
     The chunk runner (:func:`_apply_op`) and the analytic propagator
     (``analytics._propagate``) both interpret ``ops``.  Every op but
-    ``deshelve`` and ``rotate`` ends with its decay probability.
+    ``deshelve`` and ``rotate`` ends with its decay probability.  ``loss``,
+    ``detection`` and ``lifetime`` carry the rest of the model that the
+    interpreters use; nothing after :func:`_compile` reads the model itself.
     """
 
     labels: list[StateLabel]
@@ -190,6 +197,8 @@ class _Compiled:
     retry_at: int  # op index a repeat-until-success retry rewinds to
     prep_end: int  # op index of the R1 detection
     lifetime: float
+    loss: float  # probability that a shot starts with the ion lost
+    detection: DetectionModel
 
 
 def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
@@ -208,28 +217,27 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
             intern(step.from_state)
             intern(step.to_state)
 
-    def p_dec(duration: float) -> float:
-        return 0.0 if model.decay.disabled else decay_probability(duration, model.decay)
-
+    decay = model.decay
     ops: list[tuple] = []
     for step in sequence.steps:
         if isinstance(step, Cool):
             duration = model.cooling_duration if step.duration is None else step.duration
-            ops.append(("decay", p_dec(duration)))
+            ops.append(("decay", decay_probability(duration, decay)))
         elif isinstance(step, Pump):
             ops.append(
                 ("pump", model.pump.error_rate, intern(model.pump.target),
-                 p_dec(model.pump.duration))
+                 decay_probability(model.pump.duration, decay))
             )
         elif isinstance(step, Transfer):
             pulse = model.pulse_for(step.from_state, step.to_state)
             duration = pulse.t_pi if step.duration is None else step.duration
             ops.append(
                 ("transfer", intern(step.from_state), intern(step.to_state),
-                 pulse_success_probability(duration, pulse), p_dec(duration))
+                 pulse_success_probability(duration, pulse), decay_probability(duration, decay))
             )
         elif isinstance(step, Detect):
-            ops.append(("detect", int(step.label), p_dec(model.detection.total_duration)))
+            ops.append(("detect", int(step.label),
+                        decay_probability(model.detection.total_duration, decay)))
         elif isinstance(step, Deshelve):
             ops.append(("deshelve",))
         elif isinstance(step, Rotate):
@@ -249,7 +257,9 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
         ops=ops,
         retry_at=sequence.retry_start,
         prep_end=sequence.prep_end,
-        lifetime=model.decay.lifetime,
+        lifetime=decay.lifetime,
+        loss=model.loss_probability_per_shot,
+        detection=model.detection,
     )
 
 
@@ -301,15 +311,16 @@ class _ChunkState:
                 target[..., idx] = values
 
 
-def _vector_decay(chunk: _ChunkState, compiled: _Compiled, p: float) -> None:
+def _vector_decay(chunk: _ChunkState, compiled: _Compiled, p: float) -> np.ndarray | None:
+    """Strand B-manifold shots with probability ``p``; the decayed mask, or None if p is 0."""
     if p <= 0.0:
-        return
+        return None
     decayed = compiled.is_b[chunk.state] & (chunk.rng.random(chunk.size) < p)
     chunk.state[decayed] = _WG
+    return decayed
 
 
-def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple,
-              model: ErrorModel) -> None:
+def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple) -> None:
     rng = chunk.rng
     kind = op[0]
     if kind == "decay":
@@ -328,10 +339,10 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple,
         chunk.state[moved] = to_id
     elif kind == "detect":
         _, label, p = op
-        det = model.detection
+        det = compiled.detection
         fraction = compiled.fluor[chunk.state].astype(float)
-        if p > 0.0:
-            decayed = compiled.is_b[chunk.state] & (rng.random(chunk.size) < p)
+        decayed = _vector_decay(chunk, compiled, p)
+        if decayed is not None:
             # The instant is drawn for every shot to keep the stream fixed,
             # but only the decayed shots need it.
             u = rng.random(chunk.size)[decayed]
@@ -339,15 +350,10 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple,
                 -compiled.lifetime * np.log1p(-u * p), det.total_duration
             )
             fraction[decayed] = (det.total_duration - instant) / det.total_duration
-            chunk.state[decayed] = _WG
-        lam = fraction * det.mean_bright + (1.0 - fraction) * det.mean_dark
-        values = rng.poisson(lam).astype(float)
-        if det.read_noise_sigma > 0:
-            values += rng.normal(0.0, det.read_noise_sigma, chunk.size)
-        values = np.rint(values)
+        counts = sample_counts(fraction, det, rng)
         if chunk.counts is not None:
-            chunk.counts[label] = values
-        chunk.bright[label] = values > det.threshold
+            chunk.counts[label] = counts
+        chunk.bright[label] = classify(counts, det.threshold)
     elif kind == "deshelve":
         chunk.state[compiled.is_b[chunk.state]] = _WG
     elif kind == "rotate":
@@ -377,7 +383,11 @@ class _ChunkResult:
     attempts_total: int
     attempts_max: int
     histograms: list[tuple[int, np.ndarray]] | None
-    records: tuple[np.ndarray, ...] | None
+    records: dict[str, np.ndarray] | None
+
+
+# Per-shot record columns; ``bright`` is (6, shots), the others (shots,).
+_RECORD_KEYS = ("prepared", "bright", "flagged", "reason", "inferred", "attempts")
 
 
 def _value_counts(values: np.ndarray) -> tuple[int, np.ndarray]:
@@ -390,11 +400,9 @@ def _value_counts(values: np.ndarray) -> tuple[int, np.ndarray]:
 
 def _run_chunk(
     compiled: _Compiled,
-    model: ErrorModel,
     size: int,
     seed_seq: np.random.SeedSequence,
     prepared_code: int,
-    mode: Mode,
     max_attempts: int,
     strict: bool,
     collect_histograms: bool,
@@ -406,33 +414,28 @@ def _run_chunk(
     R0..R5 pattern, so the chunk returns just their 3x64 count matrix plus the
     attempt totals.  Raw-count histograms (R0..R5, then R3 of accepted shots)
     come as ``(lowest value, counts)`` pairs when ``collect_histograms`` is
-    set, and per-shot columns when ``keep_records`` is.
+    set, and per-shot columns (keyed by :data:`_RECORD_KEYS`) when
+    ``keep_records`` is.  With ``max_attempts`` 1 no shot retries.
     """
     rng = np.random.default_rng(seed_seq)
-    chunk = _ChunkState.start(size, rng, model.loss_probability_per_shot,
-                              prepared_code, collect_histograms)
+    chunk = _ChunkState.start(size, rng, compiled.loss, prepared_code, collect_histograms)
     attempts = np.ones(size, dtype=np.int32)
 
     ops = compiled.ops
-    if mode is Mode.REPEAT_UNTIL_SUCCESS and max_attempts > 1:
-        for op in ops[: compiled.prep_end + 1]:
-            _apply_op(chunk, compiled, op, model)
-        prep_ops = ops[compiled.retry_at : compiled.prep_end + 1]
-        for _ in range(max_attempts - 1):
-            # Only the R1-bright shots retry, on a compacted sub-chunk.
-            retry = np.flatnonzero(chunk.bright[int(DetectLabel.R1)])
-            if retry.size == 0:
-                break
-            attempts[retry] += 1
-            sub = chunk.take(retry)
-            for op in prep_ops:
-                _apply_op(sub, compiled, op, model)
-            chunk.put(retry, sub)
-        for op in ops[compiled.prep_end + 1 :]:
-            _apply_op(chunk, compiled, op, model)
-    else:
-        for op in ops:
-            _apply_op(chunk, compiled, op, model)
+    for op in ops[: compiled.prep_end + 1]:
+        _apply_op(chunk, compiled, op)
+    for _ in range(max_attempts - 1):
+        # Only the R1-bright shots retry, on a compacted sub-chunk.
+        retry = np.flatnonzero(chunk.bright[int(DetectLabel.R1)])
+        if retry.size == 0:
+            break
+        attempts[retry] += 1
+        sub = chunk.take(retry)
+        for op in ops[compiled.retry_at : compiled.prep_end + 1]:
+            _apply_op(sub, compiled, op)
+        chunk.put(retry, sub)
+    for op in ops[compiled.prep_end + 1 :]:
+        _apply_op(chunk, compiled, op)
 
     patterns = _patterns(chunk.bright)
     tally = np.bincount(
@@ -448,8 +451,9 @@ def _run_chunk(
 
     records = None
     if keep_records:
-        records = (chunk.prepared, chunk.bright,
-                   *evaluate_flags_array(chunk.bright, strict), attempts)
+        records = dict(zip(_RECORD_KEYS, (chunk.prepared, chunk.bright,
+                                          *evaluate_flags_array(chunk.bright, strict),
+                                          attempts)))
 
     return _ChunkResult(
         tally=tally,
@@ -500,11 +504,10 @@ def run_shot(
     index, state)`` after every step.
     """
     compiled = _compile(sequence, model)
-    chunk = _ChunkState.start(1, rng, model.loss_probability_per_shot,
-                              _PREPARED_CODES[sequence.prepare], False)
+    chunk = _ChunkState.start(1, rng, compiled.loss, _PREPARED_CODES[sequence.prepare], False)
     trace = []
     for index, op in enumerate(compiled.ops):
-        _apply_op(chunk, compiled, op, model)
+        _apply_op(chunk, compiled, op)
         if keep_trace:
             trace.append((index, compiled.labels[chunk.state[0]]))
     outcomes = tuple(bool(bright) for bright in chunk.bright[:, 0])
@@ -671,51 +674,43 @@ def run_experiment(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    model = config.model
     if config.interleave:
         batches = [(Prepare.ZERO, 0), (Prepare.ONE, 1)]
     else:
         batches = [(config.prepare, _PREPARED_CODES[config.prepare])]
+    sizes = [min(CHUNK_SHOTS, config.shots - start)
+             for start in range(0, config.shots, CHUNK_SHOTS)]
 
+    # Tasks run batch by batch, chunk by chunk; both runners keep that order.
     tasks = []
     for batch_index, (prepare, code) in enumerate(batches):
         sequence = build_sequence(config.encoding, prepare)
         if config.transfer_durations:
             sequence = sequence.with_transfer_durations(dict(config.transfer_durations))
-        compiled = _compile(sequence, model)
-        remaining = config.shots
-        chunk_index = 0
-        while remaining > 0:
-            size = min(CHUNK_SHOTS, remaining)
+        compiled = _compile(sequence, config.model)
+        for chunk_index, size in enumerate(sizes):
             seed_seq = np.random.SeedSequence(
                 entropy=config.seed, spawn_key=(batch_index, chunk_index)
             )
-            tasks.append((batch_index, chunk_index, compiled, size, seed_seq, code))
-            remaining -= size
-            chunk_index += 1
+            tasks.append((compiled, size, seed_seq, code))
 
-    def execute(task) -> tuple[int, int, _ChunkResult]:
-        batch_index, chunk_index, compiled, size, seed_seq, code = task
-        result = _run_chunk(
-            compiled, model, size, seed_seq, code, config.mode,
-            config.max_attempts, config.strict_flags, collect_histograms,
-            keep_records,
-        )
-        return batch_index, chunk_index, result
+    def execute(task) -> _ChunkResult:
+        compiled, size, seed_seq, code = task
+        return _run_chunk(compiled, size, seed_seq, code, config.max_attempts,
+                          config.strict_flags, collect_histograms, keep_records)
 
     if workers == 1:
         outputs = [execute(task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(execute, tasks))
-    outputs.sort(key=lambda item: (item[0], item[1]))
 
     table = _FLAG_TABLES[config.strict_flags]
     states: dict[str, BatchTally] = {}
     accepted_r3: dict[str, CountHistogram] = {}
     records: dict[str, dict[str, np.ndarray]] = {}
     for batch_index, (prepare, _) in enumerate(batches):
-        chunk_results = [r for b, _, r in outputs if b == batch_index]
+        chunk_results = outputs[batch_index * len(sizes) : (batch_index + 1) * len(sizes)]
         name = prepare.value
         states[name] = _batch_tally(
             name, sum(r.tally for r in chunk_results), table,
@@ -729,12 +724,14 @@ def run_experiment(
             if hist is not None:
                 accepted_r3[name] = hist
         if keep_records:
-            records[name] = _stack_records(chunk_results)
+            records[name] = {key: np.concatenate([r.records[key] for r in chunk_results],
+                                                 axis=-1)
+                             for key in _RECORD_KEYS}
 
     histograms = {}
     if collect_histograms:
         for index in range(6):
-            hist = _merged_histogram([r.histograms[index] for _, _, r in outputs], f"R{index}")
+            hist = _merged_histogram([r.histograms[index] for r in outputs], f"R{index}")
             if hist is not None:
                 histograms[f"R{index}"] = hist
 
@@ -745,20 +742,6 @@ def run_experiment(
         accepted_r3=accepted_r3,
         records=records if keep_records else None,
     )
-
-
-def _stack_records(chunk_results: Iterable[_ChunkResult]) -> dict[str, np.ndarray]:
-    prepared, bright, flagged, reason, inferred, attempts = zip(
-        *(r.records for r in chunk_results)
-    )
-    return {
-        "prepared": np.concatenate(prepared),
-        "bright": np.concatenate(bright, axis=1),
-        "flagged": np.concatenate(flagged),
-        "reason": np.concatenate(reason),
-        "inferred": np.concatenate(inferred),
-        "attempts": np.concatenate(attempts),
-    }
 
 
 def reason_from_code(code: int) -> FlagReason:

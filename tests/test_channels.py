@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -120,6 +121,20 @@ def test_save_load_round_trip(model, tmp_path):
     path = tmp_path / "model.json"
     sp.save_error_model(model, str(path))
     assert sp.load_error_model(str(path)) == model
+
+
+def test_save_model_without_decay_is_strict_json(model, tmp_path):
+    # A disabled decay channel is written as null, not as the non-JSON Infinity.
+    perfect = model.with_perfect_channels()
+    path = tmp_path / "perfect.json"
+    sp.save_error_model(perfect, str(path))
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    document = json.loads(path.read_text(), parse_constant=reject)
+    assert document["decay"]["lifetime"] is None
+    assert sp.load_error_model(str(path)) == perfect
 
 
 def test_config_rejects_bad_documents(model):

@@ -254,6 +254,19 @@ def test_predict_rejection_all_encodings(tmp_path, model):
         assert row["contributions"]
 
 
+def test_predict_rejection_include_decay_moves_first_order_only(tmp_path):
+    rows = {}
+    for flags in ([], ["--include-decay"]):
+        out = tmp_path / ("decay" if flags else "plain")
+        assert cli.main(["predict-rejection", "--encoding", "all", *flags, "--out", str(out)]) == 0
+        document = validate(out / "rejection.json", "rejection.schema.json")
+        rows[bool(flags)] = {(r["encoding"], r["prepared"]): r for r in document["rows"]}
+    for key, plain in rows[False].items():
+        decay = rows[True][key]
+        assert decay["exact"] == plain["exact"], key
+        assert decay["first_order"] > plain["first_order"], key
+
+
 def test_predict_rejection_single_encoding(tmp_path):
     out = tmp_path / "one"
     code = cli.main(["predict-rejection", "--encoding", "G", "--out", str(out)])

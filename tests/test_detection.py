@@ -167,6 +167,17 @@ def test_sample_counts_statistics(model):
     assert np.mean(dark > det.threshold) < 1e-3
     with pytest.raises(ValueError):
         sample_counts(1.5, det, rng)
+    # The array form draws one count per window, in the fractions' shape.
+    fractions = np.repeat([[1.0], [0.0], [0.5]], 20_000, axis=1)
+    counts = sample_counts(fractions, det, rng)
+    assert counts.dtype == np.int64
+    assert counts.shape == fractions.shape
+    assert counts[0].mean() == pytest.approx(det.mean_bright, rel=2e-2)
+    assert counts[1].mean() == pytest.approx(det.mean_dark, rel=2e-2)
+    assert counts[2].mean() == pytest.approx(0.5 * (det.mean_bright + det.mean_dark), rel=2e-2)
+    for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            sample_counts(np.array(bad), det, rng)
 
 
 def test_classify_uses_strict_greater_than(model):

@@ -50,6 +50,30 @@ def test_summary_is_worker_invariant(model):
     assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
 
+@pytest.mark.parametrize("mode, max_attempts", [
+    (sp.Mode.POST_SELECT, 1),
+    (sp.Mode.REPEAT_UNTIL_SUCCESS, 3),
+])
+def test_records_and_histograms_are_worker_invariant(model, mode, max_attempts):
+    # Three chunks per batch, the last one partial, so batches and chunks
+    # must be put back together in order whatever the workers' schedule.
+    cfg = sp.ExperimentConfig(model=model, encoding="M", shots=2 * engine.CHUNK_SHOTS + 123,
+                              seed=19, mode=mode, max_attempts=max_attempts)
+    serial, threaded = (sp.run_experiment(cfg, workers=workers, keep_records=True)
+                        for workers in (1, 3))
+    assert serial.records.keys() == threaded.records.keys() == {"zero", "one"}
+    for name, columns in serial.records.items():
+        assert columns.keys() == threaded.records[name].keys()
+        for key, column in columns.items():
+            other = threaded.records[name][key]
+            assert column.dtype == other.dtype, (name, key)
+            assert column.shape[-1] == cfg.shots, (name, key)
+            np.testing.assert_array_equal(column, other, err_msg=f"{name} {key}")
+    assert serial.histograms == threaded.histograms
+    assert serial.accepted_r3 == threaded.accepted_r3
+    assert len(serial.histograms) == 6 and set(serial.accepted_r3) == {"zero", "one"}
+
+
 def test_different_seeds_differ(model):
     a = run(model, shots=30_000, seed=4)
     b = run(model, shots=30_000, seed=5)
@@ -104,7 +128,7 @@ def test_pattern_distribution_matches_propagator(model, encoding, state):
     observed = np.bincount(engine._patterns(res.records[prepare.value]["bright"]),
                            minlength=64)
     compiled = engine._compile(sp.build_sequence(encoding, prepare), noiseless)
-    final = analytics._propagate(compiled, noiseless.loss_probability_per_shot)[-1]
+    final = analytics._propagate(compiled)[-1]
     probability = final.sum(axis=0)
     assert probability.sum() == pytest.approx(1.0, abs=1e-12)
     assert observed[probability == 0].sum() == 0
@@ -300,18 +324,18 @@ def _reference_rus(model, encoding, prepare, shots, seed, max_attempts):
     attempts = np.ones(shots, dtype=np.int32)
     ops = compiled.ops
     for op in ops[: compiled.prep_end + 1]:
-        engine._apply_op(chunk, compiled, op, model)
+        engine._apply_op(chunk, compiled, op)
     names = ("state", "prepared", "bright")
     for _ in range(max_attempts - 1):
         retry = chunk.bright[1].copy()
         attempts[retry] += 1
         trial = dataclasses.replace(chunk, **{n: getattr(chunk, n).copy() for n in names})
         for op in ops[compiled.retry_at : compiled.prep_end + 1]:
-            engine._apply_op(trial, compiled, op, model)
+            engine._apply_op(trial, compiled, op)
         for n in names:
             getattr(chunk, n)[..., retry] = getattr(trial, n)[..., retry]
     for op in ops[compiled.prep_end + 1 :]:
-        engine._apply_op(chunk, compiled, op, model)
+        engine._apply_op(chunk, compiled, op)
     return _outcome_keys(chunk.prepared, attempts, chunk.bright)
 
 
