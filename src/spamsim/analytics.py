@@ -399,12 +399,15 @@ def bias_scan(
     detunes only the family's pulses and zeroes every other error channel, so
     the closed form is the exact expectation of each point.
     """
+    ratios = list(ratios)
+    # The whole grid is checked before any point runs.
+    for ratio in ratios:
+        if not (math.isfinite(ratio) and ratio > 0):
+            raise ValueError(f"duration ratios must be finite and positive, got {ratio!r}")
     base = (model if model is not None else default_model()).with_perfect_channels()
     t_pi = base.pulse_for(*family.scanned[0]).t_pi
     points = []
     for index, ratio in enumerate(ratios):
-        if ratio <= 0:
-            raise ValueError(f"duration ratios must be positive, got {ratio}")
         duration = ratio * t_pi
         point_seed = int(np.random.SeedSequence(entropy=[seed, index]).generate_state(1)[0])
         config = ExperimentConfig(

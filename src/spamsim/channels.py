@@ -104,7 +104,7 @@ class DecayChannel:
 
 def decay_probability(duration: float, decay: DecayChannel) -> float:
     """Probability that a B-state decays within ``duration`` seconds."""
-    if duration < 0:
+    if not duration >= 0:  # NaN fails too
         raise ValueError(f"duration must be non-negative, got {duration}")
     return -math.expm1(-duration / decay.lifetime)
 
@@ -116,7 +116,7 @@ def pulse_success_probability(duration: float, pulse: TransferPulse) -> float:
     its square for a double-order pulse, so a calibrated pi-time transfers with
     probability ``1 - error_rate``.
     """
-    if duration < 0:
+    if not duration >= 0:  # NaN fails too
         raise ValueError(f"duration must be non-negative, got {duration}")
     factor = math.sin(math.pi * duration / (2.0 * pulse.t_pi)) ** 2
     if pulse.order is PulseOrder.DOUBLE:

@@ -7,6 +7,10 @@ plus Gaussian read noise, rounded to an integer.  The camera offset is assumed
 to be subtracted upstream, so the configured means are net counts and sampled
 values may come out negative.  A state is called bright when its counts
 strictly exceed the threshold; ties count as dark.
+
+The count model is stated once: :func:`mean_counts` gives the Poisson mean
+and :func:`draw_counts` the counts around it.  :func:`sample_counts` chains
+the two, and the engine's detect op calls the same two helpers.
 """
 
 from __future__ import annotations
@@ -79,12 +83,14 @@ class CountHistogram:
 
 
 def write_histogram_csv(hist: CountHistogram, path: str) -> None:
-    """Two-column CSV: bin_low, frequency."""
+    """Two-column CSV: bin_low, frequency.
+
+    The rows are those of :class:`csv.writer` (``\\r\\n`` line ends, integers
+    need no quoting), joined into one string and written at once.
+    """
+    rows = "".join(f"{low},{freq}\r\n" for low, freq in zip(hist.bin_lows, hist.frequencies))
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_low", "frequency"])
-        for low, freq in zip(hist.bin_lows, hist.frequencies):
-            writer.writerow([low, freq])
+        handle.write("bin_low,frequency\r\n" + rows)
 
 
 def read_histogram_csv(path: str, label: str = "unlabeled") -> CountHistogram:
@@ -109,25 +115,45 @@ def read_histogram_csv(path: str, label: str = "unlabeled") -> CountHistogram:
 # Sampling and classification
 # =========================================================================
 
-def sample_counts(
-    fluorescing_fraction: float | np.ndarray, model: DetectionModel, rng: np.random.Generator
-) -> int | np.ndarray:
-    """Draw integer count values for windows with the given bright fractions.
+def mean_counts(fluorescing_fraction: float | np.ndarray, model: DetectionModel) -> np.ndarray:
+    """Poisson means, as float64 values, of windows with the given bright fractions.
 
-    A scalar fraction gives one ``int``; an array gives int64 counts of the
-    same shape, one Poisson draw per window and then, with read noise, one
-    normal draw per window.
+    The mean interpolates linearly between the dark and bright rates, so a
+    fraction of exactly 1 or 0 gives exactly ``mean_bright`` or ``mean_dark``.
     """
     fraction = np.asarray(fluorescing_fraction, dtype=float)
     # Two reductions, no temporaries: NaN propagates to fail both tests, and
     # ``initial`` lets an empty array pass.
     if not (fraction.min(initial=0.0) >= 0.0 and fraction.max(initial=1.0) <= 1.0):
         raise ValueError(f"fluorescing fraction must be in [0, 1], got {fluorescing_fraction}")
-    lam = fraction * model.mean_bright + (1.0 - fraction) * model.mean_dark
-    counts = rng.poisson(lam, fraction.shape).astype(float)
+    return fraction * model.mean_bright + (1.0 - fraction) * model.mean_dark
+
+
+def draw_counts(mean: np.ndarray, model: DetectionModel, rng: np.random.Generator) -> np.ndarray:
+    """Draw int64 counts of the same shape as the Poisson means ``mean``.
+
+    One Poisson draw per window and then, with read noise, one normal draw per
+    window; the sum is rounded to the nearest integer.
+    """
+    counts = rng.poisson(mean, mean.shape)
     if model.read_noise_sigma > 0:
-        counts += rng.normal(0.0, model.read_noise_sigma, fraction.shape)
-    counts = np.rint(counts, out=counts).astype(np.int64)
+        # The Poisson counts go into the noise array in place: one float
+        # array, rounded in place, and then the int64 cast.
+        noisy = rng.normal(0.0, model.read_noise_sigma, mean.shape)
+        noisy += counts
+        counts = np.rint(noisy, out=noisy).astype(np.int64)
+    return counts
+
+
+def sample_counts(
+    fluorescing_fraction: float | np.ndarray, model: DetectionModel, rng: np.random.Generator
+) -> int | np.ndarray:
+    """Draw integer count values for windows with the given bright fractions.
+
+    :func:`mean_counts` followed by :func:`draw_counts`.  A scalar fraction
+    gives one ``int``; an array gives int64 counts of the same shape.
+    """
+    counts = draw_counts(mean_counts(fluorescing_fraction, model), model, rng)
     return int(counts) if counts.ndim == 0 else counts
 
 

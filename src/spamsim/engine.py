@@ -44,7 +44,7 @@ from typing import Sequence as SequenceType
 import numpy as np
 
 from .channels import ErrorModel, decay_probability, pulse_success_probability
-from .detection import CountHistogram, DetectionModel, classify, sample_counts
+from .detection import CountHistogram, DetectionModel, classify, draw_counts, mean_counts
 from .sequence import (
     Cool,
     Deshelve,
@@ -186,6 +186,11 @@ class _Compiled:
     ``deshelve`` and ``rotate`` ends with its decay probability.  ``loss``,
     ``detection`` and ``lifetime`` carry the rest of the model that the
     interpreters use; nothing after :func:`_compile` reads the model itself.
+    ``fluor``, ``is_b`` and ``mean_counts`` are per-label tables that the
+    chunk runner looks shots up in with ``take``; ``mean_counts`` holds the
+    Poisson mean of a whole window in each label, from
+    :func:`~spamsim.detection.mean_counts`, so it is exactly ``mean_bright``
+    for a fluorescing label and ``mean_dark`` for any other.
     """
 
     labels: list[StateLabel]
@@ -199,6 +204,7 @@ class _Compiled:
     lifetime: float
     loss: float  # probability that a shot starts with the ion lost
     detection: DetectionModel
+    mean_counts: np.ndarray  # float64 Poisson mean of a whole window, per label
 
 
 def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
@@ -260,6 +266,7 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
         lifetime=decay.lifetime,
         loss=model.loss_probability_per_shot,
         detection=model.detection,
+        mean_counts=mean_counts(fluor.astype(float), model.detection),
     )
 
 
@@ -312,60 +319,82 @@ class _ChunkState:
 
 
 def _vector_decay(chunk: _ChunkState, compiled: _Compiled, p: float) -> np.ndarray | None:
-    """Strand B-manifold shots with probability ``p``; the decayed mask, or None if p is 0."""
+    """Strand B-manifold shots with probability ``p``.
+
+    Draws one uniform per shot and then looks only at the few shots it hits.
+    Returns the indices of the stranded shots, or None if ``p`` is 0.
+    """
     if p <= 0.0:
         return None
-    decayed = compiled.is_b[chunk.state] & (chunk.rng.random(chunk.size) < p)
-    chunk.state[decayed] = _WG
-    return decayed
+    hit = np.flatnonzero(chunk.rng.random(chunk.size) < p)
+    hit = hit[compiled.is_b.take(chunk.state.take(hit))]
+    chunk.state[hit] = _WG
+    return hit
 
 
 def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple) -> None:
+    """Apply one compiled op to every shot of ``chunk``.
+
+    Each draw is one array over the whole chunk, made in a fixed order, and
+    the kernels then touch as few elements as they can.  The detect op reads
+    each shot's mean count from ``compiled.mean_counts``, rewrites it only for
+    the shots that decay inside the window, and draws the counts with
+    :func:`~spamsim.detection.draw_counts`: the same two steps as
+    :func:`~spamsim.detection.sample_counts`.
+    """
     rng = chunk.rng
+    state = chunk.state
     kind = op[0]
     if kind == "decay":
         _vector_decay(chunk, compiled, op[1])
     elif kind == "pump":
         _, error_rate, target_id, p = op
         _vector_decay(chunk, compiled, p)
-        m = compiled.fluor[chunk.state]
-        failed = m & (rng.random(chunk.size) < error_rate)
-        chunk.state[m] = target_id
-        chunk.state[failed] = _WG
+        pumped = compiled.fluor.take(state)
+        failed = rng.random(chunk.size) < error_rate
+        failed &= pumped
+        np.copyto(state, target_id, where=pumped)
+        np.copyto(state, _WG, where=failed)
     elif kind == "transfer":
         _, from_id, to_id, p_success, p = op
         _vector_decay(chunk, compiled, p)
-        moved = (chunk.state == from_id) & (rng.random(chunk.size) < p_success)
-        chunk.state[moved] = to_id
+        moved = rng.random(chunk.size) < p_success
+        moved &= state == from_id
+        # Adding ``to_id - from_id`` to the moved shots runs several times
+        # faster than a masked copy of ``to_id``.
+        state += moved * np.int16(to_id - from_id)
     elif kind == "detect":
         _, label, p = op
         det = compiled.detection
-        fraction = compiled.fluor[chunk.state].astype(float)
+        # The mean count of each shot's label before the window; a shot that
+        # decays inside it fluoresced for part of the window only.
+        mean = compiled.mean_counts.take(state)
         decayed = _vector_decay(chunk, compiled, p)
         if decayed is not None:
             # The instant is drawn for every shot to keep the stream fixed,
             # but only the decayed shots need it.
-            u = rng.random(chunk.size)[decayed]
+            u = rng.random(chunk.size).take(decayed)
             instant = np.minimum(
                 -compiled.lifetime * np.log1p(-u * p), det.total_duration
             )
-            fraction[decayed] = (det.total_duration - instant) / det.total_duration
-        counts = sample_counts(fraction, det, rng)
+            mean[decayed] = mean_counts(
+                (det.total_duration - instant) / det.total_duration, det
+            )
+        counts = draw_counts(mean, det, rng)
         if chunk.counts is not None:
             chunk.counts[label] = counts
         chunk.bright[label] = classify(counts, det.threshold)
     elif kind == "deshelve":
-        chunk.state[compiled.is_b[chunk.state]] = _WG
+        np.copyto(state, _WG, where=compiled.is_b.take(state))
     elif kind == "rotate":
         # Born projection on the spot; draws only when a shot can be projected.
         _, pz_from_zero, pz_from_one = op
-        from_zero = chunk.state == compiled.zero_id
-        m = from_zero | (chunk.state == compiled.one_id)
+        from_zero = state == compiled.zero_id
+        m = from_zero | (state == compiled.one_id)
         if m.any():
-            to_zero = (rng.random(chunk.size)
-                       < np.where(from_zero, pz_from_zero, pz_from_one))[m]
-            chunk.state[m] = np.where(to_zero, compiled.zero_id, compiled.one_id)
-            chunk.prepared[m] = np.where(to_zero, 0, 1)
+            to_zero = rng.random(chunk.size) < np.where(from_zero, pz_from_zero, pz_from_one)
+            np.copyto(state, np.where(to_zero, compiled.zero_id, compiled.one_id), where=m)
+            np.copyto(chunk.prepared, ~to_zero, where=m)
     else:
         raise ValueError(f"unknown opcode {kind!r}")
 

@@ -257,6 +257,19 @@ def test_bias_family_signs():
     assert sp.bias_family("optical-one").predicted_bias(0.7) > 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_bias_scan_rejects_bad_ratios_before_running(monkeypatch, bad):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a point ran before the grid was checked")
+
+    monkeypatch.setattr(sp.analytics, "run_experiment", no_runs)
+    family = sp.bias_family("metastable-zero")
+    # The bad ratio sits last, so the check must cover the whole grid first.
+    with pytest.raises(ValueError, match="finite and positive") as excinfo:
+        sp.analytics.bias_scan(family, iter([0.8, 1.0, bad]), 1_000)
+    assert repr(bad) in str(excinfo.value)
+
+
 def test_correct_bias_round_trip():
     # Mix the two basis calibrations with known weights and invert.
     p0, p1 = 0.62, 0.38

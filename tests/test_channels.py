@@ -71,6 +71,14 @@ def test_decay_disabled_means_never():
         sp.DecayChannel(lifetime=0.0)
 
 
+@pytest.mark.parametrize("duration", [-1e-6, math.nan])
+def test_negative_or_nan_durations_are_rejected(duration):
+    with pytest.raises(ValueError, match="duration must be non-negative"):
+        decay_probability(duration, sp.DecayChannel(lifetime=27.2))
+    with pytest.raises(ValueError, match="duration must be non-negative"):
+        pulse_success_probability(duration, pulse(rate=0.04))
+
+
 def test_default_model_parameters(model):
     assert model.pump.target == sp.A_2_0
     assert model.pump.error_rate == pytest.approx(0.008)

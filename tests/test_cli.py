@@ -294,6 +294,18 @@ def test_bias_scan_command(tmp_path):
     assert abs(float(last[4])) < 6.0 * float(last[5])
 
 
+@pytest.mark.parametrize("grid", ["nan", "0.8,inf", "1.0,-0.5"])
+def test_bias_scan_rejects_bad_ratios(tmp_path, capsys, grid):
+    out = tmp_path / "bias"
+    code = cli.main([
+        "bias-scan", "--family", "all", "--t-grid", grid,
+        "--shots", "1000", "--seed", "6", "--out", str(out),
+    ])
+    assert code == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not list(out.glob("bias_*.csv"))
+
+
 def test_bias_scan_unknown_family(tmp_path):
     # argparse enforces the family choices itself.
     with pytest.raises(SystemExit) as excinfo:

@@ -11,6 +11,8 @@ The frozen numbers below were derived independently of the implementation:
   Poisson pmf against the Gaussian noise tail, recomputed here from scipy.
 """
 
+import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +20,9 @@ import pytest
 from scipy import stats
 
 import spamsim as sp
-from spamsim.detection import sample_counts
+from spamsim import engine
+from spamsim.detection import draw_counts, mean_counts, sample_counts
+from spamsim.sequence import Prepare
 
 CROSSING_20_15_320_60 = 84.05606042004078
 BRIGHT_MISREAD = 3.199961e-06
@@ -95,6 +99,20 @@ def test_histogram_csv_round_trip(tmp_path):
     assert text[0] == "bin_low,frequency"
     again = sp.read_histogram_csv(str(path), label="roundtrip")
     assert again == hist
+
+
+def test_histogram_csv_matches_csv_writer(tmp_path):
+    hist = sp.CountHistogram.from_samples([-7, -7, -1, 0, 3, 3, 3, 250], label="writer")
+    path = tmp_path / "hist.csv"
+    sp.write_histogram_csv(hist, str(path))
+    # The row-by-row csv.writer loop the one-write form replaced.
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["bin_low", "frequency"])
+        for low, freq in zip(hist.bin_lows, hist.frequencies):
+            writer.writerow([low, freq])
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_calibrate_threshold_on_synthetic_gaussians():
@@ -178,6 +196,37 @@ def test_sample_counts_statistics(model):
     for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
         with pytest.raises(ValueError):
             sample_counts(np.array(bad), det, rng)
+
+
+@pytest.mark.parametrize("sigma", [None, 0.0])
+@pytest.mark.parametrize("fraction", [
+    0.0, 1.0, 0.5, 0.0137,
+    np.array([0.0, 1.0, 0.5, 0.25, 1.0, 0.0, 0.999]),
+    np.linspace(0.0, 1.0, 12).reshape(3, 4),
+])
+def test_sample_counts_is_mean_then_draw(model, fraction, sigma):
+    det = model.detection if sigma is None else dataclasses.replace(
+        model.detection, read_noise_sigma=sigma)
+    whole_rng, split_rng = np.random.default_rng(91), np.random.default_rng(91)
+    whole = sample_counts(fraction, det, whole_rng)
+    split = draw_counts(mean_counts(fraction, det), det, split_rng)
+    assert split.dtype == np.int64 and split.shape == np.shape(fraction)
+    if np.ndim(fraction) == 0:
+        assert type(whole) is int and whole == int(split)
+    else:
+        np.testing.assert_array_equal(whole, split)
+    # Both routes used up the same draws.
+    assert whole_rng.random() == split_rng.random()
+
+
+def test_compiled_mean_counts_are_the_window_means(model):
+    det = model.detection
+    for encoding in ("O", "M", "G"):
+        compiled = engine._compile(sp.build_sequence(encoding, Prepare.ZERO), model)
+        table = compiled.mean_counts
+        assert table.dtype == np.float64
+        assert table.tolist() == [det.mean_bright if fluoresces else det.mean_dark
+                                  for fluoresces in compiled.fluor]
 
 
 def test_classify_uses_strict_greater_than(model):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -475,3 +476,72 @@ def test_merged_histogram_matches_from_samples(chunks):
     assert merged == sp.CountHistogram.from_samples(samples, label="merged")
     empty = engine._value_counts(np.zeros(0, dtype=np.int64))
     assert engine._merged_histogram([empty, empty], "empty") is None
+
+
+def _short_lived(model):
+    # A 5 ms lifetime decays about 9% of B shots in each detection window, so
+    # the in-window decay path and its mean-count rewrite both run; 1% loss
+    # adds lost shots.
+    return dataclasses.replace(model, decay=sp.DecayChannel(lifetime=5e-3),
+                               loss_probability_per_shot=0.01)
+
+
+def _result_digest(result):
+    """sha256 over the summary, both histogram sets and every record column."""
+    digest = hashlib.sha256(json.dumps(sp.spam_summary(result), sort_keys=True).encode())
+    for block in (result.histograms, result.accepted_r3):
+        for name in sorted(block):
+            hist = block[name]
+            digest.update(repr((name, hist.label, hist.bin_lows, hist.frequencies)).encode())
+    for name in sorted(result.records):
+        for key, column in sorted(result.records[name].items()):
+            digest.update(f"{name}/{key}/{column.dtype.str}/{column.shape}".encode())
+            digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
+
+
+# sha256 digests of whole runs, recorded before the detect, pump, transfer and
+# deshelve kernels were rewritten to make the same draws with fewer array
+# passes.  They pin every random stream of the chunk runner (recorded with
+# numpy 2.4.6; a numpy release that changes a Generator algorithm moves them
+# too).  A deliberate stream change (such as sampling detection bits in place
+# of counts) must update these pins and say so in CHANGES.md.
+_PINNED_STREAMS = {
+    "M-post-select": (
+        lambda model: dict(model=model, encoding="M", seed=31),
+        "0b5d3a0e5ac051915994fb4ef136fd4971524905e608e3d0becf3396df39aac0",
+    ),
+    "O-rus": (
+        lambda model: dict(model=model, encoding="O", seed=32,
+                           mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=3),
+        "158d702e39b854bb2d55e92ecc6e94b1e9d6391e3c28e3f324553ff18b9c7642",
+    ),
+    "G-superposition": (
+        lambda model: dict(model=model, encoding="G", seed=33, interleave=False,
+                           prepare=Prepare.SUPERPOSITION),
+        "02a5d48073d5168a09a7f8e2a7526a4fdddb5aed7231a5f4f69a3614cd3faf46",
+    ),
+    "M-superposition-rus-strict": (
+        lambda model: dict(model=model, encoding="M", seed=34, interleave=False,
+                           prepare=Prepare.SUPERPOSITION, strict_flags=True,
+                           mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=2),
+        "0fe2bbe731a104778c4bb4fde6ba2128dbca6d008071c704671f544b716023fc",
+    ),
+    "M-short-lifetime-loss": (
+        lambda model: dict(model=_short_lived(model), encoding="M", seed=35),
+        "bc39e26b5498c2acf25aa18286478146cc4844f92ccd93767c8dc514c5bf66af",
+    ),
+    "O-short-lifetime-loss-rus": (
+        lambda model: dict(model=_short_lived(model), encoding="O", seed=36,
+                           mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=3),
+        "a7485f9664d2f9658694c254a734899f53bedcb0ad64db515e90dca960645e31",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_STREAMS))
+def test_random_streams_are_pinned(model, name):
+    make_config, pinned = _PINNED_STREAMS[name]
+    cfg = sp.ExperimentConfig(shots=2 * engine.CHUNK_SHOTS + 123, **make_config(model))
+    result = sp.run_experiment(cfg, workers=1, collect_histograms=True, keep_records=True)
+    assert _result_digest(result) == pinned
