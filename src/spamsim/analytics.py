@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -98,6 +99,7 @@ def _propagate(
     *,
     ideal: bool = False,
     forced: tuple[int, str] | None = None,
+    exact: bool = False,
 ) -> list[np.ndarray]:
     """Push probability over (state label x R0..R5 pattern) through the ops.
 
@@ -108,17 +110,20 @@ def _propagate(
     ``(op index, "fail" | "decay")``: a failed pump leaves its population in
     ``WrongGround``, a failed transfer moves none, and a decay strands the
     B-manifold population in ``WrongGround`` at the start of the op;
-    ``(-1, "fail")`` loses the ion before the first op.  Returns the matrix
-    before each op and, last, the final one.
+    ``(-1, "fail")`` loses the ion before the first op.  With ``exact`` the
+    matrix holds :class:`~fractions.Fraction` objects and every rate enters as
+    the rational value of its float, so no split or sum rounds.  Returns the
+    matrix before each op and, last, the final one.
     """
     fluor, is_b = compiled.fluor, compiled.is_b
-    mass = np.zeros((len(compiled.labels), 64))
-    mass[_LOST, 0] = 1.0 if forced == (-1, "fail") else 0.0 if ideal else compiled.loss
-    mass[_WG, 0] = 1.0 - mass[_LOST, 0]
+    num = Fraction if exact else float
+    mass = np.zeros((len(compiled.labels), 64), dtype=object if exact else float)
+    mass[_LOST, 0] = num(1.0 if forced == (-1, "fail") else 0.0 if ideal else compiled.loss)
+    mass[_WG, 0] = 1 - mass[_LOST, 0]
 
     def strand_b() -> None:
         mass[_WG] += mass[is_b].sum(axis=0)
-        mass[is_b] = 0.0
+        mass[is_b] = 0
 
     history = []
     for index, op in enumerate(compiled.ops):
@@ -128,22 +133,22 @@ def _propagate(
         if forced == (index, "decay"):
             strand_b()
         if kind == "pump":
-            rate = 1.0 if failed else 0.0 if ideal else op[1]
+            rate = num(1.0 if failed else 0.0 if ideal else op[1])
             moved = mass[fluor].sum(axis=0)
-            mass[fluor] = 0.0
-            mass[op[2]] += moved * (1.0 - rate)
+            mass[fluor] = 0
+            mass[op[2]] += moved * (1 - rate)
             mass[_WG] += moved * rate
         elif kind == "transfer":
             _, source, target, success, _ = op
-            success = 0.0 if failed else 1.0 if ideal else success
+            success = num(0.0 if failed else 1.0 if ideal else success)
             moved = mass[source] * success
-            mass[source] *= 1.0 - success
+            mass[source] *= 1 - success
             mass[target] += moved
         elif kind == "detect":
             # Axis 2 of this view is the op's R bit of the pattern index.
             split = mass.reshape(len(mass), -1, 2, 1 << op[1])
             split[fluor, :, 1] += split[fluor, :, 0]
-            split[fluor, :, 0] = 0.0
+            split[fluor, :, 0] = 0
         elif kind == "deshelve":
             strand_b()
         elif kind == "rotate":
@@ -216,7 +221,7 @@ def predict_rejection(
     include_decay: bool = False,
 ) -> float:
     """First-order rejected fraction: the sum of all flagging lone-failure rates."""
-    return sum(
+    return math.fsum(
         c.probability
         for c in rejection_contributions(
             sequence, model, strict=strict, include_decay=include_decay
@@ -236,8 +241,12 @@ def predict_rejection_exact(
     Propagates the probability of every (state label, R0..R5 pattern) pair
     through the compiled ops, splitting it at every pump and transfer by the
     channel rates, and sums the final probability of the flagged patterns.
+    The propagation runs in exact rational arithmetic and rounds once at the
+    end, as :func:`predict_rejection` rounds its ``math.fsum`` once, so where
+    the union bound ``exact <= first-order`` holds for the rates it also holds
+    between the two returned floats.
     """
-    final = _propagate(_compile(sequence, model))[-1]
+    final = _propagate(_compile(sequence, model), exact=True)[-1]
     return float(final[:, _FLAG_TABLES[strict][0] != 0].sum())
 
 

@@ -171,6 +171,25 @@ def test_exact_sits_below_first_order_on_drawn_models(
     assert_exact_below_first_order(sp.build_sequence(encoding, prepare), drawn, strict)
 
 
+@pytest.mark.parametrize("prepare,strict,pump_error,pulse_errors", [
+    # The lone flagged failure is split again by a channel off the ideal path.
+    (Prepare.ONE, False, 0.0, [0.068359375, 0.0, 0.06539556505733332, 0.0, 0.0]),
+    # A subnormal pump rate vanishes from the first-order sum but not from the exact one.
+    (Prepare.ONE, True, 5e-324, [0.1, 3.904579740202887e-14, 0.09530816921366024, 0.0, 0.0]),
+])
+def test_exact_sits_below_first_order_at_rounding_edges(
+    model, prepare, strict, pump_error, pulse_errors
+):
+    drawn = dataclasses.replace(
+        model,
+        pump=dataclasses.replace(model.pump, error_rate=pump_error),
+        pulses=tuple(dataclasses.replace(pulse, error_rate=error)
+                     for pulse, error in zip(model.pulses, pulse_errors)),
+        loss_probability_per_shot=0.0,
+    )
+    assert_exact_below_first_order(sp.build_sequence("G", prepare), drawn, strict)
+
+
 @pytest.mark.parametrize("encoding", ["O", "M", "G"])
 def test_rejection_prediction_rejects_superposition(model, encoding):
     seq = sp.build_sequence(encoding, Prepare.SUPERPOSITION)
