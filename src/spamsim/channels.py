@@ -118,6 +118,8 @@ def pulse_success_probability(duration: float, pulse: TransferPulse) -> float:
     """
     if not duration >= 0:  # NaN fails too
         raise ValueError(f"duration must be non-negative, got {duration}")
+    if math.isinf(duration):
+        raise ValueError(f"pulse duration must be finite, got {duration}")
     factor = math.sin(math.pi * duration / (2.0 * pulse.t_pi)) ** 2
     if pulse.order is PulseOrder.DOUBLE:
         factor *= factor

@@ -339,12 +339,15 @@ def cmd_bias_scan(args, argv: list[str]) -> int:
     families = (
         BIAS_FAMILIES if args.family == "all" else (bias_family(args.family),)
     )
+    # Every scan runs before --out is made, so a rejected grid leaves nothing.
+    scans = [
+        (family, bias_scan(family, grid, args.shots, model=model, seed=seed,
+                           workers=args.threads))
+        for family in families
+    ]
     _ensure_out_dir(args.out)
     outputs = []
-    for family in families:
-        points = bias_scan(
-            family, grid, args.shots, model=model, seed=seed, workers=args.threads
-        )
+    for family, points in scans:
         path = os.path.join(args.out, f"bias_{family.name}.csv")
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(

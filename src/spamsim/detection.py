@@ -133,9 +133,15 @@ def draw_counts(mean: np.ndarray, model: DetectionModel, rng: np.random.Generato
     """Draw int64 counts of the same shape as the Poisson means ``mean``.
 
     One Poisson draw per window and then, with read noise, one normal draw per
-    window; the sum is rounded to the nearest integer.
+    window; the sum is rounded to the nearest integer.  When every window has
+    the same mean it goes to ``rng.poisson`` as a scalar: numpy calls the same
+    per-element sampler on either path, so the values and the stream are
+    unchanged, and the scalar path skips the broadcast iterator.
     """
-    counts = rng.poisson(mean, mean.shape)
+    lam = mean
+    if mean.size and mean.min() == mean.max():
+        lam = mean.flat[0]
+    counts = rng.poisson(lam, mean.shape)
     if model.read_noise_sigma > 0:
         # The Poisson counts go into the noise array in place: one float
         # array, rounded in place, and then the int64 cast.

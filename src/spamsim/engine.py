@@ -17,6 +17,10 @@ second coherent operation after it, so projecting at once gives the same
 outcome distribution as projecting at the first step that tells the two basis
 states apart.
 
+Draws whose values no shot reads are skipped: :func:`_skip` leaves the
+generator exactly as the draw would have, so every random stream is the same
+as if each draw were made.
+
 A chunk runs the ops up to the R1 detection, then ``max_attempts - 1``
 repeat-until-success retry rounds, then the remaining ops; post-selection is
 the case with no retry round.  Each retry round gathers the shots whose R1
@@ -190,7 +194,9 @@ class _Compiled:
     chunk runner looks shots up in with ``take``; ``mean_counts`` holds the
     Poisson mean of a whole window in each label, from
     :func:`~spamsim.detection.mean_counts`, so it is exactly ``mean_bright``
-    for a fluorescing label and ``mean_dark`` for any other.
+    for a fluorescing label and ``mean_dark`` for any other.  ``b_free[i]``
+    is True when no shot can be in manifold B before op ``i`` of a first
+    pass through ``ops``; the chunk runner then skips that op's decay draws.
     """
 
     labels: list[StateLabel]
@@ -205,6 +211,7 @@ class _Compiled:
     loss: float  # probability that a shot starts with the ion lost
     detection: DetectionModel
     mean_counts: np.ndarray  # float64 Poisson mean of a whole window, per label
+    b_free: tuple[bool, ...]  # per op: no shot can be in B before it (first pass)
 
 
 def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
@@ -254,6 +261,20 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
 
     fluor = np.array([label.fluoresces() for label in labels])
     is_b = np.array([label.in_manifold(Manifold.B) for label in labels])
+
+    # Shots start in WrongGround or Lost.  B becomes reachable at a transfer,
+    # pump or Rotate that can put a shot in B, and unreachable at Deshelve.
+    b_free = []
+    reachable = False
+    for op in ops:
+        b_free.append(not reachable)
+        kind = op[0]
+        if kind in ("transfer", "pump"):
+            reachable |= bool(is_b[op[2]])  # op[2]: the label shots go to
+        elif kind == "rotate":
+            reachable |= bool(is_b[zero_id] or is_b[one_id])
+        elif kind == "deshelve":
+            reachable = False
     return _Compiled(
         labels=labels,
         fluor=fluor,
@@ -267,6 +288,7 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
         loss=model.loss_probability_per_shot,
         detection=model.detection,
         mean_counts=mean_counts(fluor.astype(float), model.detection),
+        b_free=tuple(b_free),
     )
 
 
@@ -318,27 +340,53 @@ class _ChunkState:
                 target[..., idx] = values
 
 
-def _vector_decay(chunk: _ChunkState, compiled: _Compiled, p: float) -> np.ndarray | None:
+def _skip(rng: np.random.Generator, n: int) -> None:
+    """Leave ``rng`` in the state ``rng.random(n)`` would leave it in.
+
+    A float64 from ``random`` takes exactly one 64-bit step of PCG64, so a
+    PCG64 generator jumps ahead ``n`` steps without making the draws; any
+    other bit generator, or a PCG64 holding a buffered 32-bit value (which
+    ``advance`` would drop), draws and discards.
+    """
+    bit_generator = rng.bit_generator
+    if isinstance(bit_generator, np.random.PCG64) and not bit_generator.state["has_uint32"]:
+        bit_generator.advance(n)
+    else:
+        rng.random(n)
+
+
+def _vector_decay(chunk: _ChunkState, compiled: _Compiled, p: float,
+                  b_free: bool) -> np.ndarray | None:
     """Strand B-manifold shots with probability ``p``.
 
-    Draws one uniform per shot and then looks only at the few shots it hits.
-    Returns the indices of the stranded shots, or None if ``p`` is 0.
+    Draws one uniform per shot and then looks only at the few shots it hits;
+    when ``b_free`` says no shot can be in B, the draw is skipped with
+    :func:`_skip` and nothing is hit.  Returns the indices of the stranded
+    shots, or None if ``p`` is 0 (and nothing was drawn).
     """
     if p <= 0.0:
         return None
+    if b_free:
+        _skip(chunk.rng, chunk.size)
+        return np.empty(0, dtype=np.intp)
     hit = np.flatnonzero(chunk.rng.random(chunk.size) < p)
     hit = hit[compiled.is_b.take(chunk.state.take(hit))]
     chunk.state[hit] = _WG
     return hit
 
 
-def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple) -> None:
+def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple, b_free: bool = False) -> None:
     """Apply one compiled op to every shot of ``chunk``.
 
     Each draw is one array over the whole chunk, made in a fixed order, and
-    the kernels then touch as few elements as they can.  The detect op reads
-    each shot's mean count from ``compiled.mean_counts``, rewrites it only for
-    the shots that decay inside the window, and draws the counts with
+    the kernels then touch as few elements as they can.  A draw whose values
+    no shot reads is skipped with :func:`_skip`, so the stream is unchanged:
+    a decay draw when ``b_free`` (see :attr:`_Compiled.b_free`), the decay
+    instants when no shot decayed in the window, a pump's error draw when its
+    rate is 0, and a transfer's draw when it cannot fail or its source label
+    is empty.  The detect op reads each shot's mean count from
+    ``compiled.mean_counts``, rewrites it only for the shots that decay
+    inside the window, and draws the counts with
     :func:`~spamsim.detection.draw_counts`: the same two steps as
     :func:`~spamsim.detection.sample_counts`.
     """
@@ -346,20 +394,26 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple) -> None:
     state = chunk.state
     kind = op[0]
     if kind == "decay":
-        _vector_decay(chunk, compiled, op[1])
+        _vector_decay(chunk, compiled, op[1], b_free)
     elif kind == "pump":
         _, error_rate, target_id, p = op
-        _vector_decay(chunk, compiled, p)
+        _vector_decay(chunk, compiled, p, b_free)
         pumped = compiled.fluor.take(state)
-        failed = rng.random(chunk.size) < error_rate
-        failed &= pumped
         np.copyto(state, target_id, where=pumped)
-        np.copyto(state, _WG, where=failed)
+        if error_rate > 0.0:
+            failed = rng.random(chunk.size) < error_rate
+            failed &= pumped
+            np.copyto(state, _WG, where=failed)
+        else:
+            _skip(rng, chunk.size)
     elif kind == "transfer":
         _, from_id, to_id, p_success, p = op
-        _vector_decay(chunk, compiled, p)
-        moved = rng.random(chunk.size) < p_success
-        moved &= state == from_id
+        _vector_decay(chunk, compiled, p, b_free)
+        moved = state == from_id
+        if p_success < 1.0 and moved.any():
+            moved &= rng.random(chunk.size) < p_success
+        else:
+            _skip(rng, chunk.size)
         # Adding ``to_id - from_id`` to the moved shots runs several times
         # faster than a masked copy of ``to_id``.
         state += moved * np.int16(to_id - from_id)
@@ -369,8 +423,8 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple) -> None:
         # The mean count of each shot's label before the window; a shot that
         # decays inside it fluoresced for part of the window only.
         mean = compiled.mean_counts.take(state)
-        decayed = _vector_decay(chunk, compiled, p)
-        if decayed is not None:
+        decayed = _vector_decay(chunk, compiled, p, b_free)
+        if decayed is not None and decayed.size:
             # The instant is drawn for every shot to keep the stream fixed,
             # but only the decayed shots need it.
             u = rng.random(chunk.size).take(decayed)
@@ -380,6 +434,8 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple) -> None:
             mean[decayed] = mean_counts(
                 (det.total_duration - instant) / det.total_duration, det
             )
+        elif decayed is not None:
+            _skip(rng, chunk.size)
         counts = draw_counts(mean, det, rng)
         if chunk.counts is not None:
             chunk.counts[label] = counts
@@ -450,21 +506,24 @@ def _run_chunk(
     chunk = _ChunkState.start(size, rng, compiled.loss, prepared_code, collect_histograms)
     attempts = np.ones(size, dtype=np.int32)
 
-    ops = compiled.ops
-    for op in ops[: compiled.prep_end + 1]:
-        _apply_op(chunk, compiled, op)
+    ops, b_free, split = compiled.ops, compiled.b_free, compiled.prep_end + 1
+    for op, free in zip(ops[:split], b_free):
+        _apply_op(chunk, compiled, op, free)
     for _ in range(max_attempts - 1):
-        # Only the R1-bright shots retry, on a compacted sub-chunk.
+        # Only the R1-bright shots retry, on a compacted sub-chunk.  A retried
+        # shot may still be in B when it rewinds, so retries draw in full.
         retry = np.flatnonzero(chunk.bright[int(DetectLabel.R1)])
         if retry.size == 0:
             break
         attempts[retry] += 1
         sub = chunk.take(retry)
-        for op in ops[compiled.retry_at : compiled.prep_end + 1]:
+        for op in ops[compiled.retry_at : split]:
             _apply_op(sub, compiled, op)
         chunk.put(retry, sub)
-    for op in ops[compiled.prep_end + 1 :]:
-        _apply_op(chunk, compiled, op)
+    # Retry rounds start from the states R1 leaves and can reach B no more
+    # often than the first pass, so its flags still hold after R1.
+    for op, free in zip(ops[split:], b_free[split:]):
+        _apply_op(chunk, compiled, op, free)
 
     patterns = _patterns(chunk.bright)
     tally = np.bincount(
@@ -535,8 +594,8 @@ def run_shot(
     compiled = _compile(sequence, model)
     chunk = _ChunkState.start(1, rng, compiled.loss, _PREPARED_CODES[sequence.prepare], False)
     trace = []
-    for index, op in enumerate(compiled.ops):
-        _apply_op(chunk, compiled, op)
+    for index, (op, free) in enumerate(zip(compiled.ops, compiled.b_free)):
+        _apply_op(chunk, compiled, op, free)
         if keep_trace:
             trace.append((index, compiled.labels[chunk.state[0]]))
     outcomes = tuple(bool(bright) for bright in chunk.bright[:, 0])

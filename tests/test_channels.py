@@ -79,6 +79,17 @@ def test_negative_or_nan_durations_are_rejected(duration):
         pulse_success_probability(duration, pulse(rate=0.04))
 
 
+def test_infinite_pulse_duration_is_rejected_by_name(model):
+    # sin(inf) has no value; the error names the duration instead of dying
+    # in math.sin with "math domain error".
+    with pytest.raises(ValueError, match="pulse duration must be finite, got inf"):
+        pulse_success_probability(math.inf, pulse(rate=0.04))
+    cfg = sp.ExperimentConfig(model=model, shots=100,
+                              transfer_durations=(((sp.B_2_M1, sp.A_2_0), math.inf),))
+    with pytest.raises(ValueError, match="pulse duration must be finite, got inf"):
+        sp.run_experiment(cfg)
+
+
 def test_default_model_parameters(model):
     assert model.pump.target == sp.A_2_0
     assert model.pump.error_rate == pytest.approx(0.008)

@@ -219,6 +219,32 @@ def test_sample_counts_is_mean_then_draw(model, fraction, sigma):
     assert whole_rng.random() == split_rng.random()
 
 
+def _per_window_counts(mean, det, rng):
+    """``draw_counts`` with every mean on numpy's per-window (array) path."""
+    counts = rng.poisson(mean, mean.shape)
+    if det.read_noise_sigma > 0:
+        counts = np.rint(counts + rng.normal(0.0, det.read_noise_sigma, mean.shape))
+    return counts.astype(np.int64)
+
+
+@pytest.mark.parametrize("sigma", [None, 0.0])
+@pytest.mark.parametrize("fraction", [
+    np.ones(1000), np.zeros(1000),  # one mean: the scalar path
+    np.array([0.0, 1.0, 0.5, 0.25]), np.linspace(0.0, 1.0, 12).reshape(3, 4),
+    np.ones(1), np.zeros(0),
+])
+def test_draw_counts_matches_the_per_window_path(model, fraction, sigma):
+    det = model.detection if sigma is None else dataclasses.replace(
+        model.detection, read_noise_sigma=sigma)
+    mean = mean_counts(fraction, det)
+    got_rng, want_rng = np.random.default_rng(92), np.random.default_rng(92)
+    got = draw_counts(mean, det, got_rng)
+    want = _per_window_counts(mean, det, want_rng)
+    assert got.dtype == np.int64 and got.shape == mean.shape
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.random() == want_rng.random()
+
+
 def test_compiled_mean_counts_are_the_window_means(model):
     det = model.detection
     for encoding in ("O", "M", "G"):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from scipy import stats
 
 import spamsim as sp
 from spamsim import analytics, engine
-from spamsim.sequence import Prepare
+from spamsim.sequence import Prepare, Pump, Rotate, Sequence
 
 
 def run(model, encoding="M", shots=20_000, seed=0, workers=2, **kw):
@@ -500,12 +501,29 @@ def _result_digest(result):
     return digest.hexdigest()
 
 
-# sha256 digests of whole runs, recorded before the detect, pump, transfer and
-# deshelve kernels were rewritten to make the same draws with fewer array
-# passes.  They pin every random stream of the chunk runner (recorded with
-# numpy 2.4.6; a numpy release that changes a Generator algorithm moves them
-# too).  A deliberate stream change (such as sampling detection bits in place
-# of counts) must update these pins and say so in CHANGES.md.
+def _rewind_in_b(model):
+    # Threshold 105 sits a little above the dark mean, so about a third of
+    # the shots shelved in B read bright at R1 and retry while still in B;
+    # the 5 ms lifetime makes the decay draws of their retry rounds count.
+    return dataclasses.replace(model, decay=sp.DecayChannel(lifetime=5e-3),
+                               detection=dataclasses.replace(model.detection, threshold=105))
+
+
+def _metastable_bias_point(model):
+    # The bias_scan path: perfect channels, metastable-zero pulse at 0.8 t_pi.
+    perfect = model.with_perfect_channels()
+    pair = (sp.B_2_M1, sp.A_2_0)
+    return ((pair, 0.8 * perfect.pulse_for(*pair).t_pi),)
+
+
+# sha256 digests of whole runs.  The first six were recorded before the
+# detect, pump, transfer and deshelve kernels were rewritten to make the same
+# draws with fewer array passes, the last two before the chunk runner began
+# to skip the draws no shot reads (by advancing the generator).  They pin
+# every random stream of the chunk runner (recorded with numpy 2.4.6; a numpy
+# release that changes a Generator algorithm moves them too).  A deliberate
+# stream change (such as sampling detection bits in place of counts) must
+# update these pins and say so in CHANGES.md.
 _PINNED_STREAMS = {
     "M-post-select": (
         lambda model: dict(model=model, encoding="M", seed=31),
@@ -536,6 +554,17 @@ _PINNED_STREAMS = {
                            mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=3),
         "a7485f9664d2f9658694c254a734899f53bedcb0ad64db515e90dca960645e31",
     ),
+    "O-rus-rewind-in-b": (
+        lambda model: dict(model=_rewind_in_b(model), encoding="O", seed=37,
+                           mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=3),
+        "45660c7af1d253ebefb8894be33fe854d3fffdb6fdf0bc0d041e14d2c8af2b6a",
+    ),
+    "M-superposition-bias-scan": (
+        lambda model: dict(model=model.with_perfect_channels(), encoding="M", seed=38,
+                           interleave=False, prepare=Prepare.SUPERPOSITION,
+                           transfer_durations=_metastable_bias_point(model)),
+        "4e048f8bf42c7071c6a7755345193f26460ba3d3ea3adc7d21f4179d9e85dd9a",
+    ),
 }
 
 
@@ -545,3 +574,112 @@ def test_random_streams_are_pinned(model, name):
     cfg = sp.ExperimentConfig(shots=2 * engine.CHUNK_SHOTS + 123, **make_config(model))
     result = sp.run_experiment(cfg, workers=1, collect_histograms=True, keep_records=True)
     assert _result_digest(result) == pinned
+
+
+def _twin_draws(rng):
+    return (rng.random(7), rng.poisson(100.0, 7), rng.normal(0.0, 6.0, 7))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_skip_leaves_the_stream_as_a_draw_would(bit_generator):
+    for n in (0, 1, 5, engine.CHUNK_SHOTS):
+        drawn, skipped = (np.random.Generator(bit_generator(9)) for _ in range(2))
+        drawn.random(n)
+        engine._skip(skipped, n)
+        for a, b in zip(_twin_draws(drawn), _twin_draws(skipped)):
+            assert np.array_equal(a, b)
+
+
+class _CountingPCG64(np.random.PCG64):
+    advanced = 0
+
+    def advance(self, delta):
+        self.advanced += 1
+        return super().advance(delta)
+
+
+class _CountingGenerator(np.random.Generator):
+    """Counts uniform arrays drawn, and Poisson calls by path."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.drawn = 0
+        self.poisson_paths = []
+
+    def random(self, *args, **kwargs):
+        self.drawn += 1
+        return super().random(*args, **kwargs)
+
+    def poisson(self, lam, size):
+        self.poisson_paths.append("array" if np.ndim(lam) else "scalar")
+        return super().poisson(lam, size)
+
+
+def test_skip_advances_pcg64_and_draws_otherwise():
+    rng = _CountingGenerator(_CountingPCG64(4))
+    engine._skip(rng, 100)
+    assert (rng.drawn, rng.bit_generator.advanced) == (0, 1)
+    # MT19937 has no advance: _skip draws and discards.
+    rng = _CountingGenerator(np.random.MT19937(4))
+    engine._skip(rng, 100)
+    assert rng.drawn == 1
+    # A buffered 32-bit value would be dropped by advance, so _skip draws.
+    drawn, skipped = (_CountingGenerator(_CountingPCG64(4)) for _ in range(2))
+    for rng in (drawn, skipped):
+        rng.integers(0, 10, dtype=np.uint32)
+    drawn.random(100)
+    engine._skip(skipped, 100)
+    assert (skipped.drawn, skipped.bit_generator.advanced) == (1, 0)
+    assert np.array_equal(drawn.integers(0, 1 << 31, 3, dtype=np.uint32),
+                          skipped.integers(0, 1 << 31, 3, dtype=np.uint32))
+
+
+def _rotate_before_shelving():
+    # O's one label is A:F=2,mF=0, so a Rotate right after the pump moves
+    # shots into B (zero, B:F=2,mF=-1) before any transfer does.
+    steps = [s for s in sp.build_sequence("O", Prepare.SUPERPOSITION).steps
+             if not isinstance(s, Rotate)]
+    steps.insert(next(i for i, s in enumerate(steps) if isinstance(s, Pump)) + 1, Rotate())
+    return Sequence(sp.encoding_catalog("O"), Prepare.SUPERPOSITION, tuple(steps))
+
+
+_FLAG_SEQUENCES = {f"{e}-{p.value}": functools.partial(sp.build_sequence, e, p)
+                   for e in "OMG" for p in Prepare}
+_FLAG_SEQUENCES["O-rotate-before-shelving"] = _rotate_before_shelving
+
+
+@pytest.mark.parametrize("name", sorted(_FLAG_SEQUENCES))
+def test_b_free_flags_are_conservative(model, name):
+    noisy = dataclasses.replace(
+        _rewind_in_b(model), loss_probability_per_shot=0.01,
+        pump=dataclasses.replace(model.pump, error_rate=0.2))
+    sequence = _FLAG_SEQUENCES[name]()
+    compiled = engine._compile(sequence, noisy)
+    chunk = engine._ChunkState.start(4096, np.random.default_rng(17), compiled.loss,
+                                     engine._PREPARED_CODES[sequence.prepare], False)
+    reached_b = False
+    for op, free in zip(compiled.ops, compiled.b_free):
+        in_b = compiled.is_b.take(chunk.state).any()
+        assert not (free and in_b), op
+        reached_b |= in_b
+        engine._apply_op(chunk, compiled, op, free)
+    assert reached_b
+    # Both cools and R0 come before any shelving; R5 follows the deshelve.
+    assert compiled.b_free[:3] == (True,) * 3 and compiled.b_free[-1]
+
+
+@pytest.mark.parametrize("prepare", [Prepare.ZERO, Prepare.ONE])
+def test_first_pass_skips_the_draws_no_shot_reads(model, prepare):
+    # A lifetime so long that no shot decays inside a window makes the count
+    # exact; a decay in R1..R4 would add that window's instant array.
+    slow = dataclasses.replace(model, decay=sp.DecayChannel(lifetime=1e6))
+    compiled = engine._compile(sp.build_sequence("M", prepare), slow)
+    rng = _CountingGenerator(_CountingPCG64(3))
+    chunk = engine._ChunkState.start(engine.CHUNK_SHOTS, rng, compiled.loss,
+                                     engine._PREPARED_CODES[prepare], False)
+    for op, free in zip(compiled.ops, compiled.b_free):
+        engine._apply_op(chunk, compiled, op, free)
+    # 22 uniform arrays a shot: 9 drawn, 13 skipped.
+    assert (rng.drawn, rng.bit_generator.advanced) == (9, 13)
+    # R0 and R5 give every shot one mean, so they take the scalar path.
+    assert rng.poisson_paths == ["scalar"] + ["array"] * 4 + ["scalar"]
