@@ -10,6 +10,9 @@ runs (:func:`spamsim.engine._compile`): one forward propagation of
 probability over (state label x R0..R5 pattern) gives the exact rejected
 fraction, and propagations with one failure event forced classify each
 first-order contribution.
+
+scipy is imported inside :func:`fit_lifetime`, its one user here, so
+loading this module (and with it ``spamsim``) does not load scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .channels import DecayChannel, ErrorModel, decay_probability, default_model
 from .engine import (
@@ -58,6 +60,12 @@ class RateEstimate:
         return 0.5 * (self.interval[1] - self.interval[0])
 
 
+def check_z(z: float) -> None:
+    """Reject an interval quantile ``z`` unless it is finite and > 0."""
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"z must be finite and > 0, got {z!r}")
+
+
 def wilson_interval(successes: int, trials: int, z: float = 1.0) -> RateEstimate:
     """Wilson score interval for ``successes`` out of ``trials`` at quantile ``z``.
 
@@ -68,8 +76,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.0) -> RateEstimate
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
-    if z <= 0:
-        raise ValueError(f"z must be positive, got {z}")
+    check_z(z)
     p_hat = successes / trials
     scale = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / scale
@@ -484,36 +491,48 @@ def sample_decay_events(
     return rows
 
 
+def _decay_row(row: tuple) -> tuple[float, float, float]:
+    """One observation as ``(delay, count, trials)``; a bad row raises ``ValueError``."""
+    if len(row) == 2:
+        delay, decayed = row
+        if decayed not in (0, 1):
+            raise ValueError(f"decay row {row!r}: decayed must be 0 or 1")
+        delay, count, trials = float(delay), float(decayed), 1.0
+    elif len(row) == 3:
+        delay, count, trials = (float(value) for value in row)
+    else:
+        raise ValueError(f"rows must have 2 or 3 fields, got {len(row)}")
+    if not (math.isfinite(delay) and delay > 0):
+        raise ValueError(f"decay row {row!r}: delay must be finite and > 0")
+    if not (math.isfinite(trials) and trials > 0):
+        raise ValueError(f"decay row {row!r}: trials must be finite and > 0")
+    if not (math.isfinite(count) and 0 <= count <= trials):
+        raise ValueError(f"decay row {row!r}: count must be finite and in [0, trials]")
+    return delay, count, trials
+
+
 def fit_lifetime(samples: Iterable[tuple]) -> LifetimeFit:
     """Fit 1 - exp(-t/tau) to decay observations.
 
-    Accepts per-shot rows ``(delay, decayed_bool)`` or binned rows
-    ``(delay, decayed_count, trials)``.  The fit is weighted least squares
-    with binomial standard errors where defined; the interval is the two-sigma
-    range from the fit covariance.
+    Accepts per-shot rows ``(delay, decayed)`` with ``decayed`` 0 or 1, or
+    binned rows ``(delay, decayed_count, trials)``.  Every row is checked
+    before the fit: the delay and trials must be finite and > 0, and the
+    count finite in [0, trials]; a bad row raises ``ValueError`` naming it.
+    The fit is weighted least squares with binomial standard errors where
+    defined; the interval is the two-sigma range from the fit covariance.
+    This is one of the three calls that import scipy, on first use.
     """
     bins: dict[float, list[float]] = {}
-    for row in samples:
-        if len(row) == 2:
-            delay, decayed = row
-            count, trials = (1.0 if decayed else 0.0), 1.0
-        elif len(row) == 3:
-            delay, count, trials = row
-        else:
-            raise ValueError(f"rows must have 2 or 3 fields, got {len(row)}")
-        if delay <= 0:
-            raise ValueError(f"delays must be positive, got {delay}")
-        entry = bins.setdefault(float(delay), [0.0, 0.0])
-        entry[0] += float(count)
-        entry[1] += float(trials)
+    for delay, count, trials in [_decay_row(row) for row in samples]:
+        entry = bins.setdefault(delay, [0.0, 0.0])
+        entry[0] += count
+        entry[1] += trials
 
     if len(bins) < 2:
         raise ValueError("need observations at two or more distinct delays")
     delays = np.array(sorted(bins))
     counts = np.array([bins[t][0] for t in delays])
     trials = np.array([bins[t][1] for t in delays])
-    if (trials <= 0).any():
-        raise ValueError("every delay needs at least one trial")
     fractions = counts / trials
     if counts.sum() == 0 or (counts == trials).all():
         raise ValueError("lifetime is unidentifiable when no shot or every shot decayed")
@@ -525,6 +544,8 @@ def fit_lifetime(samples: Iterable[tuple]) -> LifetimeFit:
     interior = (fractions > 0) & (fractions < 1)
     guesses = -delays[interior] / np.log1p(-fractions[interior])
     initial = float(np.median(guesses)) if guesses.size else float(delays.mean())
+
+    from scipy.optimize import curve_fit
 
     def decayed_fraction(t, tau):
         return -np.expm1(-t / tau)
@@ -581,6 +602,7 @@ def spam_summary(result: ExperimentResult, z: float = 1.0) -> dict:
     both basis states ran, the two are averaged with half-widths combined in
     quadrature.
     """
+    check_z(z)
     if not result.states:
         raise ValueError("no batches to summarize")
     config = result.config

@@ -29,6 +29,7 @@ from .analytics import (
     BIAS_FAMILIES,
     bias_family,
     bias_scan,
+    check_z,
     fit_lifetime,
     predict_rejection,
     predict_rejection_exact,
@@ -176,6 +177,8 @@ def _write_records_csv(path: str, records: dict) -> None:
 
 def cmd_run_spam(args, argv: list[str]) -> int:
     started = time.monotonic()
+    # A bad quantile fails before any shot runs or --out is made.
+    check_z(args.z)
     model, config_path = _load_model(args)
     seed = _resolve_seed(args.seed)
     config = ExperimentConfig(

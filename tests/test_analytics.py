@@ -82,6 +82,12 @@ def test_wilson_edge_cases():
         sp.wilson_interval(5, 4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_wilson_interval_rejects_bad_z(bad):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        sp.wilson_interval(5, 10, z=bad)
+
+
 @given(
     successes=st.integers(0, 500),
     trials=st.integers(1, 500),
@@ -355,6 +361,30 @@ def test_fit_lifetime_input_validation():
         sp.fit_lifetime([])
 
 
+@pytest.mark.parametrize("bad", [
+    pytest.param((math.nan, 10, 100), id="nan-delay"),
+    pytest.param((math.inf, 10, 100), id="inf-delay"),
+    pytest.param((-1.0, 10, 100), id="negative-delay"),
+    pytest.param((1.0, 10, 0), id="zero-trials"),
+    pytest.param((1.0, 10, math.inf), id="inf-trials"),
+    pytest.param((1.0, math.nan, 100), id="nan-count"),
+    pytest.param((1.0, -1, 100), id="negative-count"),
+    pytest.param((1.0, 150, 100), id="count-above-trials"),
+    pytest.param((1.0, math.nan), id="nan-per-shot"),
+    pytest.param((1.0, 2), id="per-shot-not-0-or-1"),
+])
+def test_fit_lifetime_rejects_bad_rows_before_fitting(monkeypatch, bad):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit ran before every row was checked")
+
+    monkeypatch.setattr("scipy.optimize.curve_fit", no_fit)
+    good = [(5.0, 167, 1000), (10.0, 308, 1000), (20.0, 521, 1000)]
+    # The bad row sits last, so every row is checked before the fit.
+    with pytest.raises(ValueError, match="decay row") as excinfo:
+        sp.fit_lifetime(good + [bad])
+    assert repr(bad) in str(excinfo.value)
+
+
 def test_spam_summary_shape(model):
     cfg = sp.ExperimentConfig(model=model, encoding="M", shots=5_000, seed=19)
     res = sp.run_experiment(cfg, workers=2)
@@ -388,6 +418,14 @@ def test_spam_summary_single_state_has_no_average(model):
     summary = sp.spam_summary(res)
     assert set(summary["states"]) == {"zero"}
     assert summary["average"] is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_spam_summary_rejects_bad_z(model, bad):
+    cfg = sp.ExperimentConfig(model=model, encoding="M", shots=200, seed=22)
+    res = sp.run_experiment(cfg, workers=1)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        sp.spam_summary(res, z=bad)
 
 
 def test_spam_summary_survives_empty_acceptance(model):

@@ -166,6 +166,19 @@ def test_run_spam_rejects_bad_shot_count(tmp_path):
     assert cli.main(["run-spam", "--shots", "0", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("z", ["nan", "inf", "0"])
+def test_run_spam_rejects_bad_z_before_running(tmp_path, monkeypatch, capsys, z):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("shots ran before --z was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_runs)
+    out = tmp_path / "run"
+    code = cli.main(["run-spam", "--shots", "2000", "--seed", "1", "--z", z, "--out", str(out)])
+    assert code == 2
+    assert "finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_spam_missing_config_is_io_error(tmp_path):
     code = cli.main([
         "run-spam", "--shots", "10", "--config", str(tmp_path / "nope.json"),
@@ -333,6 +346,17 @@ def test_lifetime_fit_rejects_unusable_input(tmp_path):
     assert cli.main(["lifetime-fit", str(csv), "--out", str(tmp_path / "x")]) == 2
     assert cli.main(["lifetime-fit", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "y")]) == 3
+
+
+@pytest.mark.parametrize("row", ["nan,10,100", "1.0,150,100"])
+def test_lifetime_fit_rejects_bad_rows(tmp_path, capsys, row):
+    csv = tmp_path / "decay.csv"
+    csv.write_text(f"delay_s,decayed,trials\n5.0,167,1000\n10.0,308,1000\n{row}\n")
+    out = tmp_path / "fit"
+    assert cli.main(["lifetime-fit", str(csv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: decay row") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_version_and_unknown_command():

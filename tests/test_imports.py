@@ -1,0 +1,109 @@
+"""spamsim loads scipy only inside the three calls that use it.
+
+scipy is imported by ``fit_lifetime``, least-squares ``calibrate_threshold``
+and ``optical_error_rates``, on first call.  Loading it at import time made up
+most of a cold ``import spamsim``, which every CLI command pays.  Each case
+runs in a fresh interpreter with this run's ``sys.path``, because this test
+process has scipy loaded already.
+"""
+
+import inspect
+import json
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+import spamsim as sp
+from spamsim.detection import sample_counts
+
+SCIPY_MODULES = 'sorted(m for m in sys.modules if m.split(".")[0] == "scipy")'
+
+# Every call path of the benchmark workloads, on small sizes.
+WORKLOAD_PATHS = f"""
+import contextlib, io, json, os, sys
+import spamsim, spamsim.cli
+from spamsim import ExperimentConfig, Mode, Prepare
+
+model = spamsim.default_model()
+post = spamsim.run_experiment(
+    ExperimentConfig(model=model, encoding="M", shots=2000, seed=1), workers=2
+)
+assert post.histograms
+spamsim.run_experiment(
+    ExperimentConfig(model=model, encoding="O", shots=2000, seed=2,
+                     mode=Mode.REPEAT_UNTIL_SUCCESS, max_attempts=3),
+    collect_histograms=False,
+)
+spamsim.spam_summary(post)
+for prepare in (Prepare.ZERO, Prepare.ONE):
+    sequence = spamsim.build_sequence("M", prepare)
+    spamsim.predict_rejection_exact(sequence, model)
+    spamsim.rejection_contributions(sequence, model)
+spamsim.bias_scan(spamsim.bias_family("metastable-zero"), [0.8, 1.0], 2000,
+                  model=model, seed=3)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = spamsim.cli.main(["run-spam", "--paper-defaults", "--shots", "2000",
+                             "--seed", "4", "--records", "--out", sys.argv[1]])
+assert code == 0 and os.path.exists(os.path.join(sys.argv[1], "records_zero.csv"))
+print(json.dumps({SCIPY_MODULES}))
+"""
+
+
+def _fresh(source: str, *args: str, stdin: str = ""):
+    """Run ``source`` in a new interpreter; return its last stdout line as JSON."""
+    script = f"import sys\nsys.path[:] = {sys.path!r}\n{source}"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        input=stdin, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_workload_paths_load_no_scipy(tmp_path):
+    assert _fresh(WORKLOAD_PATHS, str(tmp_path / "run")) == []
+
+
+def _scipy_user(sp, name, inputs):
+    """The result of one scipy-using call, as JSON-ready floats."""
+    if name == "fit_lifetime":
+        fit = sp.fit_lifetime([tuple(row) for row in inputs["samples"]])
+        return [fit.lifetime, fit.std_error]
+    if name == "calibrate_threshold":
+        dark, bright = (sp.CountHistogram.from_samples(inputs[label], label=label)
+                        for label in ("dark", "bright"))
+        result = sp.calibrate_threshold(dark, bright, method="least-squares")
+        return [result.crossing, *result.dark_fit, *result.bright_fit]
+    return list(sp.optical_error_rates(sp.default_model().detection))
+
+
+@pytest.fixture(scope="module")
+def scipy_inputs(model):
+    rng = np.random.default_rng(12)
+    return {
+        "samples": sp.sample_decay_events([5.0, 10.0, 20.0, 30.0], 2000, 27.2, rng),
+        "dark": sample_counts(np.zeros(4000), model.detection, rng).tolist(),
+        "bright": sample_counts(np.ones(4000), model.detection, rng).tolist(),
+    }
+
+
+@pytest.mark.parametrize("name", ["fit_lifetime", "calibrate_threshold", "optical_error_rates"])
+def test_scipy_users_load_scipy_themselves(scipy_inputs, name):
+    source = textwrap.dedent(f"""
+        import json, sys
+        import spamsim as sp
+        before = {SCIPY_MODULES}
+        result = _scipy_user(sp, sys.argv[1], json.loads(sys.stdin.read()))
+        print(json.dumps({{"before": before, "after": bool({SCIPY_MODULES}),
+                          "result": result}}))
+    """)
+    # The child runs the same helper as this process, so the results compare.
+    source = inspect.getsource(_scipy_user) + source
+    child = _fresh(source, name, stdin=json.dumps(scipy_inputs))
+    assert child["before"] == []
+    assert child["after"]
+    expected = json.loads(json.dumps(_scipy_user(sp, name, scipy_inputs)))
+    assert child["result"] == expected
