@@ -200,16 +200,14 @@ def _pair_key(a: StateLabel, b: StateLabel) -> tuple[StateLabel, StateLabel]:
 def schema_validator(schema_name: str):
     """The validator for one bundled schema, built once per process.
 
-    The schema itself is checked against its metaschema here, on first use,
-    so later documents pay only for their own validation.
+    The schemas are package data, so they are not checked against their
+    metaschema here; ``tests/test_cli.py`` does that once for every schema.
     """
     from jsonschema.validators import validator_for
 
     text = resources.files("spamsim.schemas").joinpath(schema_name).read_text()
     schema = json.loads(text)
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return validator_for(schema)(schema)
 
 
 def validate_document(document: dict, schema_name: str) -> None:
@@ -254,14 +252,26 @@ def model_to_config(model: ErrorModel) -> dict:
 
 
 def model_from_config(document: dict) -> ErrorModel:
-    """Build an :class:`ErrorModel` from a validated JSON document."""
+    """Validate a JSON document against ``config.schema.json`` and build its model.
+
+    Raises :class:`ConfigError` when the document violates the schema (with
+    jsonschema's message) or when a value fails a dataclass check.
+    """
     from jsonschema.exceptions import ValidationError
 
     try:
         validate_document(document, "config.schema.json")
     except ValidationError as exc:
         raise ConfigError(f"invalid configuration: {exc.message}") from exc
+    return _build_model(document)
 
+
+def _build_model(document: dict) -> ErrorModel:
+    """Build an :class:`ErrorModel` from a document that matches the schema.
+
+    No jsonschema runs here; the dataclass checks do, and a failed one is
+    raised as :class:`ConfigError`.
+    """
     try:
         pump = PumpChannel(
             target=parse_state(document["pump"]["target"]),
@@ -320,6 +330,11 @@ def save_error_model(model: ErrorModel, path: str) -> None:
 
 
 def default_model() -> ErrorModel:
-    """The bundled default apparatus configuration."""
+    """The bundled default apparatus configuration.
+
+    ``default_config.json`` is package data, so it is built without schema
+    validation and without loading jsonschema; ``tests/test_cli.py`` checks
+    it against ``config.schema.json`` and against :func:`model_from_config`.
+    """
     text = resources.files("spamsim.data").joinpath("default_config.json").read_text()
-    return model_from_config(json.loads(text))
+    return _build_model(json.loads(text))

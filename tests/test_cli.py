@@ -115,9 +115,18 @@ def test_records_csv_matches_row_writer(tmp_path, model, monkeypatch, case):
 )
 def test_bundled_schemas_are_valid(name):
     schema = load_schema(name)
+    # schema_validator does not meta-check the package's schemas; this test does.
     jsonschema.validators.validator_for(schema).check_schema(schema)
-    # Built and meta-checked once, then reused for every document.
+    # Built once, then reused for every document.
     assert schema_validator(name) is schema_validator(name)
+
+
+def test_bundled_config_is_valid_and_builds_the_validated_model():
+    # default_model() builds this package file without jsonschema.
+    text = resources.files("spamsim.data").joinpath("default_config.json").read_text()
+    document = json.loads(text)
+    jsonschema.validate(document, load_schema("config.schema.json"))
+    assert sp.default_model() == sp.model_from_config(json.loads(text))
 
 
 def test_invalid_config_message_matches_jsonschema(tmp_path, model, capsys):

@@ -1,10 +1,13 @@
-"""spamsim loads scipy only inside the three calls that use it.
+"""spamsim loads scipy and jsonschema only inside the calls that use them.
 
 scipy is imported by ``fit_lifetime``, least-squares ``calibrate_threshold``
-and ``optical_error_rates``, on first call.  Loading it at import time made up
-most of a cold ``import spamsim``, which every CLI command pays.  Each case
-runs in a fresh interpreter with this run's ``sys.path``, because this test
-process has scipy loaded already.
+and ``optical_error_rates``, on first call.  jsonschema is imported when a
+document is validated: a configuration read by ``load_error_model`` or
+``model_from_config`` (``--config``), and every JSON file the CLI writes.
+Loading either at start-up made up most of a cold ``import spamsim`` plus
+``default_model()``, which every CLI command pays.  Each case runs in a fresh
+interpreter with this run's ``sys.path``, because this test process has both
+loaded already.
 """
 
 import inspect
@@ -12,14 +15,23 @@ import json
 import subprocess
 import sys
 import textwrap
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
 import spamsim as sp
 from spamsim.detection import sample_counts
 
-SCIPY_MODULES = 'sorted(m for m in sys.modules if m.split(".")[0] == "scipy")'
+
+def _loaded(package: str) -> str:
+    """Source of an expression: the sorted names of ``package``'s loaded modules."""
+    return f'sorted(m for m in sys.modules if m.split(".")[0] == "{package}")'
+
+
+SCIPY_MODULES = _loaded("scipy")
+JSONSCHEMA_MODULES = _loaded("jsonschema")
 
 # Every call path of the benchmark workloads, on small sizes.
 WORKLOAD_PATHS = f"""
@@ -65,6 +77,69 @@ def _fresh(source: str, *args: str, stdin: str = ""):
 
 def test_workload_paths_load_no_scipy(tmp_path):
     assert _fresh(WORKLOAD_PATHS, str(tmp_path / "run")) == []
+
+
+# The default model and calls that validate no document.
+MODEL_PATHS = f"""
+import json
+import spamsim, spamsim.cli
+from spamsim import ExperimentConfig, Prepare
+
+model = spamsim.default_model()
+spamsim.predict_rejection_exact(spamsim.build_sequence("M", Prepare.ZERO), model)
+spamsim.run_experiment(ExperimentConfig(model=model, encoding="M", shots=2000, seed=1))
+spamsim.bias_scan(spamsim.bias_family("metastable-zero"), [0.8, 1.0], 2000,
+                  model=model, seed=3)
+print(json.dumps({JSONSCHEMA_MODULES}))
+"""
+
+
+def test_default_model_paths_load_no_jsonschema():
+    assert _fresh(MODEL_PATHS) == []
+
+
+LOAD_CONFIG = f"""
+import json, sys
+import spamsim
+
+model = spamsim.default_model()
+spamsim.save_error_model(model, sys.argv[1])
+before = {JSONSCHEMA_MODULES}
+loaded = spamsim.load_error_model(sys.argv[1])
+print(json.dumps({{"before": before, "after": bool({JSONSCHEMA_MODULES}),
+                  "same": loaded == model}}))
+"""
+
+
+def test_load_error_model_validates_with_jsonschema(tmp_path):
+    child = _fresh(LOAD_CONFIG, str(tmp_path / "model.json"))
+    assert child == {"before": [], "after": True, "same": True}
+
+
+INVALID_CONFIG = """
+import contextlib, io, json, sys
+import spamsim.cli
+
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = spamsim.cli.main(["run-spam", "--shots", "10", "--config", sys.argv[1],
+                             "--out", sys.argv[2]])
+print(json.dumps({"code": code, "err": err.getvalue()}))
+"""
+
+
+def test_invalid_config_still_fails_with_the_jsonschema_message(model, tmp_path):
+    document = sp.model_to_config(model)
+    document["decay"]["lifetime"] = -1.0
+    schema = json.loads(resources.files("spamsim.schemas")
+                        .joinpath("config.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(document, schema)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    child = _fresh(INVALID_CONFIG, str(bad), str(tmp_path / "run"))
+    assert child == {"code": 2, "err": f"error: invalid configuration: "
+                                        f"{expected.value.message}\n"}
 
 
 def _scipy_user(sp, name, inputs):
