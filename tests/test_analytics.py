@@ -22,6 +22,7 @@ Frozen expectations and where they come from:
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -229,6 +230,64 @@ def test_rejection_contributions_include_loss(model):
     assert len(loss_rows) == 1
     assert loss_rows[0].probability == pytest.approx(1e-4)
     assert loss_rows[0].raises_flag and loss_rows[0].flag_reason is sp.FlagReason.R0_DARK
+
+
+def _contributions_digest(model, encoding):
+    """sha256 over every event of zero and one x strict x include_decay."""
+    digest = hashlib.sha256()
+    for prepare in (Prepare.ZERO, Prepare.ONE):
+        for strict in (False, True):
+            for include_decay in (False, True):
+                rows = sp.rejection_contributions(sp.build_sequence(encoding, prepare), model,
+                                                  strict=strict, include_decay=include_decay)
+                digest.update(f"{prepare.value}/{strict}/{include_decay}/{len(rows)}\n".encode())
+                for r in rows:
+                    digest.update(f"{r.step_index}|{r.description}|{float.hex(r.probability)}|"
+                                  f"{r.raises_flag}|{r.flag_reason.value}\n".encode())
+    return digest.hexdigest()
+
+
+def _lossy(model):
+    return dataclasses.replace(model, loss_probability_per_shot=1e-4)
+
+
+# sha256 digests of the whole event list of rejection_contributions: step
+# index, description, probability (bit for bit), flag and reason of every
+# event.  They pin the analytic event list the way _PINNED_STREAMS in
+# test_engine.py pins the random streams; a deliberate change to the events
+# must update these pins and say so in CHANGES.md.
+_PINNED_CONTRIBUTIONS = {
+    "default-O": (
+        lambda model: model, "O",
+        "491b83debcfc1b66c40e2e66058b5faaa23549662756a1e8a15a9fe829071274",
+    ),
+    "default-M": (
+        lambda model: model, "M",
+        "62c5505c03de0a16f50761ce8ed84bec7eadd6e7f1e85d49697bd1f98ff43a93",
+    ),
+    "default-G": (
+        lambda model: model, "G",
+        "5977122e4af3ab700eda29529643b97f0cc0edc739863905d5744e8800f80ffe",
+    ),
+    "loss-O": (
+        _lossy, "O",
+        "d0a6d681ca84c435dd2292746ca685f94d8d1cdde75e78c8ddcc51ede17a68a8",
+    ),
+    "loss-M": (
+        _lossy, "M",
+        "a637ae00a59f451b3b3c16483422992e15df6b95241617ac18985c599e6e0328",
+    ),
+    "loss-G": (
+        _lossy, "G",
+        "a1aef4a92d2847f9b6861cdbfde06cae491b319611b4b3996b2427c61eeb649d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONTRIBUTIONS))
+def test_rejection_contributions_are_pinned(model, name):
+    make_model, encoding, pinned = _PINNED_CONTRIBUTIONS[name]
+    assert _contributions_digest(make_model(model), encoding) == pinned
 
 
 def test_rejection_contributions_decay_mode(model):
