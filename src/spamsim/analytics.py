@@ -6,10 +6,10 @@ post-selection bias formulas and their inversions, metastable lifetime
 fitting, and the summary statistics derived from a batch run.
 
 The rejection predictions interpret the same compiled op list the engine
-runs (:func:`spamsim.engine._compile`): one forward propagation of
-probability over (state label x R0..R5 pattern) gives the exact rejected
-fraction, and propagations with one failure event forced classify each
-first-order contribution.
+runs, with its channels in the form :class:`spamsim.engine._Compiled`
+states: one forward propagation of probability over (state label x R0..R5
+pattern) gives the exact rejected fraction, and propagations with one
+channel's failure forced classify each first-order contribution.
 
 scipy is imported inside :func:`fit_lifetime`, its one user here, so
 loading this module (and with it ``spamsim``) does not load scipy.
@@ -18,7 +18,7 @@ loading this module (and with it ``spamsim``) does not load scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -27,11 +27,11 @@ import numpy as np
 from .channels import DecayChannel, ErrorModel, decay_probability, default_model
 from .engine import (
     _FLAG_TABLES,
-    _LOST,
     _WG,
     ExperimentConfig,
     ExperimentResult,
     FlagReason,
+    _Channel,
     _compile,
     _Compiled,
     reason_from_code,
@@ -105,61 +105,45 @@ def _propagate(
     compiled: _Compiled,
     *,
     ideal: bool = False,
-    forced: tuple[int, str] | None = None,
+    forced: _Channel | None = None,
     exact: bool = False,
 ) -> list[np.ndarray]:
     """Push probability over (state label x R0..R5 pattern) through the ops.
 
-    Reads are noiseless (a label reads bright iff it fluoresces) and nothing
-    decays.  A shot starts as ``Lost`` with the compiled per-shot loss
-    probability and as ``WrongGround`` otherwise.  With ``ideal`` no ion is
-    lost and every pump and transfer succeeds.  ``forced`` is one event
-    ``(op index, "fail" | "decay")``: a failed pump leaves its population in
-    ``WrongGround``, a failed transfer moves none, and a decay strands the
-    B-manifold population in ``WrongGround`` at the start of the op;
-    ``(-1, "fail")`` loses the ion before the first op.  With ``exact`` the
-    matrix holds :class:`~fractions.Fraction` objects and every rate enters as
-    the rational value of its float, so no split or sum rounds.  Returns the
-    matrix before each op and, last, the final one.
+    Reads are noiseless: a label reads bright iff it fluoresces.  Every
+    channel splits the mass of each label it sends apart between its success
+    and failure maps by its failure probability; with ``ideal`` that is 0,
+    and it is 1 for the one channel ``forced``.  With ``exact`` the matrix
+    holds :class:`~fractions.Fraction` objects and every rate enters as the
+    rational value of its float, so no split or sum rounds.  Returns the
+    matrix before each channel, in op order, and, last, the final one.
     """
-    fluor, is_b = compiled.fluor, compiled.is_b
     num = Fraction if exact else float
     mass = np.zeros((len(compiled.labels), 64), dtype=object if exact else float)
-    mass[_LOST, 0] = num(1.0 if forced == (-1, "fail") else 0.0 if ideal else compiled.loss)
-    mass[_WG, 0] = 1 - mass[_LOST, 0]
-
-    def strand_b() -> None:
-        mass[_WG] += mass[is_b].sum(axis=0)
-        mass[is_b] = 0
-
+    mass[_WG, 0] = num(1)
     history = []
-    for index, op in enumerate(compiled.ops):
-        history.append(mass.copy())
-        kind = op[0]
-        failed = forced == (index, "fail")
-        if forced == (index, "decay"):
-            strand_b()
-        if kind == "pump":
-            rate = num(1.0 if failed else 0.0 if ideal else op[1])
-            moved = mass[fluor].sum(axis=0)
-            mass[fluor] = 0
-            mass[op[2]] += moved * (1 - rate)
-            mass[_WG] += moved * rate
-        elif kind == "transfer":
-            _, source, target, success, _ = op
-            success = num(0.0 if failed else 1.0 if ideal else success)
-            moved = mass[source] * success
-            mass[source] *= 1 - success
-            mass[target] += moved
-        elif kind == "detect":
-            # Axis 2 of this view is the op's R bit of the pattern index.
-            split = mass.reshape(len(mass), -1, 2, 1 << op[1])
-            split[fluor, :, 1] += split[fluor, :, 0]
-            split[fluor, :, 0] = 0
-        elif kind == "deshelve":
-            strand_b()
-        elif kind == "rotate":
+    for op in compiled.ops:
+        if op.born is not None:
             raise ValueError("rejection prediction is defined for basis-state preparations only")
+        for channel in op.channels:
+            history.append(mass)
+            if ideal or channel is forced:
+                fail = num(1 if channel is forced else 0)
+            else:
+                p = num(channel.probability)
+                fail = 1 - p if channel.tests_success else p
+            before, mass = mass, np.zeros_like(mass)
+            for label in np.flatnonzero(before.any(axis=1)):
+                if channel.split[label]:
+                    mass[channel.success[label]] += before[label] * (1 - fail)
+                    mass[channel.failure[label]] += before[label] * fail
+                else:
+                    mass[channel.success[label]] += before[label]
+        if op.detect is not None:
+            # Axis 2 of this view is the op's R bit of the pattern index.
+            view = mass.reshape(len(mass), -1, 2, 1 << op.detect)
+            view[compiled.fluor, :, 1] += view[compiled.fluor, :, 0]
+            view[compiled.fluor, :, 0] = 0
     history.append(mass)
     return history
 
@@ -173,50 +157,32 @@ def rejection_contributions(
 ) -> list[RejectionContribution]:
     """Classify every lone failure event by propagating it through the flags.
 
-    Pump and addressed-transfer failures on the ideal path (every channel
-    succeeds) are always listed; with ``include_decay`` a decay event is added
-    for each step whose duration the ideal path spends in the metastable
-    manifold.  Each event is classified by one propagation with only that
-    event forced: a failed pump leaves ``WrongGround``, a failed transfer
-    leaves the ion where it was, and a decay strands the ion in
-    ``WrongGround`` at the start of its step, so a decay forced in a
-    detection step reads bright for the whole window (the engine instead
-    counts partial fluorescence).  Events whose lone failure leaves the shot
-    unflagged appear with ``raises_flag=False`` (a transfer failure can
-    self-correct when the same pulse is addressed again later).
+    Every channel of the compiled sequence that has population in a label it
+    sends apart on the ideal path (every channel succeeds) is one event: the
+    per-shot ion loss and each pump and transfer failure, and with
+    ``include_decay`` the decay of each step whose duration the ideal path
+    spends in the metastable manifold.  Each event is classified by one
+    propagation with only that event forced: a failed pump leaves
+    ``WrongGround``, a failed transfer leaves the ion where it was, and a
+    decay strands the ion in ``WrongGround`` at the start of its step, so a
+    decay forced in a detection step reads bright for the whole window (the
+    engine instead counts partial fluorescence).  Events whose lone failure
+    leaves the shot unflagged appear with ``raises_flag=False`` (a transfer
+    failure can self-correct when the same pulse is addressed again later).
     """
+    if not include_decay:
+        model = replace(model, decay=DecayChannel(math.inf))
     compiled = _compile(sequence, model)
-    events: list[tuple[int, str, float, str]] = []
-    if compiled.loss > 0:
-        events.append((-1, "ion loss", compiled.loss, "fail"))
-    ideal = _propagate(compiled, ideal=True)
-    for index, (op, mass) in enumerate(zip(compiled.ops, ideal)):
-        step = sequence.steps[index]
-        occupied = mass.sum(axis=1) > 0
-        # Every op but deshelve ends with its decay probability.
-        if (include_decay and op[0] != "deshelve" and op[-1] > 0
-                and occupied[compiled.is_b].any()):
-            events.append(
-                (index, f"decay during step {index} ({type(step).__name__})", op[-1], "decay")
-            )
-        if op[0] == "pump" and occupied[compiled.fluor].any():
-            events.append((index, "optical pumping failure", op[1], "fail"))
-        elif op[0] == "transfer" and occupied[op[1]]:
-            events.append(
-                (index, f"transfer {step.from_state} -> {step.to_state} failure",
-                 1.0 - op[3], "fail")
-            )
-
+    channels = [channel for op in compiled.ops for channel in op.channels]
     reasons = _FLAG_TABLES[strict][0]
     contributions = []
-    for index, description, probability, kind in events:
-        final = _propagate(compiled, ideal=True, forced=(index, kind))[-1]
-        reason = reason_from_code(reasons[final.sum(axis=0).argmax()])
-        contributions.append(
-            RejectionContribution(
-                index, description, probability, reason is not FlagReason.NONE, reason
-            )
-        )
+    for channel, mass in zip(channels, _propagate(compiled, ideal=True)):
+        if mass[channel.split].any():
+            final = _propagate(compiled, ideal=True, forced=channel)[-1]
+            reason = reason_from_code(reasons[final.sum(axis=0).argmax()])
+            contributions.append(RejectionContribution(
+                channel.step, channel.event, channel.failure_probability,
+                reason is not FlagReason.NONE, reason))
     return contributions
 
 
@@ -246,14 +212,16 @@ def predict_rejection_exact(
     """Exact rejected fraction under the channel model (no decay, no read noise).
 
     Propagates the probability of every (state label, R0..R5 pattern) pair
-    through the compiled ops, splitting it at every pump and transfer by the
-    channel rates, and sums the final probability of the flagged patterns.
+    through the compiled ops, compiled without decay, splitting it at every
+    channel by its rate, and sums the final probability of the flagged
+    patterns.
     The propagation runs in exact rational arithmetic and rounds once at the
     end, as :func:`predict_rejection` rounds its ``math.fsum`` once, so where
     the union bound ``exact <= first-order`` holds for the rates it also holds
     between the two returned floats.
     """
-    final = _propagate(_compile(sequence, model), exact=True)[-1]
+    compiled = _compile(sequence, replace(model, decay=DecayChannel(math.inf)))
+    final = _propagate(compiled, exact=True)[-1]
     return float(final[:, _FLAG_TABLES[strict][0] != 0].sum())
 
 

@@ -64,8 +64,8 @@ class TransferPulse:
                 f"pulse must bridge the manifolds: {self.from_state} -> {self.to_state}"
             )
         _check_probability(self.error_rate, "error_rate")
-        if self.t_pi <= 0:
-            raise ValueError(f"t_pi must be positive, got {self.t_pi}")
+        if not 0 < self.t_pi < math.inf:  # NaN fails too
+            raise ValueError(f"t_pi must be finite and positive, got {self.t_pi}")
 
     def reversed(self) -> "TransferPulse":
         return replace(self, from_state=self.to_state, to_state=self.from_state)
@@ -83,8 +83,8 @@ class PumpChannel:
         if not self.target.in_manifold(Manifold.A):
             raise ValueError("pump target must be a hyperfine level of manifold A")
         _check_probability(self.error_rate, "error_rate")
-        if self.duration < 0:
-            raise ValueError("pump duration must be non-negative")
+        if not self.duration >= 0:  # NaN fails too
+            raise ValueError(f"pump duration must be non-negative, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,8 @@ class ErrorModel:
 
     def __post_init__(self) -> None:
         _check_probability(self.loss_probability_per_shot, "loss_probability_per_shot")
-        if self.cooling_duration < 0:
-            raise ValueError("durations must be non-negative")
+        if not self.cooling_duration >= 0:  # NaN fails too
+            raise ValueError(f"cooling duration must be non-negative, got {self.cooling_duration}")
         lookup: dict[tuple[StateLabel, StateLabel], TransferPulse] = {}
         for pulse in self.pulses:
             key = _pair_key(pulse.from_state, pulse.to_state)

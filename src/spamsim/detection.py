@@ -38,12 +38,12 @@ class DetectionModel:
     threshold: int = 0
 
     def __post_init__(self) -> None:
-        if self.mean_bright < 0 or self.mean_dark < 0:
-            raise ValueError("count means must be non-negative")
-        if self.read_noise_sigma < 0:
-            raise ValueError("read noise sigma must be non-negative")
-        if self.total_duration <= 0:
-            raise ValueError("total_duration must be positive")
+        if not (0 <= self.mean_bright < math.inf and 0 <= self.mean_dark < math.inf):
+            raise ValueError("count means must be finite and non-negative")
+        if not 0 <= self.read_noise_sigma < math.inf:
+            raise ValueError("read noise sigma must be finite and non-negative")
+        if not 0 < self.total_duration < math.inf:
+            raise ValueError("total_duration must be finite and positive")
 
 
 @dataclass(frozen=True)

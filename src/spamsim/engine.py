@@ -27,8 +27,7 @@ the case with no retry round.  Each retry round gathers the shots whose R1
 detection was bright into a compacted sub-chunk, re-runs the preparation ops
 on it alone and scatters the results back, so a round draws random numbers
 only for the shots that retry.  Every op acts on the whole (sub-)chunk it is
-given.  Retry streams therefore differ from versions that re-ran the round
-over the full chunk under a mask; post-select streams are unchanged.
+given.
 
 Timing conventions: metastable population may decay across the duration of
 every cooling, pumping, transfer and detection step.  Decay during a detection
@@ -181,37 +180,80 @@ _LOST = 1
 _PREPARED_CODES = {Prepare.ZERO: 0, Prepare.ONE: 1, Prepare.SUPERPOSITION: -1}
 
 
+@dataclass(eq=False)
+class _Channel:
+    """One population transfer, in the form :class:`_Compiled` states."""
+
+    step: int  # op index; -1 for the per-shot loss before op 0
+    event: str  # the failure, as rejection_contributions names it
+    probability: float  # u < probability is success if tests_success, else failure
+    success: np.ndarray  # int16 map over label ids
+    failure: np.ndarray  # int16 map over label ids
+    tests_success: bool = False
+    free: bool = False  # no first-pass shot can be in a label of ``split``
+
+    def __post_init__(self) -> None:
+        self.split = self.success != self.failure  # labels the two branches send apart
+        apart = np.flatnonzero(self.split).tolist()
+        self.draws = bool(apart)  # False for a one-map channel
+        self.only = apart[0] if len(apart) == 1 else None  # the one label sent apart
+        self.moves = bool((self.success != np.arange(self.success.size)).any())  # not identity
+        self.failure_probability = 1 - self.probability if self.tests_success else self.probability
+
+
+@dataclass(frozen=True)
+class _Op:
+    """One step: its channels in order, then a read or a Born projection."""
+
+    channels: tuple[_Channel, ...] = ()
+    detect: int | None = None  # the R label a Detect step reads
+    born: tuple[float, float] | None = None  # Rotate: P(zero) from zero and from one
+
+
 @dataclass
 class _Compiled:
-    """A sequence bound to a model: integer state table plus one op per step.
+    """A sequence bound to a model: integer state labels plus one op per step.
 
-    The chunk runner (:func:`_apply_op`) and the analytic propagator
-    (``analytics._propagate``) both interpret ``ops``.  Every op but
-    ``deshelve`` and ``rotate`` ends with its decay probability.  ``loss``,
-    ``detection`` and ``lifetime`` carry the rest of the model that the
-    interpreters use; nothing after :func:`_compile` reads the model itself.
-    ``fluor``, ``is_b`` and ``mean_counts`` are per-label tables that the
-    chunk runner looks shots up in with ``take``; ``mean_counts`` holds the
-    Poisson mean of a whole window in each label, from
-    :func:`~spamsim.detection.mean_counts`, so it is exactly ``mean_bright``
-    for a fluorescing label and ``mean_dark`` for any other.  ``b_free[i]``
-    is True when no shot can be in manifold B before op ``i`` of a first
-    pass through ``ops``; the chunk runner then skips that op's decay draws.
+    Every step but ``Detect`` and ``Rotate`` compiles to channels
+    (:class:`_Channel`).  A channel holds a probability and two int16 maps
+    over label ids, a success map and a failure map; a uniform draw per shot
+    picks the branch, and a shot in label ``l`` goes to ``success[l]`` or to
+    ``failure[l]``.  The channels are:
+
+    * decay over a step's duration, first in its op (a detection window's
+      too): the failure map sends B labels to ``WrongGround``;
+    * pump: the success map sends fluorescing labels to the pump target, the
+      failure map sends them to ``WrongGround``;
+    * transfer: the success map sends ``from`` to ``to``, the failure map is
+      the identity, and the draw tests ``u < p_success``;
+    * deshelve: one map, the same on both branches, so it draws nothing;
+    * per-shot ion loss, first in op 0: the failure map sends
+      ``WrongGround`` to ``Lost``.
+
+    A decay or loss channel of probability 0 is left out.  A channel's
+    ``free`` flag comes from the labels shots can reach through both maps of
+    every channel (and a ``Rotate``) from ``WrongGround``, where every shot
+    starts.  The chunk runner (:func:`_apply_op`) and the analytic
+    propagator (``analytics._propagate``) both interpret ``ops``, and only
+    ``detect`` and ``born`` have code of their own there.  ``detection`` and
+    ``lifetime`` carry the rest of the model that the interpreters use;
+    nothing after :func:`_compile` reads the model itself.  ``fluor`` and
+    ``mean_counts`` are per-label tables;
+    ``mean_counts`` holds the Poisson mean of a whole window in each label,
+    from :func:`~spamsim.detection.mean_counts`, so it is exactly
+    ``mean_bright`` for a fluorescing label and ``mean_dark`` for any other.
     """
 
     labels: list[StateLabel]
     fluor: np.ndarray
-    is_b: np.ndarray
     zero_id: int
     one_id: int
-    ops: list[tuple]
+    ops: list[_Op]
     retry_at: int  # op index a repeat-until-success retry rewinds to
     prep_end: int  # op index of the R1 detection
     lifetime: float
-    loss: float  # probability that a shot starts with the ion lost
     detection: DetectionModel
     mean_counts: np.ndarray  # float64 Poisson mean of a whole window, per label
-    b_free: tuple[bool, ...]  # per op: no shot can be in B before it (first pass)
 
 
 def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
@@ -224,71 +266,85 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
 
     encoding = sequence.encoding
     zero_id, one_id = intern(encoding.zero), intern(encoding.one)
-    intern(model.pump.target)
+    target_id = intern(model.pump.target)
     for step in sequence.steps:
         if isinstance(step, Transfer):
             intern(step.from_state)
             intern(step.to_state)
 
-    decay = model.decay
-    ops: list[tuple] = []
-    for step in sequence.steps:
+    fluor = np.array([label.fluoresces() for label in labels])
+    identity = np.arange(len(labels), dtype=np.int16)
+
+    def relabel(where, to: int) -> np.ndarray:
+        table = identity.copy()
+        table[where] = to
+        return table
+
+    strand = relabel(np.array([label.in_manifold(Manifold.B) for label in labels]), _WG)
+    # The labels a first-pass shot can be in; every shot starts in WrongGround.
+    reach = identity == _WG
+
+    def channel(step: int, event: str, probability: float, success: np.ndarray,
+                failure: np.ndarray, tests_success: bool = False) -> _Channel:
+        nonlocal reach
+        made = _Channel(step, event, probability, success, failure, tests_success)
+        made.free = not reach[made.split].any()
+        reach = np.bincount(np.concatenate((success[reach], failure[reach])),
+                            minlength=len(labels)) > 0
+        return made
+
+    def decay(index: int, duration: float) -> list[_Channel]:
+        p = decay_probability(duration, model.decay)
+        event = f"decay during step {index} ({type(sequence.steps[index]).__name__})"
+        return [channel(index, event, p, identity, strand)] if p > 0 else []
+
+    ops: list[_Op] = []
+    channels = []
+    if model.loss_probability_per_shot > 0:
+        channels.append(channel(-1, "ion loss", model.loss_probability_per_shot,
+                                identity, relabel(_WG, _LOST)))
+    for index, step in enumerate(sequence.steps):
+        detect = born = None
         if isinstance(step, Cool):
-            duration = model.cooling_duration if step.duration is None else step.duration
-            ops.append(("decay", decay_probability(duration, decay)))
+            channels += decay(index, model.cooling_duration if step.duration is None
+                              else step.duration)
         elif isinstance(step, Pump):
-            ops.append(
-                ("pump", model.pump.error_rate, intern(model.pump.target),
-                 decay_probability(model.pump.duration, decay))
-            )
+            channels += decay(index, model.pump.duration)
+            channels.append(channel(index, "optical pumping failure", model.pump.error_rate,
+                                    relabel(fluor, target_id), relabel(fluor, _WG)))
         elif isinstance(step, Transfer):
             pulse = model.pulse_for(step.from_state, step.to_state)
             duration = pulse.t_pi if step.duration is None else step.duration
-            ops.append(
-                ("transfer", intern(step.from_state), intern(step.to_state),
-                 pulse_success_probability(duration, pulse), decay_probability(duration, decay))
-            )
+            p_success = pulse_success_probability(duration, pulse)
+            channels += decay(index, duration)
+            channels.append(channel(
+                index, f"transfer {step.from_state} -> {step.to_state} failure", p_success,
+                relabel(intern(step.from_state), intern(step.to_state)), identity, True))
         elif isinstance(step, Detect):
-            ops.append(("detect", int(step.label),
-                        decay_probability(model.detection.total_duration, decay)))
+            channels += decay(index, model.detection.total_duration)
+            detect = int(step.label)
         elif isinstance(step, Deshelve):
-            ops.append(("deshelve",))
+            channels.append(channel(index, "deshelve", 0.0, strand, strand))
         elif isinstance(step, Rotate):
             half = 0.5 * step.angle
-            ops.append(("rotate", math.cos(half) ** 2, math.sin(half) ** 2))
+            born = (math.cos(half) ** 2, math.sin(half) ** 2)
+            reach[[zero_id, one_id]] |= reach[zero_id] | reach[one_id]
         else:
             raise TypeError(f"unknown step type {type(step).__name__}")
+        ops.append(_Op(tuple(channels), detect, born))
+        channels = []
 
-    fluor = np.array([label.fluoresces() for label in labels])
-    is_b = np.array([label.in_manifold(Manifold.B) for label in labels])
-
-    # Shots start in WrongGround or Lost.  B becomes reachable at a transfer,
-    # pump or Rotate that can put a shot in B, and unreachable at Deshelve.
-    b_free = []
-    reachable = False
-    for op in ops:
-        b_free.append(not reachable)
-        kind = op[0]
-        if kind in ("transfer", "pump"):
-            reachable |= bool(is_b[op[2]])  # op[2]: the label shots go to
-        elif kind == "rotate":
-            reachable |= bool(is_b[zero_id] or is_b[one_id])
-        elif kind == "deshelve":
-            reachable = False
     return _Compiled(
         labels=labels,
         fluor=fluor,
-        is_b=is_b,
         zero_id=zero_id,
         one_id=one_id,
         ops=ops,
         retry_at=sequence.retry_start,
         prep_end=sequence.prep_end,
-        lifetime=decay.lifetime,
-        loss=model.loss_probability_per_shot,
+        lifetime=model.decay.lifetime,
         detection=model.detection,
         mean_counts=mean_counts(fluor.astype(float), model.detection),
-        b_free=tuple(b_free),
     )
 
 
@@ -307,14 +363,11 @@ class _ChunkState:
     counts: np.ndarray | None
 
     @classmethod
-    def start(cls, size: int, rng: np.random.Generator, loss_probability: float,
-              prepared_code: int, with_counts: bool) -> "_ChunkState":
-        state = np.full(size, _WG, dtype=np.int16)
-        if loss_probability > 0:
-            state[rng.random(size) < loss_probability] = _LOST
+    def start(cls, size: int, rng: np.random.Generator, prepared_code: int,
+              with_counts: bool) -> "_ChunkState":
         return cls(
             rng=rng,
-            state=state,
+            state=np.full(size, _WG, dtype=np.int16),
             prepared=np.full(size, prepared_code, dtype=np.int8),
             bright=np.zeros((6, size), dtype=bool),
             counts=np.zeros((6, size), dtype=np.int64) if with_counts else None,
@@ -355,79 +408,62 @@ def _skip(rng: np.random.Generator, n: int) -> None:
         rng.random(n)
 
 
-def _vector_decay(chunk: _ChunkState, compiled: _Compiled, p: float,
-                  b_free: bool) -> np.ndarray | None:
-    """Strand B-manifold shots with probability ``p``.
+_NO_SHOTS = np.empty(0, dtype=np.intp)
 
-    Draws one uniform per shot and then looks only at the few shots it hits;
-    when ``b_free`` says no shot can be in B, the draw is skipped with
-    :func:`_skip` and nothing is hit.  Returns the indices of the stranded
-    shots, or None if ``p`` is 0 (and nothing was drawn).
+
+def _apply_channel(chunk: _ChunkState, channel: _Channel, first_pass: bool = False) -> np.ndarray:
+    """Send every shot through one channel; return the failed shots it moved.
+
+    Every shot takes the success map, and the shots whose draw fails then
+    take the failure map of their old label.  The uniform draw is skipped
+    with :func:`_skip` when no shot can fail: the failure probability is 0,
+    ``channel.free`` holds on a first pass, or the channel sends one label
+    apart (a transfer's source) and no shot is in it.  A channel whose two
+    maps agree draws nothing.
     """
-    if p <= 0.0:
-        return None
-    if b_free:
+    old = chunk.state
+    if channel.moves:
+        chunk.state = channel.success.take(old)
+    if not channel.draws:
+        return _NO_SHOTS
+    if (channel.failure_probability == 0 or (first_pass and channel.free)
+            or (channel.only is not None and not (old == channel.only).any())):
         _skip(chunk.rng, chunk.size)
-        return np.empty(0, dtype=np.intp)
-    hit = np.flatnonzero(chunk.rng.random(chunk.size) < p)
-    hit = hit[compiled.is_b.take(chunk.state.take(hit))]
-    chunk.state[hit] = _WG
-    return hit
+        return _NO_SHOTS
+    u = chunk.rng.random(chunk.size)
+    failed = np.flatnonzero(u >= channel.probability if channel.tests_success
+                            else u < channel.probability)
+    failed = failed[channel.split.take(old.take(failed))]
+    chunk.state[failed] = channel.failure.take(old.take(failed))
+    return failed
 
 
-def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple, b_free: bool = False) -> None:
+def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op, first_pass: bool = False) -> None:
     """Apply one compiled op to every shot of ``chunk``.
 
-    Each draw is one array over the whole chunk, made in a fixed order, and
-    the kernels then touch as few elements as they can.  A draw whose values
-    no shot reads is skipped with :func:`_skip`, so the stream is unchanged:
-    a decay draw when ``b_free`` (see :attr:`_Compiled.b_free`), the decay
-    instants when no shot decayed in the window, a pump's error draw when its
-    rate is 0, and a transfer's draw when it cannot fail or its source label
-    is empty.  The detect op reads each shot's mean count from
+    The op's channels go through :func:`_apply_channel` in order, with
+    ``first_pass`` passed on; then a Detect or a Rotate step does its own
+    work.  The detect op reads each shot's mean count from
     ``compiled.mean_counts``, rewrites it only for the shots that decay
     inside the window, and draws the counts with
     :func:`~spamsim.detection.draw_counts`: the same two steps as
     :func:`~spamsim.detection.sample_counts`.
     """
     rng = chunk.rng
-    state = chunk.state
-    kind = op[0]
-    if kind == "decay":
-        _vector_decay(chunk, compiled, op[1], b_free)
-    elif kind == "pump":
-        _, error_rate, target_id, p = op
-        _vector_decay(chunk, compiled, p, b_free)
-        pumped = compiled.fluor.take(state)
-        np.copyto(state, target_id, where=pumped)
-        if error_rate > 0.0:
-            failed = rng.random(chunk.size) < error_rate
-            failed &= pumped
-            np.copyto(state, _WG, where=failed)
-        else:
-            _skip(rng, chunk.size)
-    elif kind == "transfer":
-        _, from_id, to_id, p_success, p = op
-        _vector_decay(chunk, compiled, p, b_free)
-        moved = state == from_id
-        if p_success < 1.0 and moved.any():
-            moved &= rng.random(chunk.size) < p_success
-        else:
-            _skip(rng, chunk.size)
-        # Adding ``to_id - from_id`` to the moved shots runs several times
-        # faster than a masked copy of ``to_id``.
-        state += moved * np.int16(to_id - from_id)
-    elif kind == "detect":
-        _, label, p = op
-        det = compiled.detection
+    if op.detect is not None:
         # The mean count of each shot's label before the window; a shot that
         # decays inside it fluoresced for part of the window only.
-        mean = compiled.mean_counts.take(state)
-        decayed = _vector_decay(chunk, compiled, p, b_free)
+        mean = compiled.mean_counts.take(chunk.state)
+    decayed = None
+    for channel in op.channels:
+        decayed = _apply_channel(chunk, channel, first_pass)
+    if op.detect is not None:
+        det = compiled.detection
         if decayed is not None and decayed.size:
             # The instant is drawn for every shot to keep the stream fixed,
             # but only the decayed shots need it.
             u = rng.random(chunk.size).take(decayed)
+            p = op.channels[0].probability
             instant = np.minimum(
                 -compiled.lifetime * np.log1p(-u * p), det.total_duration
             )
@@ -438,21 +474,18 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: tuple, b_free: bool =
             _skip(rng, chunk.size)
         counts = draw_counts(mean, det, rng)
         if chunk.counts is not None:
-            chunk.counts[label] = counts
-        chunk.bright[label] = classify(counts, det.threshold)
-    elif kind == "deshelve":
-        np.copyto(state, _WG, where=compiled.is_b.take(state))
-    elif kind == "rotate":
+            chunk.counts[op.detect] = counts
+        chunk.bright[op.detect] = classify(counts, det.threshold)
+    elif op.born is not None:
         # Born projection on the spot; draws only when a shot can be projected.
-        _, pz_from_zero, pz_from_one = op
+        pz_from_zero, pz_from_one = op.born
+        state = chunk.state
         from_zero = state == compiled.zero_id
         m = from_zero | (state == compiled.one_id)
         if m.any():
             to_zero = rng.random(chunk.size) < np.where(from_zero, pz_from_zero, pz_from_one)
             np.copyto(state, np.where(to_zero, compiled.zero_id, compiled.one_id), where=m)
             np.copyto(chunk.prepared, ~to_zero, where=m)
-    else:
-        raise ValueError(f"unknown opcode {kind!r}")
 
 
 @dataclass
@@ -503,12 +536,12 @@ def _run_chunk(
     ``keep_records`` is.  With ``max_attempts`` 1 no shot retries.
     """
     rng = np.random.default_rng(seed_seq)
-    chunk = _ChunkState.start(size, rng, compiled.loss, prepared_code, collect_histograms)
+    chunk = _ChunkState.start(size, rng, prepared_code, collect_histograms)
     attempts = np.ones(size, dtype=np.int32)
 
-    ops, b_free, split = compiled.ops, compiled.b_free, compiled.prep_end + 1
-    for op, free in zip(ops[:split], b_free):
-        _apply_op(chunk, compiled, op, free)
+    ops, split = compiled.ops, compiled.prep_end + 1
+    for op in ops[:split]:
+        _apply_op(chunk, compiled, op, first_pass=True)
     for _ in range(max_attempts - 1):
         # Only the R1-bright shots retry, on a compacted sub-chunk.  A retried
         # shot may still be in B when it rewinds, so retries draw in full.
@@ -520,10 +553,10 @@ def _run_chunk(
         for op in ops[compiled.retry_at : split]:
             _apply_op(sub, compiled, op)
         chunk.put(retry, sub)
-    # Retry rounds start from the states R1 leaves and can reach B no more
-    # often than the first pass, so its flags still hold after R1.
-    for op, free in zip(ops[split:], b_free[split:]):
-        _apply_op(chunk, compiled, op, free)
+    # Retry rounds start from the states R1 leaves and reach no label the
+    # first pass cannot, so its ``free`` flags still hold after R1.
+    for op in ops[split:]:
+        _apply_op(chunk, compiled, op, first_pass=True)
 
     patterns = _patterns(chunk.bright)
     tally = np.bincount(
@@ -592,10 +625,10 @@ def run_shot(
     index, state)`` after every step.
     """
     compiled = _compile(sequence, model)
-    chunk = _ChunkState.start(1, rng, compiled.loss, _PREPARED_CODES[sequence.prepare], False)
+    chunk = _ChunkState.start(1, rng, _PREPARED_CODES[sequence.prepare], False)
     trace = []
-    for index, (op, free) in enumerate(zip(compiled.ops, compiled.b_free)):
-        _apply_op(chunk, compiled, op, free)
+    for index, op in enumerate(compiled.ops):
+        _apply_op(chunk, compiled, op, first_pass=True)
         if keep_trace:
             trace.append((index, compiled.labels[chunk.state[0]]))
     outcomes = tuple(bool(bright) for bright in chunk.bright[:, 0])
@@ -754,10 +787,7 @@ def run_experiment(
     wherever their op lists agree: comparisons between such runs at one seed
     are correlated samples, not independent ones.
 
-    Repeat-until-success retry rounds draw only for the retrying shots, so a
-    seed gives other retry outcomes than in versions that re-ran each round
-    over the whole chunk (same distribution, tested by chi-square); with
-    ``Mode.POST_SELECT`` a seed gives the same results as before.  Raw
+    Repeat-until-success retry rounds draw only for the retrying shots.  Raw
     detection counts are only kept when ``collect_histograms`` is set.
     """
     if workers < 1:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spamsim as sp
-from spamsim.channels import decay_probability, pulse_success_probability
+from spamsim.channels import _build_model, decay_probability, pulse_success_probability
 
 
 def pulse(rate=0.04, t_pi=25e-6):
@@ -172,6 +172,28 @@ def test_config_rejects_bad_documents(model):
     bad_rate["pulses"][0] = dict(bad_rate["pulses"][0], error_rate=1.7)
     with pytest.raises(sp.ConfigError):
         sp.model_from_config(bad_rate)
+
+    # json reads NaN and Infinity; the model checks reject them, so such a
+    # config fails as it loads, with or without the schema, not mid-run.
+    for path, value in [
+        ("detection.mean_bright", math.nan), ("detection.mean_bright", math.inf),
+        ("detection.mean_dark", math.nan), ("detection.mean_dark", math.inf),
+        ("detection.read_noise_sigma", math.nan), ("detection.read_noise_sigma", math.inf),
+        ("detection.total_duration", math.nan), ("detection.total_duration", math.inf),
+        ("pump.duration", math.nan), ("durations.cooling", math.nan),
+        ("pulses.0.t_pi", math.nan), ("pulses.0.t_pi", math.inf),
+    ]:
+        document = sp.model_to_config(model)
+        *parents, last = [int(key) if key.isdigit() else key for key in path.split(".")]
+        entry = document
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+        document = json.loads(json.dumps(document))
+        with pytest.raises(sp.ConfigError):
+            sp.model_from_config(document)
+        with pytest.raises(sp.ConfigError):
+            _build_model(document)
 
 
 def test_model_requires_pump_target_in_ground():

@@ -196,12 +196,28 @@ def test_run_spam_missing_config_is_io_error(tmp_path):
     assert code == 3
 
 
-def test_run_spam_invalid_config_document(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"pump\": {}}")
-    code = cli.main(["run-spam", "--shots", "10", "--config", str(bad),
-                     "--out", str(tmp_path / "x")])
-    assert code == 2
+def test_run_spam_invalid_config_document(tmp_path, model, monkeypatch, capsys):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("shots ran before the config was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_runs)
+    # json reads NaN and Infinity, so non-finite detection values get past
+    # the parser; the model checks reject them before any shot runs.
+    documents = ["{\"pump\": {}}"]
+    for field, value in [("read_noise_sigma", "NaN"), ("mean_bright", "NaN"),
+                         ("total_duration", "Infinity")]:
+        document = sp.model_to_config(model)
+        document["detection"][field] = float(value)
+        documents.append(json.dumps(document))
+        assert f'"{field}": {value}' in documents[-1]
+    for text in documents:
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "x"
+        code = cli.main(["run-spam", "--shots", "10", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid configuration")
+        assert not out.exists()
 
 
 def test_run_spam_config_conflicts_with_defaults_flag(tmp_path, model):

@@ -321,8 +321,7 @@ def _reference_rus(model, encoding, prepare, shots, seed, max_attempts):
     """
     code = {Prepare.ZERO: 0, Prepare.ONE: 1, Prepare.SUPERPOSITION: -1}[prepare]
     compiled = engine._compile(sp.build_sequence(encoding, prepare), model)
-    chunk = engine._ChunkState.start(shots, np.random.default_rng(seed),
-                                     model.loss_probability_per_shot, code, False)
+    chunk = engine._ChunkState.start(shots, np.random.default_rng(seed), code, False)
     attempts = np.ones(shots, dtype=np.int32)
     ops = compiled.ops
     for op in ops[: compiled.prep_end + 1]:
@@ -649,23 +648,52 @@ _FLAG_SEQUENCES["O-rotate-before-shelving"] = _rotate_before_shelving
 
 
 @pytest.mark.parametrize("name", sorted(_FLAG_SEQUENCES))
-def test_b_free_flags_are_conservative(model, name):
+def test_b_free_flags_are_conservative(model, name, monkeypatch):
     noisy = dataclasses.replace(
         _rewind_in_b(model), loss_probability_per_shot=0.01,
         pump=dataclasses.replace(model.pump, error_rate=0.2))
     sequence = _FLAG_SEQUENCES[name]()
     compiled = engine._compile(sequence, noisy)
-    chunk = engine._ChunkState.start(4096, np.random.default_rng(17), compiled.loss,
+    is_b = np.array([label.in_manifold(sp.Manifold.B) for label in compiled.labels])
+    chunk = engine._ChunkState.start(4096, np.random.default_rng(17),
                                      engine._PREPARED_CODES[sequence.prepare], False)
+    apply_channel = engine._apply_channel
     reached_b = False
-    for op, free in zip(compiled.ops, compiled.b_free):
-        in_b = compiled.is_b.take(chunk.state).any()
-        assert not (free and in_b), op
-        reached_b |= in_b
-        engine._apply_op(chunk, compiled, op, free)
+
+    def checked(chunk, channel, first_pass=False):
+        # A free channel has no shot in a label its two maps send apart; for
+        # a decay channel those are the B labels.
+        nonlocal reached_b
+        assert not (channel.free and channel.split.take(chunk.state).any()), channel.event
+        reached_b |= is_b.take(chunk.state).any()
+        return apply_channel(chunk, channel, first_pass)
+
+    monkeypatch.setattr(engine, "_apply_channel", checked)
+    for op in compiled.ops:
+        engine._apply_op(chunk, compiled, op, first_pass=True)
     assert reached_b
     # Both cools and R0 come before any shelving; R5 follows the deshelve.
-    assert compiled.b_free[:3] == (True,) * 3 and compiled.b_free[-1]
+    ops = compiled.ops
+    decays = [c for i in (0, 1, 2, len(ops) - 1) for c in ops[i].channels if c.step == i]
+    assert len(decays) == 4 and all(c.free for c in decays)
+
+
+@pytest.mark.parametrize("name", sorted(_FLAG_SEQUENCES))
+def test_channel_maps_are_label_tables(model, name):
+    lossy = dataclasses.replace(model, loss_probability_per_shot=0.01)
+    compiled = engine._compile(_FLAG_SEQUENCES[name](), lossy)
+    channels = [channel for op in compiled.ops for channel in op.channels]
+    assert channels[0].event == "ion loss" and channels[0].step == -1
+    size, lost = len(compiled.labels), compiled.labels.index(sp.LOST)
+    for channel in channels:
+        for table in (channel.success, channel.failure):
+            assert table.dtype == np.int16 and table.shape == (size,), channel.event
+            assert 0 <= table.min() and table.max() < size, channel.event
+            assert table[lost] == lost, channel.event
+    # Only Detect and Rotate steps carry work beyond their channels.
+    for op, step in zip(compiled.ops, _FLAG_SEQUENCES[name]().steps):
+        assert (op.detect is not None) == isinstance(step, sp.Detect)
+        assert (op.born is not None) == isinstance(step, Rotate)
 
 
 @pytest.mark.parametrize("prepare", [Prepare.ZERO, Prepare.ONE])
@@ -675,10 +703,10 @@ def test_first_pass_skips_the_draws_no_shot_reads(model, prepare):
     slow = dataclasses.replace(model, decay=sp.DecayChannel(lifetime=1e6))
     compiled = engine._compile(sp.build_sequence("M", prepare), slow)
     rng = _CountingGenerator(_CountingPCG64(3))
-    chunk = engine._ChunkState.start(engine.CHUNK_SHOTS, rng, compiled.loss,
-                                     engine._PREPARED_CODES[prepare], False)
-    for op, free in zip(compiled.ops, compiled.b_free):
-        engine._apply_op(chunk, compiled, op, free)
+    chunk = engine._ChunkState.start(engine.CHUNK_SHOTS, rng, engine._PREPARED_CODES[prepare],
+                                     False)
+    for op in compiled.ops:
+        engine._apply_op(chunk, compiled, op, first_pass=True)
     # 22 uniform arrays a shot: 9 drawn, 13 skipped.
     assert (rng.drawn, rng.bit_generator.advanced) == (9, 13)
     # R0 and R5 give every shot one mean, so they take the scalar path.
