@@ -63,11 +63,9 @@ from .engine import (
     ExperimentResult,
     FlagReason,
     Mode,
-    ShotRecord,
     evaluate_flags,
     evaluate_flags_array,
     run_experiment,
-    run_shot,
 )
 from .sequence import (
     Cool,

@@ -384,7 +384,9 @@ def bias_scan(
     the closed form is the exact expectation of each point.
     """
     ratios = list(ratios)
-    # The whole grid is checked before any point runs.
+    # The seed and the whole grid are checked before any point runs.
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     for ratio in ratios:
         if not (math.isfinite(ratio) and ratio > 0):
             raise ValueError(f"duration ratios must be finite and positive, got {ratio!r}")

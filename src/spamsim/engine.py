@@ -5,8 +5,7 @@ and the ops act on a chunk of shots at once.  :func:`run_experiment` splits
 its batches into fixed-size chunks of :data:`CHUNK_SHOTS` shots; every chunk
 draws from its own generator seeded by ``SeedSequence(master_seed,
 spawn_key=(batch, chunk))``, so aggregate results are identical for any worker
-count and chunks can be replayed in isolation.  :func:`run_shot` runs a
-single shot as a one-shot chunk on the caller's generator.
+count and chunks can be replayed in isolation.
 
 :func:`_compile` binds a sequence to an :class:`ErrorModel` once, and nothing
 after it reads the model: the interpreters get all they need from its output.
@@ -197,7 +196,9 @@ class _Channel:
         apart = np.flatnonzero(self.split).tolist()
         self.draws = bool(apart)  # False for a one-map channel
         self.only = apart[0] if len(apart) == 1 else None  # the one label sent apart
-        self.moves = bool((self.success != np.arange(self.success.size)).any())  # not identity
+        moved = np.flatnonzero(self.success != np.arange(self.success.size)).tolist()
+        self.moves = bool(moved)  # not identity
+        self.gathers = moved not in ([], [self.only])  # moves a label other than ``only``
         self.failure_probability = 1 - self.probability if self.tests_success else self.probability
 
 
@@ -396,16 +397,13 @@ class _ChunkState:
 def _skip(rng: np.random.Generator, n: int) -> None:
     """Leave ``rng`` in the state ``rng.random(n)`` would leave it in.
 
-    A float64 from ``random`` takes exactly one 64-bit step of PCG64, so a
-    PCG64 generator jumps ahead ``n`` steps without making the draws; any
-    other bit generator, or a PCG64 holding a buffered 32-bit value (which
-    ``advance`` would drop), draws and discards.
+    A float64 from ``random`` takes exactly one 64-bit step of PCG64, so the
+    generator jumps ahead ``n`` steps without making the draws.  Every chunk
+    generator is a PCG64 that :func:`_run_chunk` creates, and no engine draw
+    takes 32-bit values, so no buffered 32-bit value (which ``advance`` would
+    drop) is ever pending.
     """
-    bit_generator = rng.bit_generator
-    if isinstance(bit_generator, np.random.PCG64) and not bit_generator.state["has_uint32"]:
-        bit_generator.advance(n)
-    else:
-        rng.random(n)
+    rng.bit_generator.advance(n)
 
 
 _NO_SHOTS = np.empty(0, dtype=np.intp)
@@ -419,22 +417,30 @@ def _apply_channel(chunk: _ChunkState, channel: _Channel, first_pass: bool = Fal
     with :func:`_skip` when no shot can fail: the failure probability is 0,
     ``channel.free`` holds on a first pass, or the channel sends one label
     apart (a transfer's source) and no shot is in it.  A channel whose two
-    maps agree draws nothing.
+    maps agree draws nothing.  A success map that moves only that one label
+    moves just the shots in it; any other gathers the whole chunk.
     """
-    old = chunk.state
-    if channel.moves:
-        chunk.state = channel.success.take(old)
-    if not channel.draws:
-        return _NO_SHOTS
-    if (channel.failure_probability == 0 or (first_pass and channel.free)
-            or (channel.only is not None and not (old == channel.only).any())):
-        _skip(chunk.rng, chunk.size)
-        return _NO_SHOTS
-    u = chunk.rng.random(chunk.size)
-    failed = np.flatnonzero(u >= channel.probability if channel.tests_success
-                            else u < channel.probability)
-    failed = failed[channel.split.take(old.take(failed))]
-    chunk.state[failed] = channel.failure.take(old.take(failed))
+    state = chunk.state
+    source = None  # the shots in ``only``; none is there on a free first pass
+    if channel.only is not None and not (first_pass and channel.free):
+        source = state == channel.only
+    failed = to = _NO_SHOTS
+    if channel.draws:
+        if (channel.failure_probability == 0 or (first_pass and channel.free)
+                or (source is not None and not source.any())):
+            _skip(chunk.rng, chunk.size)
+        else:
+            u = chunk.rng.random(chunk.size)
+            failed = np.flatnonzero(u >= channel.probability if channel.tests_success
+                                    else u < channel.probability)
+            labels = state.take(failed)
+            apart = channel.split.take(labels)
+            failed, to = failed[apart], channel.failure.take(labels[apart])
+    if channel.gathers:
+        state = chunk.state = channel.success.take(state)
+    elif channel.moves and source is not None:
+        state[source] = channel.success[channel.only]
+    state[failed] = to
     return failed
 
 
@@ -586,65 +592,6 @@ def _run_chunk(
 
 
 # =========================================================================
-# Single shots
-# =========================================================================
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One shot's outcomes and flags.
-
-    ``prepared`` is 0 or 1 for zero and one preparations.  For a
-    superposition it is the ``Rotate`` outcome of a shot that was in the
-    qubit subspace at ``Rotate``, and ``None`` for any other shot.
-    """
-
-    prepared: int | None
-    outcomes: tuple[bool, bool, bool, bool, bool, bool]
-    flagged: bool
-    flag_reason: FlagReason
-    inferred: int | None
-    attempts: int = 1
-    trace: tuple[tuple[int, StateLabel], ...] | None = None
-
-
-def run_shot(
-    sequence: Sequence,
-    model: ErrorModel,
-    rng: np.random.Generator,
-    *,
-    strict: bool = False,
-    keep_trace: bool = False,
-) -> ShotRecord:
-    """Execute one shot, as a one-shot chunk on ``rng``, and evaluate its flags.
-
-    The ion starts as ``Lost`` with the model's per-shot loss probability and
-    as ``WrongGround`` otherwise; optical pumping is what establishes a known
-    state.  A ``Rotate`` step Born-projects a shot in the qubit subspace on
-    the spot, and the record's ``prepared`` is that outcome (see
-    :class:`ShotRecord`).  With ``keep_trace`` the record holds ``(step
-    index, state)`` after every step.
-    """
-    compiled = _compile(sequence, model)
-    chunk = _ChunkState.start(1, rng, _PREPARED_CODES[sequence.prepare], False)
-    trace = []
-    for index, op in enumerate(compiled.ops):
-        _apply_op(chunk, compiled, op, first_pass=True)
-        if keep_trace:
-            trace.append((index, compiled.labels[chunk.state[0]]))
-    outcomes = tuple(bool(bright) for bright in chunk.bright[:, 0])
-    flagged, reason, inferred = evaluate_flags(outcomes, strict)
-    prepared = int(chunk.prepared[0])
-    return ShotRecord(
-        prepared=None if prepared < 0 else prepared,
-        outcomes=outcomes,  # type: ignore[arg-type]
-        flagged=flagged,
-        flag_reason=reason,
-        inferred=inferred,
-        trace=tuple(trace) if keep_trace else None,
-    )
-
-
-# =========================================================================
 # Batch experiments
 # =========================================================================
 
@@ -680,6 +627,8 @@ class ExperimentConfig:
         encoding_catalog(self.encoding)
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.mode is Mode.POST_SELECT and self.max_attempts != 1:

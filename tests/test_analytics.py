@@ -354,6 +354,15 @@ def test_bias_scan_rejects_bad_ratios_before_running(monkeypatch, bad):
     assert repr(bad) in str(excinfo.value)
 
 
+def test_bias_scan_rejects_a_negative_seed_before_running(monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a point ran before the seed was checked")
+
+    monkeypatch.setattr(sp.analytics, "run_experiment", no_runs)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sp.analytics.bias_scan(sp.bias_family("metastable-zero"), [0.8, 1.0], 1_000, seed=-1)
+
+
 def test_correct_bias_round_trip():
     # Mix the two basis calibrations with known weights and invert.
     p0, p1 = 0.62, 0.38

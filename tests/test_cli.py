@@ -243,6 +243,20 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert cli.main(["run-spam", "--shots", "200", "--out", str(tmp_path / "y")]) == 2
 
 
+@pytest.mark.parametrize("command", ["run-spam", "bias-scan"])
+@pytest.mark.parametrize("from_env", [False, True])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, command, from_env):
+    out = tmp_path / "out"
+    argv = [command, "--shots", "200", "--out", str(out)]
+    if from_env:
+        monkeypatch.setenv("SPAMSIM_SEED", "-1")
+    else:
+        argv[1:1] = ["--seed", "-1"]
+    assert cli.main(argv) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def write_count_histogram(path, fraction, model, seed, n=4000):
     rng = np.random.default_rng(seed)
     counts = [sample_counts(fraction, model.detection, rng) for _ in range(n)]

@@ -146,32 +146,6 @@ def test_pattern_distribution_matches_propagator(model, encoding, state):
     assert p > 1e-4, (chi2, expected.size - 1, p)
 
 
-def test_scalar_shot_agrees_with_batch_statistics(model):
-    rng = np.random.default_rng(21)
-    seq = sp.build_sequence("M", Prepare.ONE)
-    shots = 3_000
-    rejected = 0
-    for _ in range(shots):
-        record = sp.run_shot(seq, model, rng)
-        rejected += record.flagged
-        assert record.attempts == 1
-        assert record.prepared == 1
-    expected = sp.predict_rejection_exact(seq, model)
-    sigma = math.sqrt(expected * (1.0 - expected) / shots)
-    assert abs(rejected / shots - expected) < 5.0 * sigma
-
-
-def test_scalar_shot_trace(perfect):
-    rng = np.random.default_rng(2)
-    seq = sp.build_sequence("O", Prepare.ZERO)
-    record = sp.run_shot(seq, perfect, rng, keep_trace=True)
-    assert not record.flagged
-    assert record.flag_reason is sp.FlagReason.NONE
-    assert record.inferred == 0
-    assert record.trace is not None and len(record.trace) == len(seq.steps)
-    assert len(record.outcomes) == 6
-
-
 def test_more_pump_error_means_more_rejections(model):
     import dataclasses
     worse = dataclasses.replace(model, pump=dataclasses.replace(model.pump, error_rate=0.2))
@@ -215,17 +189,18 @@ def test_superposition_prepares_even_mixture(perfect):
         detection=dataclasses.replace(perfect.detection, mean_dark=0.0,
                                       read_noise_sigma=0.0, threshold=0),
     )
-    cfg = sp.ExperimentConfig(model=noiseless, encoding="M", shots=40_000, seed=11,
-                              interleave=False, prepare=Prepare.SUPERPOSITION)
-    res = sp.run_experiment(cfg, workers=2)
-    tally = res.states["superposition"]
-    assert tally.prepared_zero + tally.prepared_one == tally.shots
-    sigma = 0.5 * math.sqrt(tally.shots)
-    assert abs(tally.prepared_zero - tally.shots / 2) < 5.0 * sigma
-    # Perfect channels: the readout must reproduce the collapsed preparation.
-    assert tally.wrong == (0,) * 6
-    assert tally.accepted_zero == tally.prepared_zero
-    assert tally.accepted_one == tally.prepared_one
+    for encoding in ("O", "M"):
+        cfg = sp.ExperimentConfig(model=noiseless, encoding=encoding, shots=40_000, seed=11,
+                                  interleave=False, prepare=Prepare.SUPERPOSITION)
+        res = sp.run_experiment(cfg, workers=2)
+        tally = res.states["superposition"]
+        assert tally.prepared_zero + tally.prepared_one == tally.shots
+        sigma = 0.5 * math.sqrt(tally.shots)
+        assert abs(tally.prepared_zero - tally.shots / 2) < 5.0 * sigma
+        # Perfect channels: the readout must reproduce the collapsed preparation.
+        assert tally.wrong == (0,) * 6
+        assert tally.accepted_zero == tally.prepared_zero
+        assert tally.accepted_one == tally.prepared_one
 
 
 def test_transfer_duration_override_scans_acceptance(perfect):
@@ -262,6 +237,8 @@ def test_config_validation(model):
                             mode=sp.Mode.POST_SELECT, max_attempts=3)
     with pytest.raises(ValueError):
         sp.ExperimentConfig(model=model, encoding="X", shots=10)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sp.ExperimentConfig(model=model, encoding="M", shots=10, seed=-1)
 
 
 def test_records_capture(model):
@@ -276,35 +253,24 @@ def test_records_capture(model):
         assert cols["attempts"].max() == res.states[name].attempts_max
 
 
-@pytest.mark.parametrize("encoding", ["O", "M"])
-def test_scalar_superposition_records_collapse_outcome(perfect, encoding):
-    # The prepared value is the Born outcome of the pi/2 rotation, not a
-    # reading of the final state, so it is an even coin under any readout.
-    rng = np.random.default_rng(31)
-    seq = sp.build_sequence(encoding, Prepare.SUPERPOSITION)
-    shots = 2_000
-    prepared = [sp.run_shot(seq, perfect, rng).prepared for _ in range(shots)]
-    assert set(prepared) <= {0, 1}
-    sigma = 0.5 * math.sqrt(shots)
-    assert abs(sum(prepared) - shots / 2) < 5.0 * sigma
-
-
 def test_prepared_is_the_rotate_outcome(model):
     # A short lifetime makes metastable decay in the R2 window common; such a
     # shot keeps the Born outcome drawn at Rotate as its prepared value.
     short = dataclasses.replace(model, decay=sp.DecayChannel(lifetime=5e-3))
-    seq = sp.build_sequence("M", Prepare.SUPERPOSITION)
-    rotate = next(i for i, s in enumerate(seq.steps) if isinstance(s, sp.Rotate))
-    expected = {seq.encoding.zero: 0, seq.encoding.one: 1}
-    rng = np.random.default_rng(61)
-    seen = set()
-    for _ in range(2_000):
-        record = sp.run_shot(seq, short, rng, keep_trace=True)
-        index, state = record.trace[rotate]
-        assert index == rotate
-        assert record.prepared == expected.get(state)
-        seen.add(record.prepared)
-    assert seen == {0, 1, None}
+    sequence = sp.build_sequence("M", Prepare.SUPERPOSITION)
+    compiled = engine._compile(sequence, short)
+    chunk = engine._ChunkState.start(2_000, np.random.default_rng(61),
+                                     engine._PREPARED_CODES[sequence.prepare], False)
+    at_rotate = None
+    for op in compiled.ops:
+        engine._apply_op(chunk, compiled, op, first_pass=True)
+        if op.born is not None:
+            at_rotate = chunk.state.copy()
+    expected = np.full(chunk.size, -1)
+    expected[at_rotate == compiled.zero_id] = 0
+    expected[at_rotate == compiled.one_id] = 1
+    assert np.array_equal(chunk.prepared, expected)
+    assert set(expected.tolist()) == {-1, 0, 1}
 
 
 def _outcome_keys(prepared, attempts, bright):
@@ -579,7 +545,7 @@ def _twin_draws(rng):
     return (rng.random(7), rng.poisson(100.0, 7), rng.normal(0.0, 6.0, 7))
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64])
 def test_skip_leaves_the_stream_as_a_draw_would(bit_generator):
     for n in (0, 1, 5, engine.CHUNK_SHOTS):
         drawn, skipped = (np.random.Generator(bit_generator(9)) for _ in range(2))
@@ -587,6 +553,25 @@ def test_skip_leaves_the_stream_as_a_draw_would(bit_generator):
         engine._skip(skipped, n)
         for a, b in zip(_twin_draws(drawn), _twin_draws(skipped)):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_STREAMS))
+def test_skip_only_sees_unbuffered_pcg64(model, name, monkeypatch):
+    # advance would drop a buffered 32-bit value, so every generator the
+    # chunk runner skips on must be a PCG64 that holds none.
+    skip, seen = engine._skip, []
+
+    def checked(rng, n):
+        seen.append(n)
+        assert isinstance(rng.bit_generator, np.random.PCG64)
+        assert rng.bit_generator.state["has_uint32"] == 0
+        skip(rng, n)
+
+    monkeypatch.setattr(engine, "_skip", checked)
+    make_config, _ = _PINNED_STREAMS[name]
+    cfg = sp.ExperimentConfig(shots=2_000, **make_config(model))
+    sp.run_experiment(cfg, workers=1, collect_histograms=True, keep_records=True)
+    assert seen
 
 
 class _CountingPCG64(np.random.PCG64):
@@ -614,23 +599,10 @@ class _CountingGenerator(np.random.Generator):
         return super().poisson(lam, size)
 
 
-def test_skip_advances_pcg64_and_draws_otherwise():
+def test_skip_advances_pcg64():
     rng = _CountingGenerator(_CountingPCG64(4))
     engine._skip(rng, 100)
     assert (rng.drawn, rng.bit_generator.advanced) == (0, 1)
-    # MT19937 has no advance: _skip draws and discards.
-    rng = _CountingGenerator(np.random.MT19937(4))
-    engine._skip(rng, 100)
-    assert rng.drawn == 1
-    # A buffered 32-bit value would be dropped by advance, so _skip draws.
-    drawn, skipped = (_CountingGenerator(_CountingPCG64(4)) for _ in range(2))
-    for rng in (drawn, skipped):
-        rng.integers(0, 10, dtype=np.uint32)
-    drawn.random(100)
-    engine._skip(skipped, 100)
-    assert (skipped.drawn, skipped.bit_generator.advanced) == (1, 0)
-    assert np.array_equal(drawn.integers(0, 1 << 31, 3, dtype=np.uint32),
-                          skipped.integers(0, 1 << 31, 3, dtype=np.uint32))
 
 
 def _rotate_before_shelving():
