@@ -253,6 +253,21 @@ def test_records_capture(model):
         assert cols["attempts"].max() == res.states[name].attempts_max
 
 
+@pytest.mark.parametrize("encoding", ["O", "M"])
+def test_scalar_superposition_records_collapse_outcome(perfect, encoding):
+    # Each shot's record keeps its own prepared value: the Born outcome of
+    # the pi/2 rotation, not a reading of the final state, so it is an even
+    # coin under any readout.
+    cfg = sp.ExperimentConfig(model=perfect, encoding=encoding, shots=2_000, seed=31,
+                              interleave=False, prepare=Prepare.SUPERPOSITION)
+    res = sp.run_experiment(cfg, workers=1, keep_records=True)
+    prepared = res.records["superposition"]["prepared"]
+    assert len(prepared) == cfg.shots
+    assert set(prepared.tolist()) <= {0, 1}
+    sigma = 0.5 * math.sqrt(cfg.shots)
+    assert abs(int(prepared.sum()) - cfg.shots / 2) < 5.0 * sigma
+
+
 def test_prepared_is_the_rotate_outcome(model):
     # A short lifetime makes metastable decay in the R2 window common; such a
     # shot keeps the Born outcome drawn at Rotate as its prepared value.
