@@ -194,13 +194,14 @@ def predict_rejection(
     include_decay: bool = False,
 ) -> float:
     """First-order rejected fraction: the sum of all flagging lone-failure rates."""
-    return math.fsum(
-        c.probability
-        for c in rejection_contributions(
-            sequence, model, strict=strict, include_decay=include_decay
-        )
-        if c.raises_flag
+    return first_order_rate(
+        rejection_contributions(sequence, model, strict=strict, include_decay=include_decay)
     )
+
+
+def first_order_rate(contributions: list[RejectionContribution]) -> float:
+    """The ``math.fsum`` of the flagging rates in a contribution list."""
+    return math.fsum(c.probability for c in contributions if c.raises_flag)
 
 
 def predict_rejection_exact(

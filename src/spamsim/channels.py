@@ -137,7 +137,7 @@ class ErrorModel:
     cooling_duration: float = 1e-3
     loss_probability_per_shot: float = 0.0
 
-    # internal canonical lookup keyed by the unordered level pair
+    # internal lookup of each pulse in both orientations, keyed by (from, to)
     _by_pair: Mapping[tuple[StateLabel, StateLabel], TransferPulse] = field(
         init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
     )
@@ -148,30 +148,28 @@ class ErrorModel:
             raise ValueError(f"cooling duration must be non-negative, got {self.cooling_duration}")
         lookup: dict[tuple[StateLabel, StateLabel], TransferPulse] = {}
         for pulse in self.pulses:
-            key = _pair_key(pulse.from_state, pulse.to_state)
-            if key in lookup:
-                raise ValueError(f"duplicate pulse for transition {key[0]} <-> {key[1]}")
-            lookup[key] = pulse
+            if (pulse.from_state, pulse.to_state) in lookup:
+                low, high = _pair_key(pulse.from_state, pulse.to_state)
+                raise ValueError(f"duplicate pulse for transition {low} <-> {high}")
+            lookup[pulse.from_state, pulse.to_state] = pulse
+            lookup[pulse.to_state, pulse.from_state] = pulse.reversed()
         object.__setattr__(self, "_by_pair", lookup)
 
     def has_pulse(self, from_state: StateLabel, to_state: StateLabel) -> bool:
         if not transition_allowed(from_state, to_state):
             return False
-        return _pair_key(from_state, to_state) in self._by_pair
+        return (from_state, to_state) in self._by_pair
 
     def pulse_for(self, from_state: StateLabel, to_state: StateLabel) -> TransferPulse:
         """The configured pulse for a transition, oriented from -> to."""
         if not transition_allowed(from_state, to_state):
             raise ValueError(f"no transition {from_state} -> {to_state}")
         try:
-            base = self._by_pair[_pair_key(from_state, to_state)]
+            return self._by_pair[from_state, to_state]
         except KeyError:
             raise ValueError(
                 f"model has no pulse for transition {from_state} <-> {to_state}"
             ) from None
-        if base.from_state == from_state:
-            return base
-        return base.reversed()
 
     def with_perfect_channels(self) -> "ErrorModel":
         """Copy with zero pump/pulse error rates, no decay and no ion loss.

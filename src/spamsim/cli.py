@@ -16,8 +16,9 @@ timestamps, so a repeated seed reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
-import math
 import os
 import sys
 import time
@@ -30,8 +31,8 @@ from .analytics import (
     bias_family,
     bias_scan,
     check_z,
+    first_order_rate,
     fit_lifetime,
-    predict_rejection,
     predict_rejection_exact,
     rejection_contributions,
     spam_summary,
@@ -46,9 +47,9 @@ from .detection import (
 from .engine import (
     CHUNK_SHOTS,
     ExperimentConfig,
-    FlagReason,
     Mode,
-    reason_from_code,
+    _patterns,
+    evaluate_flags,
     run_experiment,
 )
 from .sequence import Prepare, build_sequence
@@ -126,53 +127,52 @@ def _ensure_out_dir(path: str) -> None:
 
 _RECORD_HEADER = "shot,prepared,R0,R1,R2,R3,R4,R5,flagged,reason,inferred\r\n"
 _STATE_NAMES = ("", "zero", "one")  # indexed by code + 1, code -1 meaning none
-# Value ranges of (prepared + 1, R0..R5 pattern, flagged, reason, inferred + 1).
-_RECORD_DIMS = (3, 64, 2, len(FlagReason), 3)
 
 
-def _record_suffix(prepared: int, pattern: int, flagged: int, reason: int,
-                   inferred: int) -> str:
-    """One records row after its shot index, as ``csv.writer`` renders it."""
-    symbols = ",".join("b" if pattern >> bit & 1 else "d" for bit in range(6))
-    return (
-        f"{_STATE_NAMES[prepared]},{symbols},{flagged},"
-        f"{reason_from_code(reason).value},{'' if flagged else _STATE_NAMES[inferred]}\r\n"
-    )
+@functools.cache
+def _record_suffixes(strict: bool) -> np.ndarray:
+    """Every records row after its shot index, at ``(prepared + 1) * 64 + pattern``.
 
-
-def _write_records_csv(path: str, records: dict) -> None:
-    """Write one row per shot, ``CHUNK_SHOTS`` rows per ``write()``.
-
-    Everything after the shot index depends only on a few small-ranged
-    fields, so each distinct suffix is rendered once and rows pick theirs by
-    an integer key into a lookup table.
+    Each is rendered from :func:`evaluate_flags` as ``csv.writer`` renders it.
     """
-    bright = records["bright"]
-    prepared = records["prepared"]
-    flagged = records["flagged"]
-    reason = records["reason"]
-    inferred = records["inferred"]
-    weights = 1 << np.arange(6)
-    table = np.empty(math.prod(_RECORD_DIMS), dtype=object)
-    rendered = np.zeros(table.size, dtype=bool)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_RECORD_HEADER)
-        for start in range(0, bright.shape[1], CHUNK_SHOTS):
-            stop = min(start + CHUNK_SHOTS, bright.shape[1])
-            rows = slice(start, stop)
-            key = np.ravel_multi_index(
-                (prepared[rows] + 1, weights @ bright[:, rows], flagged[rows],
-                 reason[rows], inferred[rows] + 1),
-                _RECORD_DIMS,
-            )
-            seen = np.bincount(key, minlength=table.size).astype(bool)
-            for index in np.flatnonzero(seen & ~rendered):
-                table[index] = _record_suffix(
-                    *(int(v) for v in np.unravel_index(index, _RECORD_DIMS))
-                )
-            rendered |= seen
-            lines = zip(range(start, stop), table[key].tolist())
-            handle.write("".join([f"{shot},{suffix}" for shot, suffix in lines]))
+    suffixes = np.empty(3 * 64, dtype=object)
+    for pattern in range(64):
+        bits = [pattern >> bit & 1 for bit in range(6)]
+        flagged, reason, inferred = evaluate_flags(bits, strict)
+        tail = (f"{','.join('db'[bit] for bit in bits)},{int(flagged)},{reason.value},"
+                f"{'' if flagged else _STATE_NAMES[inferred + 1]}\r\n")
+        suffixes[pattern::64] = [f",{name},{tail}" for name in _STATE_NAMES]
+    return suffixes
+
+
+def _write_records(directory: str, records: dict, strict: bool) -> list[str]:
+    """Write ``records_<state>.csv`` for every state; return their paths.
+
+    The flag rules make a row's flagged, reason and inferred columns a
+    function of its R0..R5 pattern, so a row after its shot index depends on
+    (prepared, pattern) alone: one of the 192 suffixes of
+    :func:`_record_suffixes`.  Every state has as many shots, so the files are
+    written together, ``CHUNK_SHOTS`` rows per ``write()``: each block renders
+    its shot indices once for all states, and memory stays bounded by a block.
+    """
+    suffixes = _record_suffixes(strict)
+    paths = [os.path.join(directory, f"records_{name}.csv") for name in records]
+    shots = len(next(iter(records.values()))["prepared"])
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+                   for path in paths]
+        for handle in handles:
+            handle.write(_RECORD_HEADER)
+        for start in range(0, shots, CHUNK_SHOTS):
+            stop = min(start + CHUNK_SHOTS, shots)
+            parts = [""] * (2 * (stop - start))
+            parts[0::2] = [str(shot) for shot in range(start, stop)]
+            for handle, state in zip(handles, records.values()):
+                key = ((state["prepared"][start:stop].astype(np.intp) + 1) * 64
+                       + _patterns(state["bright"][:, start:stop]))
+                parts[1::2] = suffixes.take(key).tolist()
+                handle.write("".join(parts))
+    return paths
 
 
 def cmd_run_spam(args, argv: list[str]) -> int:
@@ -211,10 +211,7 @@ def cmd_run_spam(args, argv: list[str]) -> int:
         write_histogram_csv(histogram, path)
         outputs.append(path)
     if args.records:
-        for name, records in (result.records or {}).items():
-            path = os.path.join(args.out, f"records_{name}.csv")
-            _write_records_csv(path, records)
-            outputs.append(path)
+        outputs += _write_records(args.out, result.records, args.strict_flags)
     outputs.append(
         _write_manifest(args.out, "run-spam", argv, seed, config_path, outputs, started)
     )
@@ -286,13 +283,12 @@ def cmd_predict_rejection(args, argv: list[str]) -> int:
                 sequence, model, strict=args.strict_flags,
                 include_decay=args.include_decay,
             )
-            first_order = sum(c.probability for c in contributions if c.raises_flag)
             exact = predict_rejection_exact(sequence, model, strict=args.strict_flags)
             rows.append(
                 {
                     "encoding": encoding,
                     "prepared": prepare.value,
-                    "first_order": first_order,
+                    "first_order": first_order_rate(contributions),
                     "exact": exact,
                     "contributions": [
                         {

@@ -192,11 +192,13 @@ class _Channel:
     free: bool = False  # no first-pass shot can be in a label of ``split``
 
     def __post_init__(self) -> None:
+        # The maps are a few labels long: plain Python beats numpy calls here.
+        success, failure = self.success.tolist(), self.failure.tolist()
         self.split = self.success != self.failure  # labels the two branches send apart
-        apart = np.flatnonzero(self.split).tolist()
+        apart = [label for label, to in enumerate(success) if to != failure[label]]
         self.draws = bool(apart)  # False for a one-map channel
         self.only = apart[0] if len(apart) == 1 else None  # the one label sent apart
-        moved = np.flatnonzero(self.success != np.arange(self.success.size)).tolist()
+        moved = [label for label, to in enumerate(success) if to != label]
         self.moves = bool(moved)  # not identity
         self.gathers = moved not in ([], [self.only])  # moves a label other than ``only``
         self.failure_probability = 1 - self.probability if self.tests_success else self.probability
@@ -258,21 +260,18 @@ class _Compiled:
 
 
 def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
-    labels = [WRONG_GROUND, LOST]
+    ids = {WRONG_GROUND: _WG, LOST: _LOST}
 
     def intern(state: StateLabel) -> int:
-        if state not in labels:
-            labels.append(state)
-        return labels.index(state)
+        return ids.setdefault(state, len(ids))
 
     encoding = sequence.encoding
     zero_id, one_id = intern(encoding.zero), intern(encoding.one)
     target_id = intern(model.pump.target)
-    for step in sequence.steps:
-        if isinstance(step, Transfer):
-            intern(step.from_state)
-            intern(step.to_state)
+    moves = {index: (intern(step.from_state), intern(step.to_state))
+             for index, step in enumerate(sequence.steps) if isinstance(step, Transfer)}
 
+    labels = list(ids)
     fluor = np.array([label.fluoresces() for label in labels])
     identity = np.arange(len(labels), dtype=np.int16)
 
@@ -283,20 +282,20 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
 
     strand = relabel(np.array([label.in_manifold(Manifold.B) for label in labels]), _WG)
     # The labels a first-pass shot can be in; every shot starts in WrongGround.
-    reach = identity == _WG
+    reach = {_WG}
 
     def channel(step: int, event: str, probability: float, success: np.ndarray,
                 failure: np.ndarray, tests_success: bool = False) -> _Channel:
         nonlocal reach
         made = _Channel(step, event, probability, success, failure, tests_success)
-        made.free = not reach[made.split].any()
-        reach = np.bincount(np.concatenate((success[reach], failure[reach])),
-                            minlength=len(labels)) > 0
+        to, fail = success.tolist(), failure.tolist()
+        made.free = all(to[label] == fail[label] for label in reach)
+        reach = {to[label] for label in reach} | {fail[label] for label in reach}
         return made
 
     def decay(index: int, duration: float) -> list[_Channel]:
         p = decay_probability(duration, model.decay)
-        event = f"decay during step {index} ({type(sequence.steps[index]).__name__})"
+        event = f"decay during step {index} ({type(sequence.steps[index]).__name__})" if p else ""
         return [channel(index, event, p, identity, strand)] if p > 0 else []
 
     ops: list[_Op] = []
@@ -320,7 +319,7 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
             channels += decay(index, duration)
             channels.append(channel(
                 index, f"transfer {step.from_state} -> {step.to_state} failure", p_success,
-                relabel(intern(step.from_state), intern(step.to_state)), identity, True))
+                relabel(*moves[index]), identity, True))
         elif isinstance(step, Detect):
             channels += decay(index, model.detection.total_duration)
             detect = int(step.label)
@@ -329,7 +328,8 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
         elif isinstance(step, Rotate):
             half = 0.5 * step.angle
             born = (math.cos(half) ** 2, math.sin(half) ** 2)
-            reach[[zero_id, one_id]] |= reach[zero_id] | reach[one_id]
+            if reach & {zero_id, one_id}:
+                reach |= {zero_id, one_id}
         else:
             raise TypeError(f"unknown step type {type(step).__name__}")
         ops.append(_Op(tuple(channels), detect, born))

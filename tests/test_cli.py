@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from importlib import resources
 
@@ -47,14 +48,14 @@ def test_run_spam_writes_validated_outputs(tmp_path):
 
 
 def test_run_spam_is_reproducible_byte_for_byte(tmp_path):
-    args = ["run-spam", "--shots", "2000", "--seed", "9", "--encoding", "O"]
+    args = ["run-spam", "--shots", "2000", "--seed", "9", "--encoding", "O", "--records"]
     a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(args + ["--out", str(a)]) == 0
-    assert cli.main(args + ["--out", str(b)]) == 0
-    assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
-    for index in range(6):
-        name = f"histogram_R{index}.csv"
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    assert cli.main(args + ["--threads", "1", "--out", str(a)]) == 0
+    assert cli.main(args + ["--threads", "2", "--out", str(b)]) == 0
+    names = ["summary.json", "records_zero.csv", "records_one.csv"]
+    names += [f"histogram_R{index}.csv" for index in range(6)]
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_run_spam_records_flag(tmp_path):
@@ -101,12 +102,30 @@ def test_records_csv_matches_row_writer(tmp_path, model, monkeypatch, case):
     monkeypatch.setattr(cli, "CHUNK_SHOTS", 1_500)
     cfg = sp.ExperimentConfig(model=model, shots=4_000, seed=15, **RECORD_CASES[case])
     res = sp.run_experiment(cfg, workers=1, collect_histograms=False, keep_records=True)
+    paths = cli._write_records(str(tmp_path), res.records, cfg.strict_flags)
+    assert paths == [str(tmp_path / f"records_{name}.csv") for name in res.records]
     for name, records in res.records.items():
-        cli._write_records_csv(str(tmp_path / f"{name}.csv"), records)
         write_records_reference(tmp_path / f"{name}-reference.csv", records)
-        written = (tmp_path / f"{name}.csv").read_bytes()
+        written = (tmp_path / f"records_{name}.csv").read_bytes()
         assert written == (tmp_path / f"{name}-reference.csv").read_bytes(), name
         assert written.count(b"\r\n") == 4_001
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_record_suffixes_render_the_flag_rules(strict):
+    # All 3 x 64 (prepared, pattern) rows, including patterns no run reaches.
+    suffixes = cli._record_suffixes(strict)
+    assert suffixes.shape == (192,)
+    for code, name in ((-1, ""), (0, "zero"), (1, "one")):
+        for pattern in range(64):
+            bits = [pattern >> bit & 1 for bit in range(6)]
+            flagged, reason, inferred = sp.evaluate_flags(bits, strict)
+            row = io.StringIO()
+            csv.writer(row).writerow(
+                [7, name, *("b" if bit else "d" for bit in bits), int(flagged), reason.value,
+                 "" if inferred is None else ("zero", "one")[inferred]]
+            )
+            assert "7" + suffixes[(code + 1) * 64 + pattern] == row.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -304,6 +323,25 @@ def test_predict_rejection_all_encodings(tmp_path, model):
         assert row["first_order"] == pytest.approx(sp.predict_rejection(seq, model))
         assert row["exact"] == pytest.approx(sp.predict_rejection_exact(seq, model))
         assert row["contributions"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--strict-flags", "--include-decay"]])
+def test_predict_rejection_first_order_is_the_library_sum(tmp_path, model, flags):
+    # Rates where a plain left-to-right sum and math.fsum differ (O one: 1.0
+    # against 1.0000000000000002).
+    document = sp.model_to_config(model)
+    document["pump"]["error_rate"] = 0.1
+    for pulse, rate in zip(document["pulses"], [0.2, 0.3, 0.1, 0.2, 0.3]):
+        pulse["error_rate"] = rate
+    config = tmp_path / "rates.json"
+    config.write_text(json.dumps(document))
+    noisy = sp.model_from_config(document)
+    out = tmp_path / "rej"
+    assert cli.main(["predict-rejection", "--config", str(config), *flags, "--out", str(out)]) == 0
+    for row in validate(out / "rejection.json", "rejection.schema.json")["rows"]:
+        seq = sp.build_sequence(row["encoding"], Prepare(row["prepared"]))
+        expected = sp.predict_rejection(seq, noisy, strict=bool(flags), include_decay=bool(flags))
+        assert row["first_order"] == expected, (row["encoding"], row["prepared"])
 
 
 def test_predict_rejection_include_decay_moves_first_order_only(tmp_path):
