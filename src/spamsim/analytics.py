@@ -7,9 +7,10 @@ fitting, and the summary statistics derived from a batch run.
 
 The rejection predictions interpret the same compiled op list the engine
 runs, with its channels in the form :class:`spamsim.engine._Compiled`
-states: one forward propagation of probability over (state label x R0..R5
-pattern) gives the exact rejected fraction, and propagations with one
-channel's failure forced classify each first-order contribution.
+states: one forward propagation of exact probability over (state label x
+R0..R5 pattern) gives the exact rejected fraction, and one walk of the ideal
+path, which forks a point at each channel that can fail there, classifies
+each first-order contribution.
 
 scipy is imported inside :func:`fit_lifetime`, its one user here, so
 loading this module (and with it ``spamsim``) does not load scipy.
@@ -90,6 +91,9 @@ def wilson_interval(successes: int, trials: int, z: float = 1.0) -> RateEstimate
 # Rejection-fraction prediction
 # =========================================================================
 
+_BASIS_ONLY = "rejection prediction is defined for basis-state preparations only"
+
+
 @dataclass(frozen=True)
 class RejectionContribution:
     """One failure event and whether its lone occurrence raises a flag."""
@@ -101,37 +105,24 @@ class RejectionContribution:
     flag_reason: FlagReason
 
 
-def _propagate(
-    compiled: _Compiled,
-    *,
-    ideal: bool = False,
-    forced: _Channel | None = None,
-    exact: bool = False,
-) -> list[np.ndarray]:
+def _propagate(compiled: _Compiled) -> np.ndarray:
     """Push probability over (state label x R0..R5 pattern) through the ops.
 
     Reads are noiseless: a label reads bright iff it fluoresces.  Every
     channel splits the mass of each label it sends apart between its success
-    and failure maps by its failure probability; with ``ideal`` that is 0,
-    and it is 1 for the one channel ``forced``.  With ``exact`` the matrix
-    holds :class:`~fractions.Fraction` objects and every rate enters as the
+    and failure maps by its failure probability.  The matrix holds
+    :class:`~fractions.Fraction` objects and every rate enters as the
     rational value of its float, so no split or sum rounds.  Returns the
-    matrix before each channel, in op order, and, last, the final one.
+    final matrix.
     """
-    num = Fraction if exact else float
-    mass = np.zeros((len(compiled.labels), 64), dtype=object if exact else float)
-    mass[_WG, 0] = num(1)
-    history = []
+    mass = np.zeros((len(compiled.labels), 64), dtype=object)
+    mass[_WG, 0] = Fraction(1)
     for op in compiled.ops:
         if op.born is not None:
-            raise ValueError("rejection prediction is defined for basis-state preparations only")
+            raise ValueError(_BASIS_ONLY)
         for channel in op.channels:
-            history.append(mass)
-            if ideal or channel is forced:
-                fail = num(1 if channel is forced else 0)
-            else:
-                p = num(channel.probability)
-                fail = 1 - p if channel.tests_success else p
+            p = Fraction(channel.probability)
+            fail = 1 - p if channel.tests_success else p
             before, mass = mass, np.zeros_like(mass)
             for label in np.flatnonzero(before.any(axis=1)):
                 if channel.split[label]:
@@ -144,8 +135,7 @@ def _propagate(
             view = mass.reshape(len(mass), -1, 2, 1 << op.detect)
             view[compiled.fluor, :, 1] += view[compiled.fluor, :, 0]
             view[compiled.fluor, :, 0] = 0
-    history.append(mass)
-    return history
+    return mass
 
 
 def rejection_contributions(
@@ -155,34 +145,48 @@ def rejection_contributions(
     strict: bool = False,
     include_decay: bool = False,
 ) -> list[RejectionContribution]:
-    """Classify every lone failure event by propagating it through the flags.
+    """Classify every lone failure event by following it through the flags.
 
-    Every channel of the compiled sequence that has population in a label it
-    sends apart on the ideal path (every channel succeeds) is one event: the
-    per-shot ion loss and each pump and transfer failure, and with
-    ``include_decay`` the decay of each step whose duration the ideal path
-    spends in the metastable manifold.  Each event is classified by one
-    propagation with only that event forced: a failed pump leaves
-    ``WrongGround``, a failed transfer leaves the ion where it was, and a
-    decay strands the ion in ``WrongGround`` at the start of its step, so a
-    decay forced in a detection step reads bright for the whole window (the
-    engine instead counts partial fluorescence).  Events whose lone failure
-    leaves the shot unflagged appear with ``raises_flag=False`` (a transfer
-    failure can self-correct when the same pulse is addressed again later).
+    On the ideal path every channel succeeds, so a shot sits at one (state
+    label, R0..R5 pattern) point.  Each compiled channel that sends that
+    label apart is one event: the per-shot ion loss, each pump and transfer
+    failure, and with ``include_decay`` the decay of each step whose duration
+    the ideal path spends in the metastable manifold.  The walk forks one
+    point to the channel's failure map there, and every later channel sends
+    each point through its success map, so each event ends on the pattern its
+    lone failure reads.  A failed pump leaves ``WrongGround``, a failed
+    transfer leaves the ion where it was, and a decay strands the ion in
+    ``WrongGround`` at the start of its step, so a decay in a detection step
+    reads bright for the whole window (the engine instead counts partial
+    fluorescence).  Events whose lone failure leaves the shot unflagged
+    appear with ``raises_flag=False`` (a transfer failure can self-correct
+    when the same pulse is addressed again later).
     """
     if not include_decay:
         model = replace(model, decay=DecayChannel(math.inf))
     compiled = _compile(sequence, model)
-    channels = [channel for op in compiled.ops for channel in op.channels]
+    fluor = compiled.fluor.tolist()
+    events: list[_Channel] = []
+    points = [(_WG, 0)]  # the ideal path, then one point per event in ``events``
+    for op in compiled.ops:
+        if op.born is not None:
+            raise ValueError(_BASIS_ONLY)
+        for channel in op.channels:
+            ideal, pattern = points[0]
+            success = channel.success.tolist()
+            points = [(success[label], bits) for label, bits in points]
+            if channel.split[ideal]:
+                events.append(channel)
+                points.append((int(channel.failure[ideal]), pattern))
+        if op.detect is not None:
+            points = [(label, bits | fluor[label] << op.detect) for label, bits in points]
     reasons = _FLAG_TABLES[strict][0]
     contributions = []
-    for channel, mass in zip(channels, _propagate(compiled, ideal=True)):
-        if mass[channel.split].any():
-            final = _propagate(compiled, ideal=True, forced=channel)[-1]
-            reason = reason_from_code(reasons[final.sum(axis=0).argmax()])
-            contributions.append(RejectionContribution(
-                channel.step, channel.event, channel.failure_probability,
-                reason is not FlagReason.NONE, reason))
+    for channel, (_, pattern) in zip(events, points[1:]):
+        reason = reason_from_code(reasons[pattern])
+        contributions.append(RejectionContribution(
+            channel.step, channel.event, channel.failure_probability,
+            reason is not FlagReason.NONE, reason))
     return contributions
 
 
@@ -222,7 +226,7 @@ def predict_rejection_exact(
     between the two returned floats.
     """
     compiled = _compile(sequence, replace(model, decay=DecayChannel(math.inf)))
-    final = _propagate(compiled, exact=True)[-1]
+    final = _propagate(compiled)
     return float(final[:, _FLAG_TABLES[strict][0] != 0].sum())
 
 
@@ -402,7 +406,6 @@ def bias_scan(
             encoding=family.encoding,
             shots=shots,
             seed=point_seed,
-            interleave=False,
             prepare=Prepare.SUPERPOSITION,
             transfer_durations=tuple((pair, duration) for pair in family.scanned),
         )

@@ -188,8 +188,7 @@ def cmd_run_spam(args, argv: list[str]) -> int:
         mode=Mode(args.mode),
         max_attempts=args.max_attempts if args.mode == "rus" else 1,
         seed=seed,
-        interleave=args.prepare == "both",
-        prepare=Prepare.ZERO if args.prepare == "both" else Prepare(args.prepare),
+        prepare=None if args.prepare == "both" else Prepare(args.prepare),
         strict_flags=args.strict_flags,
     )
     result = run_experiment(

@@ -236,9 +236,13 @@ class _Compiled:
     A decay or loss channel of probability 0 is left out.  A channel's
     ``free`` flag comes from the labels shots can reach through both maps of
     every channel (and a ``Rotate``) from ``WrongGround``, where every shot
-    starts.  The chunk runner (:func:`_apply_op`) and the analytic
-    propagator (``analytics._propagate``) both interpret ``ops``, and only
-    ``detect`` and ``born`` have code of their own there.  ``detection`` and
+    starts.  Three readers interpret ``ops``, and only ``detect`` and
+    ``born`` have code of their own in each: the chunk runner
+    (:func:`_apply_op`) draws a branch for every shot of a chunk;
+    ``analytics._propagate`` splits each label's exact probability between
+    the two maps; ``analytics.rejection_contributions`` follows the success
+    maps (the ideal path) and forks one point to the failure map of each
+    channel that sends the ideal label apart.  ``detection`` and
     ``lifetime`` carry the rest of the model that the interpreters use;
     nothing after :func:`_compile` reads the model itself.  ``fluor`` and
     ``mean_counts`` are per-label tables;
@@ -306,8 +310,7 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
     for index, step in enumerate(sequence.steps):
         detect = born = None
         if isinstance(step, Cool):
-            channels += decay(index, model.cooling_duration if step.duration is None
-                              else step.duration)
+            channels += decay(index, model.cooling_duration)
         elif isinstance(step, Pump):
             channels += decay(index, model.pump.duration)
             channels.append(channel(index, "optical pumping failure", model.pump.error_rate,
@@ -599,11 +602,12 @@ def _run_chunk(
 class ExperimentConfig:
     """One batch experiment: what to prepare, how often, and how to retry.
 
-    ``shots`` counts shots per prepared state.  With ``interleave`` (the
-    default) both basis states are prepared in alternating batches; otherwise
-    only ``prepare`` runs.  ``transfer_durations`` overrides the duration of
-    specific pulses, keyed by oriented (from, to) state pairs; the bias scans
-    use this to detune single transfers away from their calibrated length.
+    ``shots`` counts shots per prepared state.  With ``prepare`` None (the
+    default) both basis states run: a zero batch, then a one batch.  A
+    :class:`Prepare` value runs that state alone, as batch 0.
+    ``transfer_durations`` overrides the duration of specific pulses, keyed by
+    oriented (from, to) state pairs; the bias scans use this to detune single
+    transfers away from their calibrated length.
 
     Random streams depend on ``seed``, the batch index and the chunk index
     only.  Two configurations run at one seed therefore draw the same numbers
@@ -618,8 +622,7 @@ class ExperimentConfig:
     mode: Mode = Mode.POST_SELECT
     max_attempts: int = 1
     seed: int = 0
-    interleave: bool = True
-    prepare: Prepare = Prepare.ZERO
+    prepare: Prepare | None = None
     strict_flags: bool = False
     transfer_durations: tuple[tuple[tuple[StateLabel, StateLabel], float], ...] = ()
 
@@ -725,32 +728,25 @@ def run_experiment(
     """Run the configured batches and aggregate per-state tallies.
 
     Results are bitwise independent of ``workers``: work is split into fixed
-    chunks whose generators derive from the master seed and the chunk index
-    alone, and chunk results merge in index order.  Chunks merge by adding
-    their (prepared, R0..R5 pattern) count matrices and histogram arrays;
-    each :class:`BatchTally` is then derived from the summed matrix and the
-    flag table built from :func:`evaluate_flags`.
-
-    A chunk's stream depends on (seed, batch index, chunk index) only, so runs
-    of different encodings or preparations at one seed share their draws
-    wherever their op lists agree: comparisons between such runs at one seed
-    are correlated samples, not independent ones.
+    chunks whose generators derive from the seed, the batch index and the
+    chunk index alone (see :class:`ExperimentConfig`), and chunk results merge
+    in index order.  Chunks merge by adding their (prepared, R0..R5 pattern)
+    count matrices and histogram arrays; each :class:`BatchTally` is then
+    derived from the summed matrix and the flag table built from
+    :func:`evaluate_flags`.
 
     Repeat-until-success retry rounds draw only for the retrying shots.  Raw
     detection counts are only kept when ``collect_histograms`` is set.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if config.interleave:
-        batches = [(Prepare.ZERO, 0), (Prepare.ONE, 1)]
-    else:
-        batches = [(config.prepare, _PREPARED_CODES[config.prepare])]
+    batches = [Prepare.ZERO, Prepare.ONE] if config.prepare is None else [config.prepare]
     sizes = [min(CHUNK_SHOTS, config.shots - start)
              for start in range(0, config.shots, CHUNK_SHOTS)]
 
     # Tasks run batch by batch, chunk by chunk; both runners keep that order.
     tasks = []
-    for batch_index, (prepare, code) in enumerate(batches):
+    for batch_index, prepare in enumerate(batches):
         sequence = build_sequence(config.encoding, prepare)
         if config.transfer_durations:
             sequence = sequence.with_transfer_durations(dict(config.transfer_durations))
@@ -759,7 +755,7 @@ def run_experiment(
             seed_seq = np.random.SeedSequence(
                 entropy=config.seed, spawn_key=(batch_index, chunk_index)
             )
-            tasks.append((compiled, size, seed_seq, code))
+            tasks.append((compiled, size, seed_seq, _PREPARED_CODES[prepare]))
 
     def execute(task) -> _ChunkResult:
         compiled, size, seed_seq, code = task
@@ -776,7 +772,7 @@ def run_experiment(
     states: dict[str, BatchTally] = {}
     accepted_r3: dict[str, CountHistogram] = {}
     records: dict[str, dict[str, np.ndarray]] = {}
-    for batch_index, (prepare, _) in enumerate(batches):
+    for batch_index, prepare in enumerate(batches):
         chunk_results = outputs[batch_index * len(sizes) : (batch_index + 1) * len(sizes)]
         name = prepare.value
         states[name] = _batch_tally(

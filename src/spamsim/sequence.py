@@ -46,7 +46,7 @@ class Prepare(enum.Enum):
 
 @dataclass(frozen=True)
 class Cool:
-    duration: float | None = None  # None: use the model's cooling duration
+    pass
 
 
 @dataclass(frozen=True)

@@ -481,7 +481,7 @@ def test_spam_summary_shape(model):
 
 def test_spam_summary_single_state_has_no_average(model):
     cfg = sp.ExperimentConfig(model=model, encoding="M", shots=1_000, seed=20,
-                              interleave=False, prepare=Prepare.ZERO)
+                              prepare=Prepare.ZERO)
     res = sp.run_experiment(cfg, workers=1)
     summary = sp.spam_summary(res)
     assert set(summary["states"]) == {"zero"}

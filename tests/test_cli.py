@@ -59,15 +59,19 @@ def test_run_spam_is_reproducible_byte_for_byte(tmp_path):
 
 
 def test_run_spam_records_flag(tmp_path):
-    out = tmp_path / "rec"
-    code = cli.main([
-        "run-spam", "--shots", "500", "--seed", "1", "--prepare", "zero",
-        "--records", "--out", str(out),
-    ])
-    assert code == 0
-    lines = (out / "records_zero.csv").read_text().splitlines()
-    assert lines[0] == "shot,prepared,R0,R1,R2,R3,R4,R5,flagged,reason,inferred"
-    assert len(lines) == 501
+    # A set --prepare runs that state alone and writes only its records file.
+    for state in ("zero", "one"):
+        out = tmp_path / state
+        code = cli.main([
+            "run-spam", "--shots", "500", "--seed", "1", "--prepare", state,
+            "--records", "--out", str(out),
+        ])
+        assert code == 0
+        assert list(json.loads((out / "summary.json").read_text())["states"]) == [state]
+        assert [path.name for path in out.glob("records_*.csv")] == [f"records_{state}.csv"]
+        lines = (out / f"records_{state}.csv").read_text().splitlines()
+        assert lines[0] == "shot,prepared,R0,R1,R2,R3,R4,R5,flagged,reason,inferred"
+        assert len(lines) == 501
 
 
 def write_records_reference(path, records):
@@ -91,8 +95,7 @@ RECORD_CASES = {
     "M-post-select": dict(encoding="M"),
     "O-rus-strict": dict(encoding="O", mode=sp.Mode.REPEAT_UNTIL_SUCCESS,
                          max_attempts=3, strict_flags=True),
-    "G-superposition": dict(encoding="G", interleave=False,
-                            prepare=Prepare.SUPERPOSITION),
+    "G-superposition": dict(encoding="G", prepare=Prepare.SUPERPOSITION),
 }
 
 

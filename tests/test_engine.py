@@ -34,15 +34,21 @@ def test_perfect_channels_keep_every_shot(perfect):
 
 def test_interleaved_runs_cover_both_states(model):
     res = run(model, shots=5_000, seed=2)
-    assert set(res.states) == {"zero", "one"}
+    assert list(res.states) == ["zero", "one"]
     assert all(t.shots == 5_000 for t in res.states.values())
 
 
 def test_single_state_run(model):
-    cfg = sp.ExperimentConfig(model=model, encoding="O", shots=2_000, seed=3,
-                              interleave=False, prepare=Prepare.ONE)
-    res = sp.run_experiment(cfg, workers=1)
-    assert set(res.states) == {"one"}
+    # A set prepare runs that state alone, as batch 0; the default runs zero
+    # as batch 0, so a zero run alone draws the same stream as its zero half.
+    results = {}
+    for prepare in Prepare:
+        cfg = sp.ExperimentConfig(model=model, encoding="O", shots=2_000, seed=3,
+                                  prepare=prepare)
+        results[prepare] = sp.run_experiment(cfg, workers=1)
+        assert list(results[prepare].states) == [prepare.value]
+    both = sp.run_experiment(dataclasses.replace(cfg, prepare=None), workers=1)
+    assert both.states["zero"] == results[Prepare.ZERO].states["zero"]
 
 
 def test_summary_is_worker_invariant(model):
@@ -125,13 +131,12 @@ def test_pattern_distribution_matches_propagator(model, encoding, state):
     prepare = Prepare(state)
     shots = 200_000
     cfg = sp.ExperimentConfig(model=noiseless, encoding=encoding, shots=shots, seed=51,
-                              interleave=False, prepare=prepare)
+                              prepare=prepare)
     res = sp.run_experiment(cfg, workers=2, collect_histograms=False, keep_records=True)
     observed = np.bincount(engine._patterns(res.records[prepare.value]["bright"]),
                            minlength=64)
     compiled = engine._compile(sp.build_sequence(encoding, prepare), noiseless)
-    final = analytics._propagate(compiled)[-1]
-    probability = final.sum(axis=0)
+    probability = analytics._propagate(compiled).astype(float).sum(axis=0)
     assert probability.sum() == pytest.approx(1.0, abs=1e-12)
     assert observed[probability == 0].sum() == 0
 
@@ -191,7 +196,7 @@ def test_superposition_prepares_even_mixture(perfect):
     )
     for encoding in ("O", "M"):
         cfg = sp.ExperimentConfig(model=noiseless, encoding=encoding, shots=40_000, seed=11,
-                                  interleave=False, prepare=Prepare.SUPERPOSITION)
+                                  prepare=Prepare.SUPERPOSITION)
         res = sp.run_experiment(cfg, workers=2)
         tally = res.states["superposition"]
         assert tally.prepared_zero + tally.prepared_one == tally.shots
@@ -208,7 +213,7 @@ def test_transfer_duration_override_scans_acceptance(perfect):
     # into a coin flip with p = sin^2(pi/4) for a prepared zero.
     cfg = sp.ExperimentConfig(
         model=perfect, encoding="M", shots=40_000, seed=12,
-        interleave=False, prepare=Prepare.ZERO,
+        prepare=Prepare.ZERO,
         transfer_durations=(((sp.B_2_M1, sp.A_2_0), 12.5e-6),),
     )
     res = sp.run_experiment(cfg, workers=2)
@@ -259,7 +264,7 @@ def test_scalar_superposition_records_collapse_outcome(perfect, encoding):
     # the pi/2 rotation, not a reading of the final state, so it is an even
     # coin under any readout.
     cfg = sp.ExperimentConfig(model=perfect, encoding=encoding, shots=2_000, seed=31,
-                              interleave=False, prepare=Prepare.SUPERPOSITION)
+                              prepare=Prepare.SUPERPOSITION)
     res = sp.run_experiment(cfg, workers=1, keep_records=True)
     prepared = res.records["superposition"]["prepared"]
     assert len(prepared) == cfg.shots
@@ -331,7 +336,7 @@ def test_compacted_retries_match_full_width_reference(model, encoding, prepare, 
     noisy = dataclasses.replace(model, pump=dataclasses.replace(model.pump, error_rate=0.2))
     shots, max_attempts = 200_000, 3
     cfg = sp.ExperimentConfig(model=noisy, encoding=encoding, shots=shots, seed=41,
-                              interleave=False, prepare=prepare, strict_flags=strict,
+                              prepare=prepare, strict_flags=strict,
                               mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=max_attempts)
     res = sp.run_experiment(cfg, workers=2, collect_histograms=False, keep_records=True)
     cols = res.records[prepare.value]
@@ -350,11 +355,11 @@ def test_compacted_retries_match_full_width_reference(model, encoding, prepare, 
 
 
 @pytest.mark.parametrize("encoding", ["O", "M", "G"])
-@pytest.mark.parametrize("interleave, prepare", [
+@pytest.mark.parametrize("both, first", [
     (True, Prepare.ZERO),
     (False, Prepare.SUPERPOSITION),
 ])
-def test_rus_without_retries_matches_post_select(perfect, encoding, interleave, prepare):
+def test_rus_without_retries_matches_post_select(perfect, encoding, both, first):
     # No dark counts, no read noise and perfect channels: R1 is never bright,
     # so a retry round must not draw and both modes see the same stream.
     quiet = dataclasses.replace(
@@ -362,9 +367,12 @@ def test_rus_without_retries_matches_post_select(perfect, encoding, interleave, 
         detection=dataclasses.replace(perfect.detection, mean_dark=0.0, read_noise_sigma=0.0),
         loss_probability_per_shot=0.2,
     )
+    # ``both`` runs the default zero and one batches; ``first`` is the state
+    # of the first batch.
     common = dict(model=quiet, encoding=encoding, shots=40_000, seed=43,
-                  interleave=interleave, prepare=prepare)
+                  prepare=None if both else first)
     ps = sp.run_experiment(sp.ExperimentConfig(**common), workers=2)
+    assert next(iter(ps.states)) == first.value
     rus = sp.run_experiment(
         sp.ExperimentConfig(**common, mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=3),
         workers=2,
@@ -381,7 +389,7 @@ _FAIL_STAGE = {"R0Dark": 1, "R1Bright": 2, "R2Bright": 3, "R3R4Dark": 4, "R4Dark
 
 
 @pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("encoding, interleave, prepare", [
+@pytest.mark.parametrize("encoding, both, first", [
     ("M", True, Prepare.ZERO),
     ("G", False, Prepare.SUPERPOSITION),
 ])
@@ -389,7 +397,7 @@ _FAIL_STAGE = {"R0Dark": 1, "R1Bright": 2, "R2Bright": 3, "R3R4Dark": 4, "R4Dark
     (sp.Mode.POST_SELECT, 1),
     (sp.Mode.REPEAT_UNTIL_SUCCESS, 3),
 ])
-def test_tallies_match_per_shot_recount(model, strict, encoding, interleave, prepare,
+def test_tallies_match_per_shot_recount(model, strict, encoding, both, first,
                                         mode, max_attempts):
     # Every BatchTally count, recounted shot by shot from the records with the
     # scalar flag rules.  A dimmer bright level makes every flag reason common,
@@ -400,9 +408,10 @@ def test_tallies_match_per_shot_recount(model, strict, encoding, interleave, pre
         detection=dataclasses.replace(model.detection, mean_bright=190.0),
     )
     cfg = sp.ExperimentConfig(model=noisy, encoding=encoding, shots=20_000, seed=51,
-                              interleave=interleave, prepare=prepare, strict_flags=strict,
+                              prepare=None if both else first, strict_flags=strict,
                               mode=mode, max_attempts=max_attempts)
     res = sp.run_experiment(cfg, workers=2, collect_histograms=False, keep_records=True)
+    assert next(iter(res.states)) == first.value
     for name, tally in res.states.items():
         cols = res.records[name]
         kept, wrong = [0] * 6, [0] * 6
@@ -515,12 +524,12 @@ _PINNED_STREAMS = {
         "158d702e39b854bb2d55e92ecc6e94b1e9d6391e3c28e3f324553ff18b9c7642",
     ),
     "G-superposition": (
-        lambda model: dict(model=model, encoding="G", seed=33, interleave=False,
+        lambda model: dict(model=model, encoding="G", seed=33,
                            prepare=Prepare.SUPERPOSITION),
         "02a5d48073d5168a09a7f8e2a7526a4fdddb5aed7231a5f4f69a3614cd3faf46",
     ),
     "M-superposition-rus-strict": (
-        lambda model: dict(model=model, encoding="M", seed=34, interleave=False,
+        lambda model: dict(model=model, encoding="M", seed=34,
                            prepare=Prepare.SUPERPOSITION, strict_flags=True,
                            mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=2),
         "0fe2bbe731a104778c4bb4fde6ba2128dbca6d008071c704671f544b716023fc",
@@ -541,7 +550,7 @@ _PINNED_STREAMS = {
     ),
     "M-superposition-bias-scan": (
         lambda model: dict(model=model.with_perfect_channels(), encoding="M", seed=38,
-                           interleave=False, prepare=Prepare.SUPERPOSITION,
+                           prepare=Prepare.SUPERPOSITION,
                            transfer_durations=_metastable_bias_point(model)),
         "4e048f8bf42c7071c6a7755345193f26460ba3d3ea3adc7d21f4179d9e85dd9a",
     ),
