@@ -36,7 +36,6 @@ from .channels import (
     ConfigError,
     DecayChannel,
     ErrorModel,
-    PulseOrder,
     PumpChannel,
     TransferPulse,
     default_model,
@@ -64,7 +63,6 @@ from .engine import (
     FlagReason,
     Mode,
     evaluate_flags,
-    evaluate_flags_array,
     run_experiment,
 )
 from .sequence import (
@@ -90,7 +88,6 @@ from .states import (
     Manifold,
     QubitEncoding,
     StateLabel,
-    all_encodings,
     encoding_catalog,
     parse_state,
     transition_allowed,

@@ -14,7 +14,6 @@ shared by every channel:
 
 from __future__ import annotations
 
-import enum
 import functools
 import json
 import math
@@ -36,13 +35,6 @@ class ConfigError(ValueError):
     """Raised when a configuration document violates the schema."""
 
 
-class PulseOrder(enum.Enum):
-    """Duration scaling of the transfer probability: sin^2 or sin^4."""
-
-    SINGLE = "single"
-    DOUBLE = "double"
-
-
 def _check_probability(value: float, name: str) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be a probability, got {value}")
@@ -56,7 +48,6 @@ class TransferPulse:
     to_state: StateLabel
     error_rate: float
     t_pi: float
-    order: PulseOrder = PulseOrder.SINGLE
 
     def __post_init__(self) -> None:
         if not transition_allowed(self.from_state, self.to_state):
@@ -112,17 +103,14 @@ def decay_probability(duration: float, decay: DecayChannel) -> float:
 def pulse_success_probability(duration: float, pulse: TransferPulse) -> float:
     """Effective transfer probability when driving for ``duration`` seconds.
 
-    The duration factor is sin^2(pi*t / (2*t_pi)) for a single-order pulse and
-    its square for a double-order pulse, so a calibrated pi-time transfers with
-    probability ``1 - error_rate``.
+    The duration factor is sin^2(pi*t / (2*t_pi)), so a calibrated pi-time
+    transfers with probability ``1 - error_rate``.
     """
     if not duration >= 0:  # NaN fails too
         raise ValueError(f"duration must be non-negative, got {duration}")
     if math.isinf(duration):
         raise ValueError(f"pulse duration must be finite, got {duration}")
     factor = math.sin(math.pi * duration / (2.0 * pulse.t_pi)) ** 2
-    if pulse.order is PulseOrder.DOUBLE:
-        factor *= factor
     return (1.0 - pulse.error_rate) * factor
 
 
@@ -154,11 +142,6 @@ class ErrorModel:
             lookup[pulse.from_state, pulse.to_state] = pulse
             lookup[pulse.to_state, pulse.from_state] = pulse.reversed()
         object.__setattr__(self, "_by_pair", lookup)
-
-    def has_pulse(self, from_state: StateLabel, to_state: StateLabel) -> bool:
-        if not transition_allowed(from_state, to_state):
-            return False
-        return (from_state, to_state) in self._by_pair
 
     def pulse_for(self, from_state: StateLabel, to_state: StateLabel) -> TransferPulse:
         """The configured pulse for a transition, oriented from -> to."""
@@ -231,7 +214,6 @@ def model_to_config(model: ErrorModel) -> dict:
                 "to": format_state(p.to_state),
                 "error_rate": p.error_rate,
                 "t_pi": p.t_pi,
-                "order": p.order.value,
             }
             for p in model.pulses
         ],
@@ -282,7 +264,6 @@ def _build_model(document: dict) -> ErrorModel:
                 to_state=parse_state(entry["to"]),
                 error_rate=entry["error_rate"],
                 t_pi=entry["t_pi"],
-                order=PulseOrder(entry.get("order", "single")),
             )
             for entry in document["pulses"]
         )

@@ -151,23 +151,6 @@ def _patterns(bright: np.ndarray) -> np.ndarray:
     return (bright.astype(np.uint8) * _BIT_WEIGHTS).sum(axis=0, dtype=np.uint8)
 
 
-def evaluate_flags_array(
-    bright: np.ndarray, strict: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`evaluate_flags` over a (6, n) outcome matrix.
-
-    A lookup of each shot's packed R0..R5 pattern in a 64-entry table built
-    once from the :func:`evaluate_flags` rules.  Returns ``(flagged,
-    reason_code, inferred)`` where ``reason_code`` indexes :class:`FlagReason`
-    in declaration order and ``inferred`` is the 0/1 readout of every shot,
-    flagged or not.
-    """
-    if bright.shape[0] != 6:
-        raise ValueError("outcome matrix must have six rows R0..R5")
-    reason, _, inferred = _FLAG_TABLES[strict].take(_patterns(bright), axis=1)
-    return reason != 0, reason.astype(np.uint8), inferred
-
-
 # =========================================================================
 # Compiled sequences and the chunk runner
 # =========================================================================
@@ -177,6 +160,9 @@ _LOST = 1
 
 # Prepared code of a shot before any Rotate; -1 means none.
 _PREPARED_CODES = {Prepare.ZERO: 0, Prepare.ONE: 1, Prepare.SUPERPOSITION: -1}
+
+# P(zero) after the pi/2 Rotate, from zero and from one.
+_BORN = (math.cos(math.pi / 4) ** 2, math.sin(math.pi / 4) ** 2)
 
 
 @dataclass(eq=False)
@@ -329,8 +315,7 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
         elif isinstance(step, Deshelve):
             channels.append(channel(index, "deshelve", 0.0, strand, strand))
         elif isinstance(step, Rotate):
-            half = 0.5 * step.angle
-            born = (math.cos(half) ** 2, math.sin(half) ** 2)
+            born = _BORN
             if reach & {zero_id, one_id}:
                 reach |= {zero_id, one_id}
         else:
@@ -581,9 +566,9 @@ def _run_chunk(
 
     records = None
     if keep_records:
-        records = dict(zip(_RECORD_KEYS, (chunk.prepared, chunk.bright,
-                                          *evaluate_flags_array(chunk.bright, strict),
-                                          attempts)))
+        reason, _, inferred = _FLAG_TABLES[strict].take(patterns, axis=1)
+        records = dict(zip(_RECORD_KEYS, (chunk.prepared, chunk.bright, reason != 0,
+                                          reason.astype(np.uint8), inferred, attempts)))
 
     return _ChunkResult(
         tally=tally,
@@ -632,6 +617,10 @@ class ExperimentConfig:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.prepare is not None and not isinstance(self.prepare, Prepare):
+            raise ValueError(f"prepare must be None or a Prepare, got {self.prepare!r}")
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"mode must be a Mode, got {self.mode!r}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.mode is Mode.POST_SELECT and self.max_attempts != 1:
@@ -808,5 +797,5 @@ def run_experiment(
 
 
 def reason_from_code(code: int) -> FlagReason:
-    """Map a reason code from :func:`evaluate_flags_array` back to the enum."""
+    """Map a record's reason code (a :class:`FlagReason` index) back to the enum."""
     return _REASON_CODES[code]

@@ -11,7 +11,6 @@ outcomes feed the flag logic in :mod:`spamsim.engine`.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -77,7 +76,7 @@ class Deshelve:
 
 @dataclass(frozen=True)
 class Rotate:
-    angle: float = math.pi / 2
+    """The ideal pi/2 rotation that makes the equal superposition of zero and one."""
 
 
 SequenceStep = Union[Cool, Detect, Pump, Transfer, Deshelve, Rotate]

@@ -11,7 +11,7 @@ configured pulse addresses, but which still fluoresces) and ``Lost`` (no ion).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Manifold(enum.Enum):
@@ -119,31 +119,24 @@ def transition_allowed(from_state: StateLabel, to_state: StateLabel) -> bool:
 
 @dataclass(frozen=True)
 class QubitEncoding:
-    """Computational basis assignment plus the transfer intermediates it uses."""
+    """Computational basis assignment: the levels holding zero and one."""
 
     name: str
     zero: StateLabel
     one: StateLabel
-    intermediates: tuple[StateLabel, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.zero == self.one:
             raise ValueError("zero and one must differ")
-        for state in self.intermediates:
-            if state in (self.zero, self.one):
-                raise ValueError("intermediates must be disjoint from the qubit states")
-
-    def states(self) -> tuple[StateLabel, StateLabel]:
-        return (self.zero, self.one)
 
 
 _CATALOG = {
     # Optical qubit: one state per manifold.
-    "O": QubitEncoding("O", zero=B_2_M1, one=A_2_0, intermediates=(B_1_M1,)),
+    "O": QubitEncoding("O", zero=B_2_M1, one=A_2_0),
     # Metastable qubit: both states dark, read out through the ground manifold.
-    "M": QubitEncoding("M", zero=B_2_M1, one=B_1_M1, intermediates=(A_2_0,)),
+    "M": QubitEncoding("M", zero=B_2_M1, one=B_1_M1),
     # Ground-level qubit: both states bright, shelved through the metastable manifold.
-    "G": QubitEncoding("G", zero=A_2_0, one=A_1_0, intermediates=(B_2_M1, B_2_P1, B_1_M1)),
+    "G": QubitEncoding("G", zero=A_2_0, one=A_1_0),
 }
 
 
@@ -153,7 +146,3 @@ def encoding_catalog(name: str) -> QubitEncoding:
         return _CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown encoding {name!r}; expected one of {sorted(_CATALOG)}") from None
-
-
-def all_encodings() -> tuple[QubitEncoding, ...]:
-    return tuple(_CATALOG.values())

@@ -109,8 +109,6 @@ def test_pulse_lookup_is_orientation_free(model):
     rev = model.pulse_for(sp.A_2_0, sp.B_2_M1)
     assert fwd.error_rate == rev.error_rate == pytest.approx(0.0138)
     assert fwd.from_state == sp.B_2_M1 and rev.from_state == sp.A_2_0
-    assert model.has_pulse(sp.A_1_0, sp.B_1_M1)
-    assert not model.has_pulse(sp.A_1_0, sp.B_2_P1)
     with pytest.raises(ValueError):
         model.pulse_for(sp.A_1_0, sp.B_2_P1)
     with pytest.raises(ValueError):
@@ -134,6 +132,29 @@ def test_config_round_trip(model):
     again = sp.model_from_config(doc)
     assert again == model
     assert sp.model_to_config(again) == doc
+
+
+def test_pulse_order_is_accepted_as_single_only(model, tmp_path):
+    # Older saved documents carry "order": "single" on every pulse; they load
+    # to the same model as documents without it.  No other order is modelled.
+    doc = sp.model_to_config(model)
+    assert all("order" not in entry for entry in doc["pulses"])
+    assert sp.model_from_config(doc) == model
+    single = json.loads(json.dumps(doc))
+    for entry in single["pulses"]:
+        entry["order"] = "single"
+    assert sp.model_from_config(single) == model
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps(single))
+    assert sp.load_error_model(str(path)) == model
+
+    double = json.loads(json.dumps(single))
+    double["pulses"][1]["order"] = "double"
+    with pytest.raises(sp.ConfigError, match="'single' was expected"):
+        sp.model_from_config(double)
+    path.write_text(json.dumps(double))
+    with pytest.raises(sp.ConfigError, match="'single' was expected"):
+        sp.load_error_model(str(path))
 
 
 def test_save_load_round_trip(model, tmp_path):

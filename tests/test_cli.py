@@ -232,6 +232,10 @@ def test_run_spam_invalid_config_document(tmp_path, model, monkeypatch, capsys):
         document["detection"][field] = float(value)
         documents.append(json.dumps(document))
         assert f'"{field}": {value}' in documents[-1]
+    # Only single-order pulses are modelled.
+    document = sp.model_to_config(model)
+    document["pulses"][0]["order"] = "double"
+    documents.append(json.dumps(document))
     for text in documents:
         bad = tmp_path / "bad.json"
         bad.write_text(text)

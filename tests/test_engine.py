@@ -246,6 +246,19 @@ def test_config_validation(model):
         sp.ExperimentConfig(model=model, encoding="M", shots=10, seed=-1)
 
 
+def test_config_rejects_enum_fields_given_as_strings(model):
+    # Caught here, a string names the field; unchecked, it fails inside the
+    # run or the summary with an error that names neither.
+    with pytest.raises(ValueError, match="prepare must be None or a Prepare, got 'one'"):
+        sp.ExperimentConfig(model=model, shots=10, prepare="one")
+    with pytest.raises(ValueError, match="mode must be a Mode, got 'post-select'"):
+        sp.ExperimentConfig(model=model, shots=10, mode="post-select", max_attempts=3)
+    with pytest.raises(ValueError, match="mode must be a Mode, got 'rus'"):
+        sp.ExperimentConfig(model=model, shots=10, mode="rus")
+    for prepare in (None, *Prepare):
+        assert sp.ExperimentConfig(model=model, shots=10, prepare=prepare).prepare is prepare
+
+
 def test_records_capture(model):
     cfg = sp.ExperimentConfig(model=model, encoding="M", shots=2_000, seed=14)
     res = sp.run_experiment(cfg, workers=2, keep_records=True)

@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spamsim as sp
+from spamsim import engine
 
 
 def oracle(b, strict=False):
@@ -49,10 +50,16 @@ def test_truth_table_all_64_patterns(strict):
         assert inferred == want_inferred, pattern
 
 
+def table_lookup(bright, strict):
+    """The chunk runner's flags: each packed R0..R5 pattern looked up in its table."""
+    codes, _, inferred = engine._FLAG_TABLES[strict].take(engine._patterns(bright), axis=1)
+    return codes != 0, codes, inferred
+
+
 @pytest.mark.parametrize("strict", [False, True])
 def test_vectorized_flags_match_scalar(strict):
     bright = np.array(ALL_PATTERNS, dtype=bool).T  # shape (6, 64)
-    flagged, codes, inferred = sp.evaluate_flags_array(bright, strict=strict)
+    flagged, codes, inferred = table_lookup(bright, strict)
     reasons = list(sp.FlagReason)
     for i, pattern in enumerate(ALL_PATTERNS):
         want_flagged, want_reason, want_inferred = oracle(pattern, strict)
@@ -98,15 +105,13 @@ def test_accepted_patterns_and_inference():
 def test_outcome_length_is_checked():
     with pytest.raises(ValueError):
         sp.evaluate_flags((True, True, True))
-    with pytest.raises(ValueError):
-        sp.evaluate_flags_array(np.ones((5, 4), dtype=bool))
 
 
 @given(st.integers(0, 63), st.booleans())
 def test_scalar_vector_agreement_property(index, strict):
     pattern = ALL_PATTERNS[index]
     column = np.array(pattern, dtype=bool).reshape(6, 1)
-    flagged, codes, inferred = sp.evaluate_flags_array(column, strict=strict)
+    flagged, codes, inferred = table_lookup(column, strict)
     s_flagged, s_reason, s_inferred = sp.evaluate_flags(pattern, strict=strict)
     assert bool(flagged[0]) == s_flagged
     assert list(sp.FlagReason)[codes[0]] is s_reason

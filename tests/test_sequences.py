@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import spamsim as sp
+from spamsim import engine
 from spamsim.sequence import Cool, Deshelve, Detect, DetectLabel, Prepare, Pump, Rotate, Transfer
 
 
@@ -92,7 +93,9 @@ def test_superposition_rotation_follows_the_preparation_check():
         r2 = next(i for i, s in enumerate(seq.steps)
                   if isinstance(s, Detect) and s.label is DetectLabel.R2)
         assert r1 < rotate < r2
-        assert seq.steps[rotate].angle == pytest.approx(3.14159265 / 2.0)
+        # A pi/2 rotation: each basis state projects to zero with probability 1/2.
+        born = engine._compile(seq, sp.default_model()).ops[rotate].born
+        assert born == pytest.approx((0.5, 0.5))
 
 
 @pytest.mark.parametrize("encoding", ["O", "M", "G"])
