@@ -28,6 +28,7 @@ import numpy as np
 from .channels import DecayChannel, ErrorModel, decay_probability, default_model
 from .engine import (
     _FLAG_TABLES,
+    _REASON_CODES,
     _WG,
     ExperimentConfig,
     ExperimentResult,
@@ -35,7 +36,6 @@ from .engine import (
     _Channel,
     _compile,
     _Compiled,
-    reason_from_code,
     run_experiment,
 )
 from .sequence import Prepare, Sequence
@@ -71,7 +71,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.0) -> RateEstimate
     """Wilson score interval for ``successes`` out of ``trials`` at quantile ``z``.
 
     Center (p + z^2/2n) / (1 + z^2/n), half-width
-    (z / (1 + z^2/n)) * sqrt(p(1-p)/n + z^2/4n^2), clamped to [0, 1].
+    (z / (1 + z^2/n)) * sqrt(p(1-p)/n + z^2/4n^2), clamped to [0, 1], and
+    exactly 0 at no successes and 1 at all, where rounding would miss them.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -82,8 +83,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.0) -> RateEstimate
     scale = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / scale
     half = (z / scale) * math.sqrt(p_hat * (1.0 - p_hat) / trials + z * z / (4 * trials * trials))
-    lo = max(0.0, center - half)
-    hi = min(1.0, center + half)
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
     return RateEstimate(successes, trials, p_hat, (lo, hi), z)
 
 
@@ -183,7 +184,7 @@ def rejection_contributions(
     reasons = _FLAG_TABLES[strict][0]
     contributions = []
     for channel, (_, pattern) in zip(events, points[1:]):
-        reason = reason_from_code(reasons[pattern])
+        reason = _REASON_CODES[reasons[pattern]]
         contributions.append(RejectionContribution(
             channel.step, channel.event, channel.failure_probability,
             reason is not FlagReason.NONE, reason))
@@ -340,8 +341,8 @@ class BiasFamily:
             raise ValueError(f"acceptance vanishes at t/t_pi = {ratio}")
         return acceptance if self.dipped_state == 0 else 1.0 / acceptance
 
-    def predicted_bias(self, ratio: float, p_zero: float = 0.5) -> float:
-        return bias_closed_form(self.gamma(ratio), p_zero)
+    def predicted_bias(self, ratio: float) -> float:
+        return bias_closed_form(self.gamma(ratio), 0.5)
 
 
 BIAS_FAMILIES: tuple[BiasFamily, ...] = (
@@ -475,7 +476,7 @@ def _decay_row(row: tuple) -> tuple[float, float, float]:
     elif len(row) == 3:
         delay, count, trials = (float(value) for value in row)
     else:
-        raise ValueError(f"rows must have 2 or 3 fields, got {len(row)}")
+        raise ValueError(f"decay row {row!r}: need 2 or 3 fields, got {len(row)}")
     if not (math.isfinite(delay) and delay > 0):
         raise ValueError(f"decay row {row!r}: delay must be finite and > 0")
     if not (math.isfinite(trials) and trials > 0):

@@ -122,8 +122,8 @@ class ErrorModel:
     pulses: tuple[TransferPulse, ...]
     decay: DecayChannel
     detection: DetectionModel
-    cooling_duration: float = 1e-3
-    loss_probability_per_shot: float = 0.0
+    cooling_duration: float
+    loss_probability_per_shot: float
 
     # internal lookup of each pulse in both orientations, keyed by (from, to)
     _by_pair: Mapping[tuple[StateLabel, StateLabel], TransferPulse] = field(

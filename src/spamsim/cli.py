@@ -80,7 +80,7 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _load_model(args):
-    if getattr(args, "paper_defaults", False) and args.config is not None:
+    if args.paper_defaults and args.config is not None:
         raise ConfigError("--config and --paper-defaults are mutually exclusive")
     if args.config is not None:
         return load_error_model(args.config), args.config
@@ -115,10 +115,6 @@ def _write_manifest(
     path = os.path.join(directory, "manifest.json")
     _write_json(path, manifest, "manifest.schema.json")
     return path
-
-
-def _ensure_out_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
 
 
 # =========================================================================
@@ -181,12 +177,15 @@ def cmd_run_spam(args, argv: list[str]) -> int:
     check_z(args.z)
     model, config_path = _load_model(args)
     seed = _resolve_seed(args.seed)
+    max_attempts = args.max_attempts
+    if max_attempts is None:
+        max_attempts = 3 if args.mode == "rus" else 1
     config = ExperimentConfig(
         model=model,
         encoding=args.encoding,
         shots=args.shots,
         mode=Mode(args.mode),
-        max_attempts=args.max_attempts if args.mode == "rus" else 1,
+        max_attempts=max_attempts,
         seed=seed,
         prepare=None if args.prepare == "both" else Prepare(args.prepare),
         strict_flags=args.strict_flags,
@@ -196,7 +195,7 @@ def cmd_run_spam(args, argv: list[str]) -> int:
     )
     summary = spam_summary(result, z=args.z)
 
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     outputs = []
     summary_path = os.path.join(args.out, "summary.json")
     _write_json(summary_path, summary, "summary.schema.json")
@@ -253,7 +252,7 @@ def cmd_calibrate_threshold(args, argv: list[str]) -> int:
         "bright_fit": {"mean": calibration.bright_fit[0], "sigma": calibration.bright_fit[1]},
     }
     if args.out is not None:
-        _ensure_out_dir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "calibration.json")
         _write_json(path, document, "calibration.schema.json")
         _write_manifest(args.out, "calibrate-threshold", argv, None, None, [path], started)
@@ -307,7 +306,7 @@ def cmd_predict_rejection(args, argv: list[str]) -> int:
             f"first-order {_fmt(row['first_order'])} exact {_fmt(row['exact'])}"
         )
     if args.out is not None:
-        _ensure_out_dir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "rejection.json")
         _write_json(path, {"rows": rows}, "rejection.schema.json")
         _write_manifest(args.out, "predict-rejection", argv, None, config_path, [path], started)
@@ -343,7 +342,7 @@ def cmd_bias_scan(args, argv: list[str]) -> int:
                            workers=args.threads))
         for family in families
     ]
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     outputs = []
     for family, points in scans:
         path = os.path.join(args.out, f"bias_{family.name}.csv")
@@ -380,17 +379,11 @@ def _read_decay_samples(path: str) -> list[tuple]:
             if not fields:
                 continue
             try:
-                values = [float(part) for part in fields]
+                rows.append(tuple(float(part) for part in fields))
             except ValueError:
                 if index == 0:  # header line
                     continue
                 raise ConfigError(f"{path}: non-numeric row {index + 1}: {row!r}") from None
-            if len(values) in (2, 3):
-                rows.append(tuple(values))
-            else:
-                raise ConfigError(
-                    f"{path}: rows need 2 or 3 columns, got {len(values)}"
-                )
     if not rows:
         raise ConfigError(f"{path}: no decay samples found")
     return rows
@@ -405,7 +398,7 @@ def cmd_lifetime_fit(args, argv: list[str]) -> int:
         f"2-sigma interval [{_fmt(fit.interval[0])}, {_fmt(fit.interval[1])}]"
     )
     if args.out is not None:
-        _ensure_out_dir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "lifetime.json")
         document = {
             "lifetime": fit.lifetime,
@@ -447,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--encoding", choices=_ENCODINGS, default="M")
     run.add_argument("--mode", choices=[m.value for m in Mode], default="post-select")
-    run.add_argument("--max-attempts", type=int, default=3,
-                     help="retry budget in rus mode")
+    run.add_argument("--max-attempts", type=int, default=None,
+                     help="retry budget in rus mode (default 3); post-select allows only 1")
     run.add_argument("--prepare", choices=["both", "zero", "one", "superposition"],
                      default="both")
     run.add_argument("--strict-flags", action="store_true",
@@ -510,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
     except ThresholdSeparationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEPARATION
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

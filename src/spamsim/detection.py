@@ -34,8 +34,8 @@ class DetectionModel:
     mean_bright: float
     mean_dark: float
     read_noise_sigma: float
-    total_duration: float = 458.6e-6
-    threshold: int = 0
+    total_duration: float
+    threshold: int
 
     def __post_init__(self) -> None:
         if not (0 <= self.mean_bright < math.inf and 0 <= self.mean_dark < math.inf):
@@ -97,12 +97,15 @@ def read_histogram_csv(path: str, label: str = "unlabeled") -> CountHistogram:
     bins: list[int] = []
     freqs: list[int] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for row in reader:
+        for number, row in enumerate(csv.reader(handle), 1):
             if not row or row[0].strip() == "bin_low":
                 continue
-            bins.append(int(float(row[0])))
-            freqs.append(int(float(row[1])))
+            try:
+                bins.append(int(float(row[0])))
+                freqs.append(int(float(row[1])))
+            except (IndexError, OverflowError, ValueError):
+                raise ValueError(f"{path}: row {number} is not a finite "
+                                 f"(bin_low, frequency) pair: {row!r}") from None
     if not bins:
         raise ValueError(f"no histogram rows in {path}")
     order = np.argsort(bins)

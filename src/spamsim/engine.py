@@ -102,40 +102,32 @@ def evaluate_flags(
     """
     if len(outcomes) != 6:
         raise ValueError(f"need exactly six outcomes R0..R5, got {len(outcomes)}")
-    reason, readout = _flag_rules(outcomes, strict)
-    flagged = reason is not FlagReason.NONE
-    return flagged, reason, None if flagged else readout
-
-
-def _flag_rules(outcomes: SequenceType[bool], strict: bool) -> tuple[FlagReason, int]:
-    """The flag rules of :func:`evaluate_flags`, stated once for every caller.
-
-    Returns the reason and the readout (0 iff R3 bright), which the stage
-    tallies need for flagged shots too.
-    """
     r0, r1, r2, r3, r4, r5 = (bool(o) for o in outcomes)
-    readout = 0 if r3 else 1
     if not r0:
-        return FlagReason.R0_DARK, readout
-    if r1:
-        return FlagReason.R1_BRIGHT, readout
-    if r2:
-        return FlagReason.R2_BRIGHT, readout
-    if not r3 and not r4:
-        return FlagReason.R3_R4_DARK, readout
-    if strict and r3 and not r4:
-        return FlagReason.R4_DARK, readout
-    if not r5:
-        return FlagReason.R5_DARK, readout
-    return FlagReason.NONE, readout
+        reason = FlagReason.R0_DARK
+    elif r1:
+        reason = FlagReason.R1_BRIGHT
+    elif r2:
+        reason = FlagReason.R2_BRIGHT
+    elif not r3 and not r4:
+        reason = FlagReason.R3_R4_DARK
+    elif strict and r3 and not r4:
+        reason = FlagReason.R4_DARK
+    elif not r5:
+        reason = FlagReason.R5_DARK
+    else:
+        return False, FlagReason.NONE, 0 if r3 else 1
+    return True, reason, None
 
 
 def _flag_table(strict: bool) -> np.ndarray:
-    """Rows: reason code, fail stage, readout; columns: R0..R5 patterns (bit i = Ri)."""
+    """Rows: reason code, fail stage, readout (0 iff R3 bright, flagged or not);
+    columns: R0..R5 patterns (bit i = Ri)."""
     table = np.empty((3, 64), dtype=np.int8)
     for pattern in range(64):
-        reason, readout = _flag_rules([pattern >> i & 1 for i in range(6)], strict)
-        table[:, pattern] = (_REASON_CODES.index(reason), _FAIL_STAGE[reason], readout)
+        _, reason, _ = evaluate_flags([pattern >> i & 1 for i in range(6)], strict)
+        table[:, pattern] = (_REASON_CODES.index(reason), _FAIL_STAGE[reason],
+                             1 - (pattern >> 3 & 1))
     return table
 
 
@@ -285,7 +277,7 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
 
     def decay(index: int, duration: float) -> list[_Channel]:
         p = decay_probability(duration, model.decay)
-        event = f"decay during step {index} ({type(sequence.steps[index]).__name__})" if p else ""
+        event = f"decay during step {index} ({type(sequence.steps[index]).__name__})"
         return [channel(index, event, p, identity, strand)] if p > 0 else []
 
     ops: list[_Op] = []
@@ -438,21 +430,20 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op, first_pass: bool
     The op's channels go through :func:`_apply_channel` in order, with
     ``first_pass`` passed on; then a Detect or a Rotate step does its own
     work.  The detect op reads each shot's mean count from
-    ``compiled.mean_counts``, rewrites it only for the shots that decay
-    inside the window, and draws the counts with
+    ``compiled.mean_counts`` after its decay channel, rewrites it only for
+    the shots that decayed inside the window, and draws the counts with
     :func:`~spamsim.detection.draw_counts`: the same two steps as
     :func:`~spamsim.detection.sample_counts`.
     """
     rng = chunk.rng
-    if op.detect is not None:
-        # The mean count of each shot's label before the window; a shot that
-        # decays inside it fluoresced for part of the window only.
-        mean = compiled.mean_counts.take(chunk.state)
     decayed = None
     for channel in op.channels:
         decayed = _apply_channel(chunk, channel, first_pass)
     if op.detect is not None:
         det = compiled.detection
+        # The decay channel's success map is the identity; a shot that decayed
+        # inside the window fluoresced for part of it only.
+        mean = compiled.mean_counts.take(chunk.state)
         if decayed is not None and decayed.size:
             # The instant is drawn for every shot to keep the stream fixed,
             # but only the decayed shots need it.
@@ -654,10 +645,6 @@ class BatchTally:
         return self.kept[5]
 
     @property
-    def errors(self) -> int:
-        return self.wrong[5]
-
-    @property
     def rejected_fraction(self) -> float:
         return 1.0 - self.kept[5] / self.shots
 
@@ -794,8 +781,3 @@ def run_experiment(
         accepted_r3=accepted_r3,
         records=records if keep_records else None,
     )
-
-
-def reason_from_code(code: int) -> FlagReason:
-    """Map a record's reason code (a :class:`FlagReason` index) back to the enum."""
-    return _REASON_CODES[code]

@@ -85,7 +85,6 @@ SequenceStep = Union[Cool, Detect, Pump, Transfer, Deshelve, Rotate]
 @dataclass(frozen=True)
 class Sequence:
     encoding: QubitEncoding
-    prepare: Prepare
     steps: tuple[SequenceStep, ...]
 
     def __post_init__(self) -> None:
@@ -142,7 +141,7 @@ class Sequence:
             else s
             for s in self.steps
         )
-        return Sequence(self.encoding, self.prepare, steps)
+        return Sequence(self.encoding, steps)
 
 
 def _detects(*labels: DetectLabel) -> list[SequenceStep]:
@@ -171,7 +170,7 @@ def build_sequence(encoding: QubitEncoding | str, prepare: Prepare) -> Sequence:
     else:
         raise ValueError(f"no sequence defined for encoding {encoding.name!r}")
 
-    return Sequence(encoding, prepare, tuple(head + body + tail))
+    return Sequence(encoding, tuple(head + body + tail))
 
 
 def _optical_body(prepare: Prepare) -> list[SequenceStep]:

@@ -77,6 +77,11 @@ def test_wilson_edge_cases():
     full = sp.wilson_interval(40, 40)
     assert zero.interval[0] == 0.0 and zero.interval[1] > 0.0
     assert full.interval[1] == 1.0 and full.interval[0] < 1.0
+    # Exact edges where floating point leaves the two terms a hair apart.
+    for z in (1.0, 1.96):
+        for trials in (40, 2000, 10**7):
+            assert sp.wilson_interval(0, trials, z).interval[0] == 0.0
+            assert sp.wilson_interval(trials, trials, z).interval[1] == 1.0
     with pytest.raises(ValueError):
         sp.wilson_interval(1, 0)
     with pytest.raises(ValueError):

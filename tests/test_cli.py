@@ -11,7 +11,7 @@ import spamsim as sp
 from spamsim import cli
 from spamsim.channels import schema_validator
 from spamsim.detection import sample_counts
-from spamsim.engine import reason_from_code
+from spamsim.engine import _REASON_CODES
 from spamsim.sequence import Prepare
 
 
@@ -86,7 +86,7 @@ def write_records_reference(path, records):
             flagged = records["flagged"][index]
             writer.writerow(
                 [index, names[int(records["prepared"][index])], *symbols[:, index],
-                 int(flagged), reason_from_code(int(records["reason"][index])).value,
+                 int(flagged), _REASON_CODES[records["reason"][index]].value,
                  "" if flagged else names[int(records["inferred"][index])]]
             )
 
@@ -191,6 +191,20 @@ def test_run_spam_rus_mode(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mode"] == "rus"
     assert all(b["attempts_mean"] >= 1.0 for b in summary["states"].values())
+
+
+def test_run_spam_max_attempts_defaults_to_three_in_rus_only(tmp_path, capsys):
+    out = tmp_path / "rus"
+    assert cli.main(["run-spam", "--shots", "800", "--seed", "2", "--encoding", "O",
+                     "--mode", "rus", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert max(b["attempts_max"] for b in summary["states"].values()) == 3
+    # A retry budget under post-selection is a usage error, not ignored.
+    out = tmp_path / "post-select"
+    code = cli.main(["run-spam", "--shots", "800", "--max-attempts", "7", "--out", str(out)])
+    assert code == 2
+    assert "repeat-until-success" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_spam_rejects_bad_shot_count(tmp_path):
@@ -318,6 +332,19 @@ def test_calibrate_threshold_inseparable_histograms(tmp_path, model):
     assert code == 4
 
 
+@pytest.mark.parametrize("row", ["17", "inf,3", "x,3", "nan,3"])
+def test_calibrate_threshold_rejects_malformed_histogram(tmp_path, model, capsys, row):
+    good = tmp_path / "good.csv"
+    write_count_histogram(good, 0.0, model, seed=1)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"bin_low,frequency\n-1,4\n{row}\n")
+    out = tmp_path / "cal"
+    assert cli.main(["calibrate-threshold", str(good), str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: row 3 ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_predict_rejection_all_encodings(tmp_path, model):
     out = tmp_path / "rej"
     code = cli.main(["predict-rejection", "--encoding", "all", "--out", str(out)])
@@ -432,7 +459,7 @@ def test_lifetime_fit_rejects_unusable_input(tmp_path):
                      "--out", str(tmp_path / "y")]) == 3
 
 
-@pytest.mark.parametrize("row", ["nan,10,100", "1.0,150,100"])
+@pytest.mark.parametrize("row", ["nan,10,100", "1.0,150,100", "1.0,15,100,7", "1.0"])
 def test_lifetime_fit_rejects_bad_rows(tmp_path, capsys, row):
     csv = tmp_path / "decay.csv"
     csv.write_text(f"delay_s,decayed,trials\n5.0,167,1000\n10.0,308,1000\n{row}\n")

@@ -19,7 +19,6 @@ def _load(name):
     ("calibrate_default_counts", ["--samples", "2000"]),
     ("reproduce_rejection_table", ["--shots", "2000", "--threads", "1"]),
     ("run_spam_error_budget", ["--shots", "2000", "--threads", "1"]),
-    ("scan_bias_curves", ["--shots", "2000", "--threads", "1", "--t-grid", "0.8,1.0"]),
 ])
 def test_script_runs(capsys, name, argv):
     assert _load(name).main(argv) == 0

@@ -106,7 +106,7 @@ def test_second_rotation_is_rejected(encoding):
     rotate = next(i for i, s in enumerate(seq.steps) if isinstance(s, Rotate))
     steps = seq.steps[: rotate + 1] + (Rotate(),) + seq.steps[rotate + 1 :]
     with pytest.raises(ValueError, match="at most one Rotate"):
-        sp.Sequence(seq.encoding, seq.prepare, steps)
+        sp.Sequence(seq.encoding, steps)
 
 
 def test_with_transfer_durations_overrides_matching_pairs_only():
