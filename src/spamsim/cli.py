@@ -373,17 +373,18 @@ def _read_decay_samples(path: str) -> list[tuple]:
     import csv
 
     rows: list[tuple] = []
+    header = True  # only the first non-blank row may be a header
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for index, row in enumerate(csv.reader(handle)):
+        for number, row in enumerate(csv.reader(handle), 1):
             fields = [part.strip() for part in row if part.strip() != ""]
             if not fields:
                 continue
             try:
                 rows.append(tuple(float(part) for part in fields))
             except ValueError:
-                if index == 0:  # header line
-                    continue
-                raise ConfigError(f"{path}: non-numeric row {index + 1}: {row!r}") from None
+                if not header:
+                    raise ConfigError(f"{path}: non-numeric row {number}: {row!r}") from None
+            header = False
     if not rows:
         raise ConfigError(f"{path}: no decay samples found")
     return rows

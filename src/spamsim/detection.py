@@ -101,11 +101,14 @@ def read_histogram_csv(path: str, label: str = "unlabeled") -> CountHistogram:
             if not row or row[0].strip() == "bin_low":
                 continue
             try:
-                bins.append(int(float(row[0])))
-                freqs.append(int(float(row[1])))
-            except (IndexError, OverflowError, ValueError):
-                raise ValueError(f"{path}: row {number} is not a finite "
+                low, freq = float(row[0]), float(row[1])
+                if not (low.is_integer() and freq.is_integer()):  # also fails inf and nan
+                    raise ValueError
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: row {number} is not an integral "
                                  f"(bin_low, frequency) pair: {row!r}") from None
+            bins.append(int(low))
+            freqs.append(int(freq))
     if not bins:
         raise ValueError(f"no histogram rows in {path}")
     order = np.argsort(bins)

@@ -16,9 +16,10 @@ second coherent operation after it, so projecting at once gives the same
 outcome distribution as projecting at the first step that tells the two basis
 states apart.
 
-Draws whose values no shot reads are skipped: :func:`_skip` leaves the
-generator exactly as the draw would have, so every random stream is the same
-as if each draw were made.
+Each chunk keeps the set of labels its shots may be in, and one rule skips
+draws: a channel draws only if its failure probability is above 0 and that
+set holds a label its two maps send apart.  :func:`_skip` leaves the generator
+exactly as the skipped draw would have, so every stream is unchanged.
 
 A chunk runs the ops up to the R1 detection, then ``max_attempts - 1``
 repeat-until-success retry rounds, then the remaining ops; post-selection is
@@ -167,18 +168,13 @@ class _Channel:
     success: np.ndarray  # int16 map over label ids
     failure: np.ndarray  # int16 map over label ids
     tests_success: bool = False
-    free: bool = False  # no first-pass shot can be in a label of ``split``
 
     def __post_init__(self) -> None:
-        # The maps are a few labels long: plain Python beats numpy calls here.
-        success, failure = self.success.tolist(), self.failure.tolist()
+        # The maps are a few labels long: Python lists and sets beat numpy here.
+        self.to = self.success.tolist()
         self.split = self.success != self.failure  # labels the two branches send apart
-        apart = [label for label, to in enumerate(success) if to != failure[label]]
-        self.draws = bool(apart)  # False for a one-map channel
-        self.only = apart[0] if len(apart) == 1 else None  # the one label sent apart
-        moved = [label for label, to in enumerate(success) if to != label]
-        self.moves = bool(moved)  # not identity
-        self.gathers = moved not in ([], [self.only])  # moves a label other than ``only``
+        self.apart = frozenset(np.flatnonzero(self.split).tolist())
+        self.moved = frozenset(label for label, to in enumerate(self.to) if to != label)
         self.failure_probability = 1 - self.probability if self.tests_success else self.probability
 
 
@@ -211,12 +207,10 @@ class _Compiled:
     * per-shot ion loss, first in op 0: the failure map sends
       ``WrongGround`` to ``Lost``.
 
-    A decay or loss channel of probability 0 is left out.  A channel's
-    ``free`` flag comes from the labels shots can reach through both maps of
-    every channel (and a ``Rotate``) from ``WrongGround``, where every shot
-    starts.  Three readers interpret ``ops``, and only ``detect`` and
-    ``born`` have code of their own in each: the chunk runner
-    (:func:`_apply_op`) draws a branch for every shot of a chunk;
+    A decay or loss channel of probability 0 is left out.  Three readers
+    interpret ``ops``, and only ``detect`` and ``born`` have code of their
+    own in each: the chunk runner (:func:`_apply_op`) draws a branch for
+    every shot of a chunk;
     ``analytics._propagate`` splits each label's exact probability between
     the two maps; ``analytics.rejection_contributions`` follows the success
     maps (the ideal path) and forks one point to the failure map of each
@@ -263,53 +257,40 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
         return table
 
     strand = relabel(np.array([label.in_manifold(Manifold.B) for label in labels]), _WG)
-    # The labels a first-pass shot can be in; every shot starts in WrongGround.
-    reach = {_WG}
-
-    def channel(step: int, event: str, probability: float, success: np.ndarray,
-                failure: np.ndarray, tests_success: bool = False) -> _Channel:
-        nonlocal reach
-        made = _Channel(step, event, probability, success, failure, tests_success)
-        to, fail = success.tolist(), failure.tolist()
-        made.free = all(to[label] == fail[label] for label in reach)
-        reach = {to[label] for label in reach} | {fail[label] for label in reach}
-        return made
 
     def decay(index: int, duration: float) -> list[_Channel]:
         p = decay_probability(duration, model.decay)
         event = f"decay during step {index} ({type(sequence.steps[index]).__name__})"
-        return [channel(index, event, p, identity, strand)] if p > 0 else []
+        return [_Channel(index, event, p, identity, strand)] if p > 0 else []
 
     ops: list[_Op] = []
     channels = []
     if model.loss_probability_per_shot > 0:
-        channels.append(channel(-1, "ion loss", model.loss_probability_per_shot,
-                                identity, relabel(_WG, _LOST)))
+        channels.append(_Channel(-1, "ion loss", model.loss_probability_per_shot,
+                                 identity, relabel(_WG, _LOST)))
     for index, step in enumerate(sequence.steps):
         detect = born = None
         if isinstance(step, Cool):
             channels += decay(index, model.cooling_duration)
         elif isinstance(step, Pump):
             channels += decay(index, model.pump.duration)
-            channels.append(channel(index, "optical pumping failure", model.pump.error_rate,
-                                    relabel(fluor, target_id), relabel(fluor, _WG)))
+            channels.append(_Channel(index, "optical pumping failure", model.pump.error_rate,
+                                     relabel(fluor, target_id), relabel(fluor, _WG)))
         elif isinstance(step, Transfer):
             pulse = model.pulse_for(step.from_state, step.to_state)
             duration = pulse.t_pi if step.duration is None else step.duration
             p_success = pulse_success_probability(duration, pulse)
             channels += decay(index, duration)
-            channels.append(channel(
+            channels.append(_Channel(
                 index, f"transfer {step.from_state} -> {step.to_state} failure", p_success,
                 relabel(*moves[index]), identity, True))
         elif isinstance(step, Detect):
             channels += decay(index, model.detection.total_duration)
             detect = int(step.label)
         elif isinstance(step, Deshelve):
-            channels.append(channel(index, "deshelve", 0.0, strand, strand))
+            channels.append(_Channel(index, "deshelve", 0.0, strand, strand))
         elif isinstance(step, Rotate):
             born = _BORN
-            if reach & {zero_id, one_id}:
-                reach |= {zero_id, one_id}
         else:
             raise TypeError(f"unknown step type {type(step).__name__}")
         ops.append(_Op(tuple(channels), detect, born))
@@ -335,6 +316,8 @@ class _ChunkState:
 
     The shot axis is the last axis of every array.  ``counts`` holds the raw
     detection counts and is ``None`` when no histograms are collected.
+    ``present`` holds every label a shot may be in: a superset of the labels
+    in ``state``, which the ops keep up to date.
     """
 
     rng: np.random.Generator
@@ -342,6 +325,7 @@ class _ChunkState:
     prepared: np.ndarray
     bright: np.ndarray
     counts: np.ndarray | None
+    present: set[int]
 
     @classmethod
     def start(cls, size: int, rng: np.random.Generator, prepared_code: int,
@@ -352,6 +336,7 @@ class _ChunkState:
             prepared=np.full(size, prepared_code, dtype=np.int8),
             bright=np.zeros((6, size), dtype=bool),
             counts=np.zeros((6, size), dtype=np.int64) if with_counts else None,
+            present={_WG},
         )
 
     @property
@@ -364,7 +349,8 @@ class _ChunkState:
     def take(self, idx: np.ndarray) -> "_ChunkState":
         """Copy of the shots at ``idx`` that draws from the same generator."""
         return _ChunkState(
-            self.rng, *(None if a is None else a[..., idx] for a in self._per_shot())
+            self.rng, *(None if a is None else a[..., idx] for a in self._per_shot()),
+            set(self.present),
         )
 
     def put(self, idx: np.ndarray, sub: "_ChunkState") -> None:
@@ -372,6 +358,7 @@ class _ChunkState:
         for target, values in zip(self._per_shot(), sub._per_shot()):
             if target is not None:
                 target[..., idx] = values
+        self.present |= sub.present
 
 
 def _skip(rng: np.random.Generator, n: int) -> None:
@@ -389,56 +376,54 @@ def _skip(rng: np.random.Generator, n: int) -> None:
 _NO_SHOTS = np.empty(0, dtype=np.intp)
 
 
-def _apply_channel(chunk: _ChunkState, channel: _Channel, first_pass: bool = False) -> np.ndarray:
+def _apply_channel(chunk: _ChunkState, channel: _Channel) -> np.ndarray:
     """Send every shot through one channel; return the failed shots it moved.
 
     Every shot takes the success map, and the shots whose draw fails then
-    take the failure map of their old label.  The uniform draw is skipped
-    with :func:`_skip` when no shot can fail: the failure probability is 0,
-    ``channel.free`` holds on a first pass, or the channel sends one label
-    apart (a transfer's source) and no shot is in it.  A channel whose two
-    maps agree draws nothing.  A success map that moves only that one label
-    moves just the shots in it; any other gathers the whole chunk.
+    take the failure map of their old label.  A channel whose two maps agree
+    draws nothing.  The success map gathers the chunk only if
+    ``chunk.present`` holds a label it moves.
     """
-    state = chunk.state
-    source = None  # the shots in ``only``; none is there on a free first pass
-    if channel.only is not None and not (first_pass and channel.free):
-        source = state == channel.only
+    state, present = chunk.state, chunk.present
     failed = to = _NO_SHOTS
-    if channel.draws:
-        if (channel.failure_probability == 0 or (first_pass and channel.free)
-                or (source is not None and not source.any())):
-            _skip(chunk.rng, chunk.size)
-        else:
+    if channel.apart:
+        if channel.failure_probability > 0 and not present.isdisjoint(channel.apart):
             u = chunk.rng.random(chunk.size)
             failed = np.flatnonzero(u >= channel.probability if channel.tests_success
                                     else u < channel.probability)
             labels = state.take(failed)
             apart = channel.split.take(labels)
             failed, to = failed[apart], channel.failure.take(labels[apart])
-    if channel.gathers:
+        else:
+            _skip(chunk.rng, chunk.size)
+    if not present.isdisjoint(channel.moved):
         state = chunk.state = channel.success.take(state)
-    elif channel.moves and source is not None:
-        state[source] = channel.success[channel.only]
     state[failed] = to
+    chunk.present = {channel.to[label] for label in present}
+    if failed.size:
+        chunk.present.update(int(channel.failure[label]) for label in present & channel.apart)
     return failed
 
 
-def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op, first_pass: bool = False) -> None:
+def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> None:
     """Apply one compiled op to every shot of ``chunk``.
 
-    The op's channels go through :func:`_apply_channel` in order, with
-    ``first_pass`` passed on; then a Detect or a Rotate step does its own
-    work.  The detect op reads each shot's mean count from
-    ``compiled.mean_counts`` after its decay channel, rewrites it only for
-    the shots that decayed inside the window, and draws the counts with
-    :func:`~spamsim.detection.draw_counts`: the same two steps as
-    :func:`~spamsim.detection.sample_counts`.
+    The op's channels go through :func:`_apply_channel` in order; then a
+    Detect or a Rotate step does its own work.  A channel draws only if its
+    failure probability is above 0 and ``chunk.present`` holds a label its
+    maps send apart.  Each channel maps ``present`` through its success map,
+    adding the failure map's image of those labels if a shot failed; a Born
+    projection adds the zero and one labels.  So ``present`` holds every
+    occupied label on every pass, retry rounds included.  The detect op
+    reads each shot's mean count from ``compiled.mean_counts`` after its
+    decay channel, rewrites it only for the shots that decayed inside the
+    window, and draws the counts with :func:`~spamsim.detection.draw_counts`:
+    the same two steps as :func:`~spamsim.detection.sample_counts`.
     """
     rng = chunk.rng
     decayed = None
     for channel in op.channels:
-        decayed = _apply_channel(chunk, channel, first_pass)
+        decayed = _apply_channel(chunk, channel)
     if op.detect is not None:
         det = compiled.detection
         # The decay channel's success map is the identity; a shot that decayed
@@ -471,6 +456,7 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op, first_pass: bool
             to_zero = rng.random(chunk.size) < np.where(from_zero, pz_from_zero, pz_from_one)
             np.copyto(state, np.where(to_zero, compiled.zero_id, compiled.one_id), where=m)
             np.copyto(chunk.prepared, ~to_zero, where=m)
+            chunk.present |= {compiled.zero_id, compiled.one_id}
 
 
 @dataclass
@@ -526,10 +512,9 @@ def _run_chunk(
 
     ops, split = compiled.ops, compiled.prep_end + 1
     for op in ops[:split]:
-        _apply_op(chunk, compiled, op, first_pass=True)
+        _apply_op(chunk, compiled, op)
     for _ in range(max_attempts - 1):
-        # Only the R1-bright shots retry, on a compacted sub-chunk.  A retried
-        # shot may still be in B when it rewinds, so retries draw in full.
+        # Only the R1-bright shots retry, on a compacted sub-chunk.
         retry = np.flatnonzero(chunk.bright[int(DetectLabel.R1)])
         if retry.size == 0:
             break
@@ -538,10 +523,8 @@ def _run_chunk(
         for op in ops[compiled.retry_at : split]:
             _apply_op(sub, compiled, op)
         chunk.put(retry, sub)
-    # Retry rounds start from the states R1 leaves and reach no label the
-    # first pass cannot, so its ``free`` flags still hold after R1.
     for op in ops[split:]:
-        _apply_op(chunk, compiled, op, first_pass=True)
+        _apply_op(chunk, compiled, op)
 
     patterns = _patterns(chunk.bright)
     tally = np.bincount(
@@ -612,6 +595,8 @@ class ExperimentConfig:
             raise ValueError(f"prepare must be None or a Prepare, got {self.prepare!r}")
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode, got {self.mode!r}")
+        if not isinstance(self.strict_flags, bool):
+            raise ValueError(f"strict_flags must be a bool, got {self.strict_flags!r}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.mode is Mode.POST_SELECT and self.max_attempts != 1:

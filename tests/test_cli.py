@@ -332,7 +332,7 @@ def test_calibrate_threshold_inseparable_histograms(tmp_path, model):
     assert code == 4
 
 
-@pytest.mark.parametrize("row", ["17", "inf,3", "x,3", "nan,3"])
+@pytest.mark.parametrize("row", ["17", "inf,3", "x,3", "nan,3", "3.5,2", "4,2.9"])
 def test_calibrate_threshold_rejects_malformed_histogram(tmp_path, model, capsys, row):
     good = tmp_path / "good.csv"
     write_count_histogram(good, 0.0, model, seed=1)
@@ -442,13 +442,15 @@ def test_lifetime_fit_command(tmp_path):
     rng = np.random.default_rng(12)
     samples = sp.sample_decay_events([5.0, 10.0, 20.0, 30.0], 2000, 27.2, rng)
     csv = tmp_path / "decay.csv"
-    csv.write_text("delay_s,decayed,trials\n" +
-                   "\n".join(f"{d},{k},{n}" for d, k, n in samples) + "\n")
-    out = tmp_path / "fit"
-    code = cli.main(["lifetime-fit", str(csv), "--out", str(out)])
-    assert code == 0
-    document = validate(out / "lifetime.json", "lifetime.schema.json")
-    assert abs(document["lifetime"] - 27.2) < 5.0 * document["std_error"]
+    rows = "delay_s,decayed,trials\n" + "\n".join(f"{d},{k},{n}" for d, k, n in samples) + "\n"
+    # The header is the first non-blank row, with or without blank lines before it.
+    for lead in ("", "\n"):
+        csv.write_text(lead + rows)
+        out = tmp_path / f"fit{len(lead)}"
+        code = cli.main(["lifetime-fit", str(csv), "--out", str(out)])
+        assert code == 0
+        document = validate(out / "lifetime.json", "lifetime.schema.json")
+        assert abs(document["lifetime"] - 27.2) < 5.0 * document["std_error"]
 
 
 def test_lifetime_fit_rejects_unusable_input(tmp_path):

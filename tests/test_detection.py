@@ -99,6 +99,9 @@ def test_histogram_csv_round_trip(tmp_path):
     assert text[0] == "bin_low,frequency"
     again = sp.read_histogram_csv(str(path), label="roundtrip")
     assert again == hist
+    # Integral floats read as the integers they name.
+    path.write_text("bin_low,frequency\n9.0,1\n1,2.0\n2e0,1\n")
+    assert sp.read_histogram_csv(str(path), label="roundtrip") == hist
 
 
 def test_histogram_csv_matches_csv_writer(tmp_path):

@@ -255,6 +255,9 @@ def test_config_rejects_enum_fields_given_as_strings(model):
         sp.ExperimentConfig(model=model, shots=10, mode="post-select", max_attempts=3)
     with pytest.raises(ValueError, match="mode must be a Mode, got 'rus'"):
         sp.ExperimentConfig(model=model, shots=10, mode="rus")
+    for strict in (2, "yes", None):
+        with pytest.raises(ValueError, match=f"strict_flags must be a bool, got {strict!r}"):
+            sp.ExperimentConfig(model=model, shots=10, strict_flags=strict)
     for prepare in (None, *Prepare):
         assert sp.ExperimentConfig(model=model, shots=10, prepare=prepare).prepare is prepare
 
@@ -296,7 +299,7 @@ def test_prepared_is_the_rotate_outcome(model):
                                      engine._PREPARED_CODES[Prepare.SUPERPOSITION], False)
     at_rotate = None
     for op in compiled.ops:
-        engine._apply_op(chunk, compiled, op, first_pass=True)
+        engine._apply_op(chunk, compiled, op)
         if op.born is not None:
             at_rotate = chunk.state.copy()
     expected = np.full(chunk.size, -1)
@@ -659,35 +662,42 @@ _FLAG_SEQUENCES["O-rotate-before-shelving"] = (Prepare.SUPERPOSITION, _rotate_be
 
 
 @pytest.mark.parametrize("name", sorted(_FLAG_SEQUENCES))
-def test_b_free_flags_are_conservative(model, name, monkeypatch):
+def test_present_labels_hold_every_shot(model, name, monkeypatch):
     noisy = dataclasses.replace(
         _rewind_in_b(model), loss_probability_per_shot=0.01,
         pump=dataclasses.replace(model.pump, error_rate=0.2))
     prepare, build = _FLAG_SEQUENCES[name]
-    sequence = build()
-    compiled = engine._compile(sequence, noisy)
+    compiled = engine._compile(build(), noisy)
     is_b = np.array([label.in_manifold(sp.Manifold.B) for label in compiled.labels])
-    chunk = engine._ChunkState.start(4096, np.random.default_rng(17),
-                                     engine._PREPARED_CODES[prepare], False)
     apply_channel = engine._apply_channel
+    runs = []  # (chunk or retry sub-chunk, channel, whether it drew)
     reached_b = False
 
-    def checked(chunk, channel, first_pass=False):
-        # A free channel has no shot in a label its two maps send apart; for
-        # a decay channel those are the B labels.
+    def checked(chunk, channel):
         nonlocal reached_b
-        assert not (channel.free and channel.split.take(chunk.state).any()), channel.event
+        drawn = chunk.rng.drawn
+        failed = apply_channel(chunk, channel)
+        assert set(np.unique(chunk.state).tolist()) <= chunk.present, channel.event
         reached_b |= is_b.take(chunk.state).any()
-        return apply_channel(chunk, channel, first_pass)
+        runs.append((chunk, channel, chunk.rng.drawn > drawn))
+        return failed
+
+    def counting_rng(seed_seq):
+        return _CountingGenerator(_CountingPCG64(seed_seq))
 
     monkeypatch.setattr(engine, "_apply_channel", checked)
-    for op in compiled.ops:
-        engine._apply_op(chunk, compiled, op, first_pass=True)
-    assert reached_b
-    # Both cools and R0 come before any shelving; R5 follows the deshelve.
+    monkeypatch.setattr(engine.np.random, "default_rng", counting_rng)
+    engine._run_chunk(compiled, 4096, np.random.SeedSequence(17),
+                      engine._PREPARED_CODES[prepare], 3, False, False, False)
+    whole = runs[0][0]
+    assert reached_b and any(chunk is not whole for chunk, _, _ in runs)  # some shots retried
+    # On the first pass both cools and R0 come before any shelving, and R5
+    # follows the deshelve, so their decays skip.
     ops = compiled.ops
     decays = [c for i in (0, 1, 2, len(ops) - 1) for c in ops[i].channels if c.step == i]
-    assert len(decays) == 4 and all(c.free for c in decays)
+    first = [(channel, drew) for chunk, channel, drew in runs
+             if chunk is whole and channel in decays]
+    assert len(decays) == len(first) == 4 and not any(drew for _, drew in first)
 
 
 @pytest.mark.parametrize("name", sorted(_FLAG_SEQUENCES))
@@ -719,7 +729,7 @@ def test_first_pass_skips_the_draws_no_shot_reads(model, prepare):
     chunk = engine._ChunkState.start(engine.CHUNK_SHOTS, rng, engine._PREPARED_CODES[prepare],
                                      False)
     for op in compiled.ops:
-        engine._apply_op(chunk, compiled, op, first_pass=True)
+        engine._apply_op(chunk, compiled, op)
     # 22 uniform arrays a shot: 9 drawn, 13 skipped.
     assert (rng.drawn, rng.bit_generator.advanced) == (9, 13)
     # R0 and R5 give every shot one mean, so they take the scalar path.
