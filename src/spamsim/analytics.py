@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -116,6 +115,7 @@ def _propagate(compiled: _Compiled) -> np.ndarray:
     rational value of its float, so no split or sum rounds.  Returns the
     final matrix.
     """
+    from fractions import Fraction  # loads decimal, so not at import
     mass = np.zeros((len(compiled.labels), 64), dtype=object)
     mass[_WG, 0] = Fraction(1)
     for op in compiled.ops:

@@ -48,7 +48,6 @@ from .engine import (
     CHUNK_SHOTS,
     ExperimentConfig,
     Mode,
-    _patterns,
     evaluate_flags,
     run_experiment,
 )
@@ -165,7 +164,7 @@ def _write_records(directory: str, records: dict, strict: bool) -> list[str]:
             parts[0::2] = [str(shot) for shot in range(start, stop)]
             for handle, state in zip(handles, records.values()):
                 key = ((state["prepared"][start:stop].astype(np.intp) + 1) * 64
-                       + _patterns(state["bright"][:, start:stop]))
+                       + state["pattern"][start:stop])
                 parts[1::2] = suffixes.take(key).tolist()
                 handle.write("".join(parts))
     return paths

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence as SequenceType
 
@@ -133,15 +132,6 @@ def _flag_table(strict: bool) -> np.ndarray:
 
 
 _FLAG_TABLES = (_flag_table(False), _flag_table(True))  # indexed by strict
-
-
-_BIT_WEIGHTS = (1 << np.arange(6, dtype=np.uint8))[:, None]
-
-
-def _patterns(bright: np.ndarray) -> np.ndarray:
-    """Pack a (6, n) outcome matrix into n R0..R5 patterns (bit i = Ri)."""
-    # A weighted sum runs far faster than np.packbits along the short axis.
-    return (bright.astype(np.uint8) * _BIT_WEIGHTS).sum(axis=0, dtype=np.uint8)
 
 
 # =========================================================================
@@ -314,16 +304,17 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
 class _ChunkState:
     """All per-shot arrays of one chunk, or of a sub-chunk gathered from one.
 
-    The shot axis is the last axis of every array.  ``counts`` holds the raw
-    detection counts and is ``None`` when no histograms are collected.
-    ``present`` holds every label a shot may be in: a superset of the labels
-    in ``state``, which the ops keep up to date.
+    The shot axis is the last axis of every array; ``pattern`` holds each
+    shot's R0..R5 reads as one byte.  ``counts`` holds the raw detection
+    counts and is ``None`` when no histograms are collected.  ``present``
+    holds every label a shot may be in: a superset of the labels in
+    ``state``, which the ops keep up to date.
     """
 
     rng: np.random.Generator
     state: np.ndarray
     prepared: np.ndarray
-    bright: np.ndarray
+    pattern: np.ndarray
     counts: np.ndarray | None
     present: set[int]
 
@@ -334,7 +325,7 @@ class _ChunkState:
             rng=rng,
             state=np.full(size, _WG, dtype=np.int16),
             prepared=np.full(size, prepared_code, dtype=np.int8),
-            bright=np.zeros((6, size), dtype=bool),
+            pattern=np.zeros(size, dtype=np.uint8),
             counts=np.zeros((6, size), dtype=np.int64) if with_counts else None,
             present={_WG},
         )
@@ -344,14 +335,15 @@ class _ChunkState:
         return self.state.size
 
     def _per_shot(self) -> tuple[np.ndarray | None, ...]:
-        return (self.state, self.prepared, self.bright, self.counts)
+        return (self.state, self.prepared, self.pattern, self.counts)
 
     def take(self, idx: np.ndarray) -> "_ChunkState":
-        """Copy of the shots at ``idx`` that draws from the same generator."""
-        return _ChunkState(
-            self.rng, *(None if a is None else a[..., idx] for a in self._per_shot()),
-            set(self.present),
-        )
+        """Copy of the shots at ``idx``, with just their labels in its set, that
+        draws from the same generator."""
+        state, *rest = (None if a is None else a[..., idx] for a in self._per_shot())
+        # bincount, not np.unique, which loads numpy.ma on first use.
+        present = set(np.flatnonzero(np.bincount(state)).tolist())
+        return _ChunkState(self.rng, state, *rest, present)
 
     def put(self, idx: np.ndarray, sub: "_ChunkState") -> None:
         """Write a sub-chunk from :meth:`take` back to the shots at ``idx``."""
@@ -445,7 +437,10 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> None:
         counts = draw_counts(mean, det, rng)
         if chunk.counts is not None:
             chunk.counts[op.detect] = counts
-        chunk.bright[op.detect] = classify(counts, det.threshold)
+        # A retry re-reads R1, so the op clears its bit before setting it.
+        bit = np.uint8(1 << op.detect)
+        chunk.pattern &= ~bit
+        chunk.pattern |= classify(counts, det.threshold).view(np.uint8) * bit
     elif op.born is not None:
         # Born projection on the spot; draws only when a shot can be projected.
         pz_from_zero, pz_from_one = op.born
@@ -475,8 +470,8 @@ class _ChunkResult:
     records: dict[str, np.ndarray] | None
 
 
-# Per-shot record columns; ``bright`` is (6, shots), the others (shots,).
-_RECORD_KEYS = ("prepared", "bright", "flagged", "reason", "inferred", "attempts")
+# Per-shot record columns, each of shape (shots,).
+_RECORD_KEYS = ("prepared", "pattern", "attempts")
 
 
 def _value_counts(values: np.ndarray) -> tuple[int, np.ndarray]:
@@ -503,8 +498,9 @@ def _run_chunk(
     R0..R5 pattern, so the chunk returns just their 3x64 count matrix plus the
     attempt totals.  Raw-count histograms (R0..R5, then R3 of accepted shots)
     come as ``(lowest value, counts)`` pairs when ``collect_histograms`` is
-    set, and per-shot columns (keyed by :data:`_RECORD_KEYS`) when
-    ``keep_records`` is.  With ``max_attempts`` 1 no shot retries.
+    set, and per-shot columns (keyed by :data:`_RECORD_KEYS`, none of which
+    depends on ``strict``) when ``keep_records`` is.  With ``max_attempts`` 1
+    no shot retries.
     """
     rng = np.random.default_rng(seed_seq)
     chunk = _ChunkState.start(size, rng, prepared_code, collect_histograms)
@@ -515,7 +511,7 @@ def _run_chunk(
         _apply_op(chunk, compiled, op)
     for _ in range(max_attempts - 1):
         # Only the R1-bright shots retry, on a compacted sub-chunk.
-        retry = np.flatnonzero(chunk.bright[int(DetectLabel.R1)])
+        retry = np.flatnonzero(chunk.pattern & np.uint8(1 << DetectLabel.R1))
         if retry.size == 0:
             break
         attempts[retry] += 1
@@ -526,23 +522,20 @@ def _run_chunk(
     for op in ops[split:]:
         _apply_op(chunk, compiled, op)
 
-    patterns = _patterns(chunk.bright)
     tally = np.bincount(
-        (chunk.prepared.astype(np.intp) + 1) * 64 + patterns, minlength=3 * 64
+        (chunk.prepared.astype(np.intp) + 1) * 64 + chunk.pattern, minlength=3 * 64
     ).reshape(3, 64)
 
     histograms = None
     if collect_histograms:
         _, stage, _ = _FLAG_TABLES[strict]
-        accepted = stage.take(patterns) == _ACCEPTED
+        accepted = stage.take(chunk.pattern) == _ACCEPTED
         histograms = [_value_counts(values) for values in chunk.counts]
         histograms.append(_value_counts(chunk.counts[3, accepted]))
 
     records = None
     if keep_records:
-        reason, _, inferred = _FLAG_TABLES[strict].take(patterns, axis=1)
-        records = dict(zip(_RECORD_KEYS, (chunk.prepared, chunk.bright, reason != 0,
-                                          reason.astype(np.uint8), inferred, attempts)))
+        records = dict(zip(_RECORD_KEYS, (chunk.prepared, chunk.pattern, attempts)))
 
     return _ChunkResult(
         tally=tally,
@@ -636,6 +629,12 @@ class BatchTally:
 
 @dataclass
 class ExperimentResult:
+    """Per-state tallies and histograms, and the per-shot records if kept:
+    ``records[state]`` maps ``prepared`` (int8; -1 for a shot outside the qubit
+    at ``Rotate``), ``pattern`` (uint8, bit i set iff Ri read bright) and
+    ``attempts`` (int32) to one entry per shot.  A shot's flags are
+    :func:`evaluate_flags` of its pattern's six bits."""
+
     config: ExperimentConfig
     states: dict[str, BatchTally]
     histograms: dict[str, CountHistogram] = field(default_factory=dict)
@@ -697,7 +696,8 @@ def run_experiment(
     :func:`evaluate_flags`.
 
     Repeat-until-success retry rounds draw only for the retrying shots.  Raw
-    detection counts are only kept when ``collect_histograms`` is set.
+    detection counts are only kept when ``collect_histograms`` is set, and
+    per-shot records (:class:`ExperimentResult`) when ``keep_records`` is.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -726,6 +726,7 @@ def run_experiment(
     if workers == 1:
         outputs = [execute(task) for task in tasks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging, so not at import
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(execute, tasks))
 
@@ -748,8 +749,7 @@ def run_experiment(
             if hist is not None:
                 accepted_r3[name] = hist
         if keep_records:
-            records[name] = {key: np.concatenate([r.records[key] for r in chunk_results],
-                                                 axis=-1)
+            records[name] = {key: np.concatenate([r.records[key] for r in chunk_results])
                              for key in _RECORD_KEYS}
 
     histograms = {}

@@ -11,7 +11,6 @@ import spamsim as sp
 from spamsim import cli
 from spamsim.channels import schema_validator
 from spamsim.detection import sample_counts
-from spamsim.engine import _REASON_CODES
 from spamsim.sequence import Prepare
 
 
@@ -74,20 +73,24 @@ def test_run_spam_records_flag(tmp_path):
         assert len(lines) == 501
 
 
-def write_records_reference(path, records):
-    """The row-by-row ``csv.writer`` loop the column-wise writer replaces."""
+def write_records_reference(path, records, strict):
+    """The row-by-row ``csv.writer`` loop the column-wise writer replaces.
+
+    Each row's reads are its pattern's bits, and its flag columns come from
+    :func:`evaluate_flags` of those bits.
+    """
     names = {0: "zero", 1: "one", -1: ""}
-    symbols = np.where(records["bright"], "b", "d")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["shot", "prepared", "R0", "R1", "R2", "R3", "R4", "R5",
                          "flagged", "reason", "inferred"])
-        for index in range(records["bright"].shape[1]):
-            flagged = records["flagged"][index]
+        rows = zip(records["prepared"].tolist(), records["pattern"].tolist())
+        for index, (prepared, pattern) in enumerate(rows):
+            bits = [pattern >> bit & 1 for bit in range(6)]
+            flagged, reason, inferred = sp.evaluate_flags(bits, strict)
             writer.writerow(
-                [index, names[int(records["prepared"][index])], *symbols[:, index],
-                 int(flagged), _REASON_CODES[records["reason"][index]].value,
-                 "" if flagged else names[int(records["inferred"][index])]]
+                [index, names[prepared], *("db"[bit] for bit in bits), int(flagged),
+                 reason.value, "" if flagged else names[inferred]]
             )
 
 
@@ -108,10 +111,33 @@ def test_records_csv_matches_row_writer(tmp_path, model, monkeypatch, case):
     paths = cli._write_records(str(tmp_path), res.records, cfg.strict_flags)
     assert paths == [str(tmp_path / f"records_{name}.csv") for name in res.records]
     for name, records in res.records.items():
-        write_records_reference(tmp_path / f"{name}-reference.csv", records)
+        write_records_reference(tmp_path / f"{name}-reference.csv", records, cfg.strict_flags)
         written = (tmp_path / f"records_{name}.csv").read_bytes()
         assert written == (tmp_path / f"{name}-reference.csv").read_bytes(), name
         assert written.count(b"\r\n") == 4_001
+
+
+@pytest.mark.parametrize("extra", [[], ["--strict-flags"], ["--prepare", "superposition"]])
+def test_run_spam_records_match_row_writer(tmp_path, monkeypatch, extra):
+    # 16500 rows cross the 999/1000 and 9999/10000 index widths and the
+    # CHUNK_SHOTS write block edge at 16384.
+    results, run_experiment = [], cli.run_experiment
+
+    def keep(*args, **kwargs):
+        results.append(run_experiment(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", keep)
+    out = tmp_path / "run"
+    assert cli.main(["run-spam", "--shots", "16500", "--seed", "3", "--records",
+                     "--out", str(out), *extra]) == 0
+    (result,) = results
+    for name, records in result.records.items():
+        reference = tmp_path / f"{name}-reference.csv"
+        write_records_reference(reference, records, "--strict-flags" in extra)
+        assert (out / f"records_{name}.csv").read_bytes() == reference.read_bytes(), name
+    prepared = set(np.concatenate([r["prepared"] for r in result.records.values()]).tolist())
+    assert prepared == ({-1, 0, 1} if "--prepare" in extra else {0, 1})
 
 
 @pytest.mark.parametrize("strict", [False, True])

@@ -133,8 +133,7 @@ def test_pattern_distribution_matches_propagator(model, encoding, state):
     cfg = sp.ExperimentConfig(model=noiseless, encoding=encoding, shots=shots, seed=51,
                               prepare=prepare)
     res = sp.run_experiment(cfg, workers=2, collect_histograms=False, keep_records=True)
-    observed = np.bincount(engine._patterns(res.records[prepare.value]["bright"]),
-                           minlength=64)
+    observed = np.bincount(res.records[prepare.value]["pattern"], minlength=64)
     compiled = engine._compile(sp.build_sequence(encoding, prepare), noiseless)
     probability = analytics._propagate(compiled).astype(float).sum(axis=0)
     assert probability.sum() == pytest.approx(1.0, abs=1e-12)
@@ -268,9 +267,12 @@ def test_records_capture(model):
     assert res.records is not None
     for name, cols in res.records.items():
         n = res.states[name].shots
-        assert len(cols["flagged"]) == n
-        assert cols["bright"].shape == (6, n)
-        assert cols["flagged"].sum() == n - res.states[name].accepted
+        assert list(cols) == ["prepared", "pattern", "attempts"]
+        assert [(c.dtype, c.shape) for c in cols.values()] == [
+            (np.int8, (n,)), (np.uint8, (n,)), (np.int32, (n,))]
+        flagged = [sp.evaluate_flags([p >> i & 1 for i in range(6)])[0]
+                   for p in cols["pattern"].tolist()]
+        assert sum(flagged) == n - res.states[name].accepted
         assert cols["attempts"].max() == res.states[name].attempts_max
 
 
@@ -309,9 +311,8 @@ def test_prepared_is_the_rotate_outcome(model):
     assert set(expected.tolist()) == {-1, 0, 1}
 
 
-def _outcome_keys(prepared, attempts, bright):
+def _outcome_keys(prepared, attempts, pattern):
     """One integer per shot for its (prepared, attempts, R0..R5 pattern)."""
-    pattern = (bright * (1 << np.arange(6))[:, None]).sum(axis=0)
     return ((prepared.astype(np.int64) + 1) * 8 + attempts) * 64 + pattern
 
 
@@ -328,9 +329,9 @@ def _reference_rus(model, encoding, prepare, shots, seed, max_attempts):
     ops = compiled.ops
     for op in ops[: compiled.prep_end + 1]:
         engine._apply_op(chunk, compiled, op)
-    names = ("state", "prepared", "bright")
+    names = ("state", "prepared", "pattern")
     for _ in range(max_attempts - 1):
-        retry = chunk.bright[1].copy()
+        retry = (chunk.pattern & 2).astype(bool)
         attempts[retry] += 1
         trial = dataclasses.replace(chunk, **{n: getattr(chunk, n).copy() for n in names})
         for op in ops[compiled.retry_at : compiled.prep_end + 1]:
@@ -339,7 +340,7 @@ def _reference_rus(model, encoding, prepare, shots, seed, max_attempts):
             getattr(chunk, n)[..., retry] = getattr(trial, n)[..., retry]
     for op in ops[compiled.prep_end + 1 :]:
         engine._apply_op(chunk, compiled, op)
-    return _outcome_keys(chunk.prepared, attempts, chunk.bright)
+    return _outcome_keys(chunk.prepared, attempts, chunk.pattern)
 
 
 @pytest.mark.parametrize("encoding, prepare, strict", [
@@ -357,7 +358,7 @@ def test_compacted_retries_match_full_width_reference(model, encoding, prepare, 
     res = sp.run_experiment(cfg, workers=2, collect_histograms=False, keep_records=True)
     cols = res.records[prepare.value]
     assert cols["attempts"].max() == max_attempts
-    got = _outcome_keys(cols["prepared"], cols["attempts"], cols["bright"])
+    got = _outcome_keys(cols["prepared"], cols["attempts"], cols["pattern"])
     want = _reference_rus(noisy, encoding, prepare, shots, 42, max_attempts)
 
     size = 4 * 8 * 64
@@ -416,8 +417,9 @@ _FAIL_STAGE = {"R0Dark": 1, "R1Bright": 2, "R2Bright": 3, "R3R4Dark": 4, "R4Dark
 def test_tallies_match_per_shot_recount(model, strict, encoding, both, first,
                                         mode, max_attempts):
     # Every BatchTally count, recounted shot by shot from the records with the
-    # scalar flag rules.  A dimmer bright level makes every flag reason common,
-    # the strict-only R4Dark included.
+    # scalar flag rules, which the chunk runner's flag table must match.  A
+    # dimmer bright level makes every flag reason common, the strict-only
+    # R4Dark included.
     noisy = dataclasses.replace(
         model,
         pump=dataclasses.replace(model.pump, error_rate=0.2),
@@ -433,13 +435,15 @@ def test_tallies_match_per_shot_recount(model, strict, encoding, both, first,
         kept, wrong = [0] * 6, [0] * 6
         reasons = dict.fromkeys((r.value for r in sp.FlagReason), 0)
         accepted = {0: 0, 1: 0}
-        for index, (prepared, outcomes) in enumerate(zip(cols["prepared"].tolist(),
-                                                         cols["bright"].T.tolist())):
+        codes, _, readouts = engine._FLAG_TABLES[strict].take(cols["pattern"], axis=1)
+        for index, (prepared, pattern) in enumerate(zip(cols["prepared"].tolist(),
+                                                        cols["pattern"].tolist())):
+            outcomes = [pattern >> i & 1 for i in range(6)]
             flagged, reason, inferred = sp.evaluate_flags(outcomes, strict=strict)
-            assert engine._REASON_CODES[cols["reason"][index]] is reason
-            assert bool(cols["flagged"][index]) == flagged
+            assert engine._REASON_CODES[codes[index]] is reason
+            assert bool(codes[index] != 0) == flagged
             readout = 0 if outcomes[3] else 1
-            assert int(cols["inferred"][index]) == readout
+            assert int(readouts[index]) == readout
             stage = _FAIL_STAGE[reason.value]
             reasons[reason.value] += 1
             for k in range(stage):
@@ -492,6 +496,27 @@ def _short_lived(model):
                                loss_probability_per_shot=0.01)
 
 
+def _record_columns(records, strict):
+    """The record columns as the pins hashed them, rebuilt from each pattern.
+
+    Records once held ``bright`` (bool, 6 x shots), ``flagged`` (bool),
+    ``reason`` (uint8 index into ``FlagReason``) and ``inferred`` (int8
+    readout, 0 iff R3 bright) beside ``prepared`` and ``attempts``; each is
+    derived here from the scalar flag rules.
+    """
+    bits = [[pattern >> i & 1 for i in range(6)] for pattern in range(64)]
+    reasons = [sp.evaluate_flags(b, strict)[1] for b in bits]
+    table = {
+        "bright": np.array(bits, dtype=bool).T,
+        "flagged": np.array([r is not sp.FlagReason.NONE for r in reasons]),
+        "reason": np.array([list(sp.FlagReason).index(r) for r in reasons], dtype=np.uint8),
+        "inferred": np.array([1 - b[3] for b in bits], dtype=np.int8),
+    }
+    pattern = records["pattern"]
+    columns = {key: column.take(pattern, axis=-1) for key, column in table.items()}
+    return {"prepared": records["prepared"], "attempts": records["attempts"], **columns}
+
+
 def _result_digest(result):
     """sha256 over the summary, both histogram sets and every record column."""
     digest = hashlib.sha256(json.dumps(sp.spam_summary(result), sort_keys=True).encode())
@@ -500,7 +525,8 @@ def _result_digest(result):
             hist = block[name]
             digest.update(repr((name, hist.label, hist.bin_lows, hist.frequencies)).encode())
     for name in sorted(result.records):
-        for key, column in sorted(result.records[name].items()):
+        columns = _record_columns(result.records[name], result.config.strict_flags)
+        for key, column in sorted(columns.items()):
             digest.update(f"{name}/{key}/{column.dtype.str}/{column.shape}".encode())
             digest.update(np.ascontiguousarray(column).tobytes())
     return digest.hexdigest()
@@ -698,6 +724,36 @@ def test_present_labels_hold_every_shot(model, name, monkeypatch):
     first = [(channel, drew) for chunk, channel, drew in runs
              if chunk is whole and channel in decays]
     assert len(decays) == len(first) == 4 and not any(drew for _, drew in first)
+
+
+def test_retry_rounds_draw_only_for_channels_a_retried_shot_can_fail(model, monkeypatch):
+    # Each retry sub-chunk holds the labels of its own shots only, so a
+    # channel that sends none of them apart skips its draw.
+    subs, retry_draws = [], []  # retry_draws: (drew, could fail a shot)
+    take, apply_channel = engine._ChunkState.take, engine._apply_channel
+
+    def taken(chunk, idx):
+        subs.append(take(chunk, idx))
+        return subs[-1]
+
+    def checked(chunk, channel):
+        drawn, can_fail = chunk.rng.drawn, bool(channel.split.take(chunk.state).any())
+        failed = apply_channel(chunk, channel)
+        if any(chunk is sub for sub in subs):
+            retry_draws.append((chunk.rng.drawn > drawn, can_fail))
+        return failed
+
+    monkeypatch.setattr(engine._ChunkState, "take", taken)
+    monkeypatch.setattr(engine, "_apply_channel", checked)
+    monkeypatch.setattr(engine.np.random, "default_rng",
+                        lambda seed_seq: _CountingGenerator(_CountingPCG64(seed_seq)))
+    cfg = sp.ExperimentConfig(model=model, encoding="O", shots=2 * engine.CHUNK_SHOTS,
+                              seed=1, mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=3)
+    sp.run_experiment(cfg, workers=1, collect_histograms=False)
+    assert subs and any(drew for drew, _ in retry_draws)
+    assert all(can_fail for drew, can_fail in retry_draws if drew)
+    # Some channels of the retry ops skip because no retried shot can fail them.
+    assert any(not can_fail for _, can_fail in retry_draws)
 
 
 @pytest.mark.parametrize("name", sorted(_FLAG_SEQUENCES))

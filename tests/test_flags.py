@@ -50,16 +50,21 @@ def test_truth_table_all_64_patterns(strict):
         assert inferred == want_inferred, pattern
 
 
-def table_lookup(bright, strict):
-    """The chunk runner's flags: each packed R0..R5 pattern looked up in its table."""
-    codes, _, inferred = engine._FLAG_TABLES[strict].take(engine._patterns(bright), axis=1)
+def packed(outcomes):
+    """The R0..R5 pattern byte the chunk runner keeps (bit i = Ri)."""
+    return sum(int(bright) << i for i, bright in enumerate(outcomes))
+
+
+def table_lookup(patterns, strict):
+    """The chunk runner's flags: each R0..R5 pattern looked up in its table."""
+    codes, _, inferred = engine._FLAG_TABLES[strict].take(patterns, axis=1)
     return codes != 0, codes, inferred
 
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_vectorized_flags_match_scalar(strict):
-    bright = np.array(ALL_PATTERNS, dtype=bool).T  # shape (6, 64)
-    flagged, codes, inferred = table_lookup(bright, strict)
+    patterns = np.array([packed(p) for p in ALL_PATTERNS], dtype=np.uint8)
+    flagged, codes, inferred = table_lookup(patterns, strict)
     reasons = list(sp.FlagReason)
     for i, pattern in enumerate(ALL_PATTERNS):
         want_flagged, want_reason, want_inferred = oracle(pattern, strict)
@@ -110,8 +115,8 @@ def test_outcome_length_is_checked():
 @given(st.integers(0, 63), st.booleans())
 def test_scalar_vector_agreement_property(index, strict):
     pattern = ALL_PATTERNS[index]
-    column = np.array(pattern, dtype=bool).reshape(6, 1)
-    flagged, codes, inferred = table_lookup(column, strict)
+    flagged, codes, inferred = table_lookup(np.array([packed(pattern)], dtype=np.uint8),
+                                            strict)
     s_flagged, s_reason, s_inferred = sp.evaluate_flags(pattern, strict=strict)
     assert bool(flagged[0]) == s_flagged
     assert list(sp.FlagReason)[codes[0]] is s_reason

@@ -5,9 +5,12 @@ and ``optical_error_rates``, on first call.  jsonschema is imported when a
 document is validated: a configuration read by ``load_error_model`` or
 ``model_from_config`` (``--config``), and every JSON file the CLI writes.
 Loading either at start-up made up most of a cold ``import spamsim`` plus
-``default_model()``, which every CLI command pays.  Each case runs in a fresh
-interpreter with this run's ``sys.path``, because this test process has both
-loaded already.
+``default_model()``, which every CLI command pays.  For the same reason
+``fractions`` (which loads ``decimal``) is imported only by the exact
+propagator, and ``concurrent.futures`` (which loads ``logging``) only by a
+run with more than one worker.  Each case runs in a fresh interpreter with
+this run's ``sys.path``, because this test process has them all loaded
+already.
 """
 
 import inspect
@@ -96,6 +99,21 @@ print(json.dumps({JSONSCHEMA_MODULES}))
 
 def test_default_model_paths_load_no_jsonschema():
     assert _fresh(MODEL_PATHS) == []
+
+
+DEFERRED_STDLIB = ("fractions", "decimal", "concurrent.futures", "logging")
+
+COLD_START = f"""
+import json, sys
+import spamsim
+
+spamsim.default_model()
+print(json.dumps([name for name in {DEFERRED_STDLIB!r} if name in sys.modules]))
+"""
+
+
+def test_cold_start_loads_no_deferred_stdlib_module():
+    assert _fresh(COLD_START) == []
 
 
 LOAD_CONFIG = f"""
