@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -81,39 +83,44 @@ def _resolve_seed(value: int | None) -> int:
 def _load_model(args):
     if args.paper_defaults and args.config is not None:
         raise ConfigError("--config and --paper-defaults are mutually exclusive")
-    if args.config is not None:
-        return load_error_model(args.config), args.config
-    return default_model(), None
+    return default_model() if args.config is None else load_error_model(args.config)
 
 
-def _write_json(path: str, document: dict, schema_name: str) -> None:
-    validate_document(document, schema_name)
+def _write_json(directory: str, name: str, document: dict) -> str:
+    """Validate ``document`` against ``<name>.schema.json``; write ``<name>.json``.
+
+    The file is standard JSON: a non-finite float raises ``ValueError``
+    before the file is opened.  Returns the path written.
+    """
+    validate_document(document, f"{name}.schema.json")
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    path = os.path.join(directory, f"{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        handle.write(text)
+    return path
 
 
-def _write_manifest(
-    directory: str,
-    command: str,
-    argv: list[str],
-    seed: int | None,
-    config_path: str | None,
-    outputs: list[str],
-    started: float,
-) -> str:
-    manifest = {
-        "command": command,
+def _write_manifest(args, argv: list[str], outputs: list[str], seed: int | None) -> None:
+    """Write ``manifest.json`` into ``args.out``, listing ``outputs``."""
+    _write_json(args.out, "manifest", {
+        "command": args.command,
         "version": __version__,
         "seed": seed,
-        "config_path": config_path,
+        "config_path": getattr(args, "config", None),
         "arguments": list(argv),
         # Keep the manifest relocatable: record paths relative to it.
-        "outputs": sorted(os.path.relpath(path, directory) for path in outputs),
-        "duration_seconds": time.monotonic() - started,
-    }
-    path = os.path.join(directory, "manifest.json")
-    _write_json(path, manifest, "manifest.schema.json")
-    return path
+        "outputs": sorted(os.path.relpath(path, args.out) for path in outputs),
+        "duration_seconds": time.monotonic() - args.started,
+    })
+
+
+def _write_if_out(args, argv: list[str], name: str, document: dict) -> None:
+    """With ``--out`` set, write ``document`` as ``<name>.json`` plus its manifest."""
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+        path = _write_json(args.out, name, document)
+        _write_manifest(args, argv, [path], None)
+        print(f"wrote {path}")
 
 
 # =========================================================================
@@ -171,10 +178,9 @@ def _write_records(directory: str, records: dict, strict: bool) -> list[str]:
 
 
 def cmd_run_spam(args, argv: list[str]) -> int:
-    started = time.monotonic()
     # A bad quantile fails before any shot runs or --out is made.
     check_z(args.z)
-    model, config_path = _load_model(args)
+    model = _load_model(args)
     seed = _resolve_seed(args.seed)
     max_attempts = args.max_attempts
     if max_attempts is None:
@@ -195,10 +201,8 @@ def cmd_run_spam(args, argv: list[str]) -> int:
     summary = spam_summary(result, z=args.z)
 
     os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    summary_path = os.path.join(args.out, "summary.json")
-    _write_json(summary_path, summary, "summary.schema.json")
-    outputs.append(summary_path)
+    summary_path = _write_json(args.out, "summary", summary)
+    outputs = [summary_path]
     for label, histogram in result.histograms.items():
         path = os.path.join(args.out, f"histogram_{label}.csv")
         write_histogram_csv(histogram, path)
@@ -209,9 +213,7 @@ def cmd_run_spam(args, argv: list[str]) -> int:
         outputs.append(path)
     if args.records:
         outputs += _write_records(args.out, result.records, args.strict_flags)
-    outputs.append(
-        _write_manifest(args.out, "run-spam", argv, seed, config_path, outputs, started)
-    )
+    _write_manifest(args, argv, outputs, seed)
 
     for name, block in summary["states"].items():
         line = (
@@ -239,9 +241,8 @@ def cmd_run_spam(args, argv: list[str]) -> int:
 # =========================================================================
 
 def cmd_calibrate_threshold(args, argv: list[str]) -> int:
-    started = time.monotonic()
-    hist_a = read_histogram_csv(args.histogram_a, label="a")
-    hist_b = read_histogram_csv(args.histogram_b, label="b")
+    hist_a, hist_b = (read_histogram_csv(path, label=path)
+                      for path in (args.histogram_a, args.histogram_b))
     calibration = calibrate_threshold(hist_a, hist_b, method=args.method)
     document = {
         "threshold": calibration.threshold,
@@ -250,12 +251,7 @@ def cmd_calibrate_threshold(args, argv: list[str]) -> int:
         "dark_fit": {"mean": calibration.dark_fit[0], "sigma": calibration.dark_fit[1]},
         "bright_fit": {"mean": calibration.bright_fit[0], "sigma": calibration.bright_fit[1]},
     }
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "calibration.json")
-        _write_json(path, document, "calibration.schema.json")
-        _write_manifest(args.out, "calibrate-threshold", argv, None, None, [path], started)
-        print(f"wrote {path}")
+    _write_if_out(args, argv, "calibration", document)
     print(
         f"threshold {calibration.threshold} (crossing {_fmt(calibration.crossing)}, "
         f"dark {_fmt(calibration.dark_fit[0])} +/- {_fmt(calibration.dark_fit[1])}, "
@@ -269,8 +265,7 @@ def cmd_calibrate_threshold(args, argv: list[str]) -> int:
 # =========================================================================
 
 def cmd_predict_rejection(args, argv: list[str]) -> int:
-    started = time.monotonic()
-    model, config_path = _load_model(args)
+    model = _load_model(args)
     encodings = _ENCODINGS if args.encoding == "all" else (args.encoding,)
     rows = []
     for encoding in encodings:
@@ -288,13 +283,7 @@ def cmd_predict_rejection(args, argv: list[str]) -> int:
                     "first_order": first_order_rate(contributions),
                     "exact": exact,
                     "contributions": [
-                        {
-                            "step_index": c.step_index,
-                            "description": c.description,
-                            "probability": c.probability,
-                            "raises_flag": c.raises_flag,
-                            "flag_reason": c.flag_reason.value,
-                        }
+                        {**dataclasses.asdict(c), "flag_reason": c.flag_reason.value}
                         for c in contributions
                     ],
                 }
@@ -304,12 +293,7 @@ def cmd_predict_rejection(args, argv: list[str]) -> int:
             f"{row['encoding']} {row['prepared']:<5} "
             f"first-order {_fmt(row['first_order'])} exact {_fmt(row['exact'])}"
         )
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "rejection.json")
-        _write_json(path, {"rows": rows}, "rejection.schema.json")
-        _write_manifest(args.out, "predict-rejection", argv, None, config_path, [path], started)
-        print(f"wrote {path}")
+    _write_if_out(args, argv, "rejection", {"rows": rows})
     return EXIT_OK
 
 
@@ -328,8 +312,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_bias_scan(args, argv: list[str]) -> int:
-    started = time.monotonic()
-    model, config_path = _load_model(args)
+    model = _load_model(args)
     seed = _resolve_seed(args.seed)
     grid = _parse_grid(args.t_grid)
     families = (
@@ -360,7 +343,7 @@ def cmd_bias_scan(args, argv: list[str]) -> int:
                 f"{family.name} t/t_pi {_fmt(p.ratio)}: measured {_fmt(p.measured)} "
                 f"predicted {_fmt(p.predicted)} (se {_fmt(p.std_error)})"
             )
-    _write_manifest(args.out, "bias-scan", argv, seed, config_path, outputs, started)
+    _write_manifest(args, argv, outputs, seed)
     return EXIT_OK
 
 
@@ -390,26 +373,20 @@ def _read_decay_samples(path: str) -> list[tuple]:
 
 
 def cmd_lifetime_fit(args, argv: list[str]) -> int:
-    started = time.monotonic()
     samples = _read_decay_samples(args.samples)
     fit = fit_lifetime(samples)
     print(
         f"lifetime {_fmt(fit.lifetime)} s, std error {_fmt(fit.std_error)} s, "
         f"2-sigma interval [{_fmt(fit.interval[0])}, {_fmt(fit.interval[1])}]"
     )
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "lifetime.json")
-        document = {
-            "lifetime": fit.lifetime,
-            "std_error": fit.std_error,
-            "interval": [fit.interval[0], fit.interval[1]],
-            "delays": list(fit.delays),
-            "fractions": list(fit.fractions),
-        }
-        _write_json(path, document, "lifetime.schema.json")
-        _write_manifest(args.out, "lifetime-fit", argv, None, None, [path], started)
-        print(f"wrote {path}")
+    # An infinite standard error (a singular fit covariance) is written as null.
+    _write_if_out(args, argv, "lifetime", {
+        "lifetime": fit.lifetime,
+        "std_error": fit.std_error if math.isfinite(fit.std_error) else None,
+        "interval": [bound if math.isfinite(bound) else None for bound in fit.interval],
+        "delays": list(fit.delays),
+        "fractions": list(fit.fractions),
+    })
     return EXIT_OK
 
 
@@ -498,6 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.monotonic()
     try:
         return args.func(args, list(argv))
     except ThresholdSeparationError as exc:

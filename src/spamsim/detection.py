@@ -200,6 +200,9 @@ def equal_density_crossing(
         sigma_low, sigma_high = sigma_high, sigma_low
     if sigma_low <= 0 and sigma_high <= 0:
         return 0.5 * (mu_low + mu_high)
+    if sigma_high <= 0:
+        raise ThresholdSeparationError(f"the bright fit at mean {mu_high:.2f} has zero "
+                                       "width, so the densities do not cross between the means")
     a = sigma_high**2 - sigma_low**2
     b = -2.0 * (sigma_high**2 * mu_low - sigma_low**2 * mu_high)
     c = (
@@ -225,6 +228,9 @@ def _fit_gaussian(hist: CountHistogram, method: str) -> tuple[float, float]:
         return mean, std
     if method != "least-squares":
         raise ValueError(f"unknown calibration method {method!r}")
+    if len(hist.bin_lows) < 3:
+        raise ValueError(f"least-squares calibration needs 3 or more bins; histogram "
+                         f"{hist.label} has {len(hist.bin_lows)}")
     from scipy.optimize import curve_fit
 
     values = np.asarray(hist.bin_lows, dtype=float)
@@ -246,7 +252,8 @@ def calibrate_threshold(
     The histogram with the lower fitted mean is treated as dark, so the result
     does not depend on argument order.  Raises
     :class:`ThresholdSeparationError` when the fitted means are closer than
-    one combined standard deviation.
+    one combined standard deviation or the bright fit has zero width, and
+    ``ValueError`` when ``least-squares`` gets a histogram of under 3 bins.
     """
     fit_a = _fit_gaussian(hist_a, method)
     fit_b = _fit_gaussian(hist_b, method)

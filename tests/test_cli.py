@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -202,9 +203,56 @@ def test_invalid_summary_raises_jsonschema_error(tmp_path):
     with pytest.raises(jsonschema.ValidationError) as expected:
         jsonschema.validate(summary, load_schema("summary.schema.json"))
     with pytest.raises(jsonschema.ValidationError) as raised:
-        cli._write_json(str(tmp_path / "summary.json"), summary, "summary.schema.json")
+        cli._write_json(str(tmp_path), "summary", summary)
     assert raised.value.message == expected.value.message
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    # jsonschema takes inf as a number; the writer still writes standard JSON only.
+    document = {"lifetime": 1.0, "std_error": math.inf, "interval": [0.5, 1.5],
+                "delays": [1.0, 2.0], "fractions": [0.5, 0.75]}
+    jsonschema.validate(document, load_schema("lifetime.schema.json"))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(str(tmp_path), "lifetime", document)
+    assert not (tmp_path / "lifetime.json").exists()
+
+
+@pytest.mark.parametrize("argv, env_seed, seed, config", [
+    (["run-spam", "--shots", "300", "--seed", "5", "--records", "--config", "{model}"],
+     "7", 5, True),
+    (["run-spam", "--shots", "300", "--prepare", "superposition"], "7", 7, False),
+    (["run-spam", "--shots", "300", "--prepare", "one"], None, 0, False),
+    (["bias-scan", "--t-grid", "1.0", "--shots", "300", "--config", "{model}"], "8", 8, True),
+    (["bias-scan", "--family", "metastable-zero", "--t-grid", "0.9,1.0", "--shots", "300",
+      "--seed", "2"], "8", 2, False),
+    (["calibrate-threshold", "{dark}", "{bright}"], "7", None, False),
+    (["predict-rejection", "--encoding", "G", "--config", "{model}"], "7", None, True),
+    (["lifetime-fit", "{decay}"], "7", None, False),
+], ids=["run-spam-flag", "run-spam-env", "run-spam-default", "bias-scan-env", "bias-scan-flag",
+        "calibrate-threshold", "predict-rejection", "lifetime-fit"])
+def test_manifest_lists_outputs_seed_and_config(tmp_path, model, monkeypatch, argv, env_seed,
+                                                seed, config):
+    files = {"model": tmp_path / "model.json", "dark": tmp_path / "dark.csv",
+             "bright": tmp_path / "bright.csv", "decay": tmp_path / "decay.csv"}
+    sp.save_error_model(model, str(files["model"]))
+    write_count_histogram(files["dark"], 0.0, model, seed=1, n=500)
+    write_count_histogram(files["bright"], 1.0, model, seed=2, n=500)
+    files["decay"].write_text("delay_s,decayed,trials\n5,167,1000\n10,308,1000\n")
+    out = tmp_path / "out"
+    argv = [arg.format(**files) for arg in argv] + ["--out", str(out)]
+    if env_seed is None:
+        monkeypatch.delenv("SPAMSIM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SPAMSIM_SEED", env_seed)
+    assert cli.main(argv) == 0
+    manifest = validate(out / "manifest.json", "manifest.schema.json")
+    assert manifest["outputs"] == sorted(str(path.relative_to(out)) for path in out.rglob("*")
+                                         if path.name != "manifest.json")
+    assert manifest["command"] == argv[0]
+    assert manifest["arguments"] == argv
+    assert manifest["seed"] == seed
+    assert manifest["config_path"] == (str(files["model"]) if config else None)
 
 
 def test_run_spam_rus_mode(tmp_path):
@@ -371,6 +419,29 @@ def test_calibrate_threshold_rejects_malformed_histogram(tmp_path, model, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method, bright_rows, code, message", [
+    pytest.param("least-squares", "30,10\n31,12\n", 2,
+                 "least-squares calibration needs 3 or more bins; histogram {bright} has 2",
+                 id="least-squares-two-bins"),
+    pytest.param("moments", "30,10\n", 4, "the bright fit at mean 30.00 has zero width",
+                 id="moments-one-bin"),
+])
+@pytest.mark.parametrize("order", [1, -1], ids=["dark-first", "bright-first"])
+def test_calibrate_threshold_rejects_unfittable_histograms(tmp_path, capsys, method,
+                                                           bright_rows, code, message, order):
+    dark = tmp_path / "dark.csv"
+    dark.write_text("bin_low,frequency\n0,50\n1,30\n2,10\n3,5\n")
+    bright = tmp_path / "bright.csv"
+    bright.write_text("bin_low,frequency\n" + bright_rows)
+    out = tmp_path / "cal"
+    histograms = [str(dark), str(bright)][::order]
+    assert cli.main(["calibrate-threshold", "--method", method, *histograms,
+                     "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(bright=bright)), err
+    assert not out.exists()
+
+
 def test_predict_rejection_all_encodings(tmp_path, model):
     out = tmp_path / "rej"
     code = cli.main(["predict-rejection", "--encoding", "all", "--out", str(out)])
@@ -477,6 +548,24 @@ def test_lifetime_fit_command(tmp_path):
         assert code == 0
         document = validate(out / "lifetime.json", "lifetime.schema.json")
         assert abs(document["lifetime"] - 27.2) < 5.0 * document["std_error"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_lifetime_fit_writes_null_for_an_infinite_error(tmp_path, capsys):
+    # Delays 600 decades apart leave the fit covariance without a finite error.
+    csv = tmp_path / "decay.csv"
+    csv.write_text("delay_s,decayed,trials\n1e-300,999,1000\n1e300,1,1000\n")
+    out = tmp_path / "fit"
+    assert cli.main(["lifetime-fit", str(csv), "--out", str(out)]) == 0
+    assert "std error inf s, 2-sigma interval [-inf, inf]" in capsys.readouterr().out
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not standard JSON")
+
+    document = json.loads((out / "lifetime.json").read_text(), parse_constant=reject)
+    jsonschema.validate(document, load_schema("lifetime.schema.json"))
+    assert document["std_error"] is None
+    assert document["interval"] == [None, None]
 
 
 def test_lifetime_fit_rejects_unusable_input(tmp_path):
