@@ -11,9 +11,6 @@ states: one forward propagation of exact probability over (state label x
 R0..R5 pattern) gives the exact rejected fraction, and one walk of the ideal
 path, which forks a point at each channel that can fail there, classifies
 each first-order contribution.
-
-scipy is imported inside :func:`fit_lifetime`, its one user here, so
-loading this module (and with it ``spamsim``) does not load scipy.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .channels import DecayChannel, ErrorModel, decay_probability, default_model
+from .detection import _gauss_newton
 from .engine import (
     _FLAG_TABLES,
     _REASON_CODES,
@@ -468,15 +466,11 @@ def sample_decay_events(
 
 def _decay_row(row: tuple) -> tuple[float, float, float]:
     """One observation as ``(delay, count, trials)``; a bad row raises ``ValueError``."""
-    if len(row) == 2:
-        delay, decayed = row
-        if decayed not in (0, 1):
-            raise ValueError(f"decay row {row!r}: decayed must be 0 or 1")
-        delay, count, trials = float(delay), float(decayed), 1.0
-    elif len(row) == 3:
-        delay, count, trials = (float(value) for value in row)
-    else:
+    if len(row) not in (2, 3):
         raise ValueError(f"decay row {row!r}: need 2 or 3 fields, got {len(row)}")
+    if len(row) == 2 and row[1] not in (0, 1):  # a per-shot row: one trial
+        raise ValueError(f"decay row {row!r}: decayed must be 0 or 1")
+    delay, count, trials = (float(value) for value in (*row, 1)[:3])
     if not (math.isfinite(delay) and delay > 0):
         raise ValueError(f"decay row {row!r}: delay must be finite and > 0")
     if not (math.isfinite(trials) and trials > 0):
@@ -493,57 +487,41 @@ def fit_lifetime(samples: Iterable[tuple]) -> LifetimeFit:
     binned rows ``(delay, decayed_count, trials)``.  Every row is checked
     before the fit: the delay and trials must be finite and > 0, and the
     count finite in [0, trials]; a bad row raises ``ValueError`` naming it.
-    The fit is weighted least squares with binomial standard errors where
-    defined; the interval is the two-sigma range from the fit covariance.
-    This is one of the three calls that import scipy, on first use.
+    The fit is Gauss-Newton least squares, weighted by binomial errors where
+    every bin has one; the interval is the two-sigma range from the fit
+    covariance.  A fit with no finite lifetime and error raises ``ValueError``.
     """
-    bins: dict[float, list[float]] = {}
-    for delay, count, trials in [_decay_row(row) for row in samples]:
-        entry = bins.setdefault(delay, [0.0, 0.0])
-        entry[0] += count
-        entry[1] += trials
-
-    if len(bins) < 2:
+    rows = np.array([_decay_row(row) for row in samples]).reshape(-1, 3)
+    delays, bins = np.unique(rows[:, 0], return_inverse=True)
+    if delays.size < 2:
         raise ValueError("need observations at two or more distinct delays")
-    delays = np.array(sorted(bins))
-    counts = np.array([bins[t][0] for t in delays])
-    trials = np.array([bins[t][1] for t in delays])
+    counts, trials = (np.bincount(bins, weights=rows[:, column]) for column in (1, 2))
     fractions = counts / trials
     if counts.sum() == 0 or (counts == trials).all():
         raise ValueError("lifetime is unidentifiable when no shot or every shot decayed")
 
     sigma = np.sqrt(fractions * (1.0 - fractions) / trials)
-    use_sigma = sigma if (sigma > 0).all() else None
+    weighted = bool((sigma > 0).all())  # else unit weights, covariance scaled by the residuals
+    root_weights = 1.0 / sigma if weighted else np.ones_like(sigma)
 
-    # Seed from the first bin with an interior fraction; exact for clean data.
+    def decayed(params):  # weighted residuals of 1 - exp(-t / tau), and their Jacobian
+        slope = -root_weights * np.exp(-delays / params[0]) * delays / params[0] ** 2
+        return root_weights * (-np.expm1(-delays / params[0]) - fractions), slope[:, None]
+
+    # Seed from the median of the interior bins' inversions; exact for clean data.
     interior = (fractions > 0) & (fractions < 1)
     guesses = -delays[interior] / np.log1p(-fractions[interior])
-    initial = float(np.median(guesses)) if guesses.size else float(delays.mean())
-
-    from scipy.optimize import curve_fit
-
-    def decayed_fraction(t, tau):
-        return -np.expm1(-t / tau)
-
-    popt, pcov = curve_fit(
-        decayed_fraction,
-        delays,
-        fractions,
-        p0=[initial],
-        sigma=use_sigma,
-        absolute_sigma=use_sigma is not None,
-        maxfev=10_000,
-    )
-    lifetime = float(popt[0])
-    variance = float(pcov[0][0])
-    std_error = math.sqrt(variance) if math.isfinite(variance) and variance >= 0 else math.inf
-    return LifetimeFit(
-        lifetime=lifetime,
-        std_error=std_error,
-        interval=(lifetime - 2.0 * std_error, lifetime + 2.0 * std_error),
-        delays=tuple(float(t) for t in delays),
-        fractions=tuple(float(f) for f in fractions),
-    )
+    initial = np.median(guesses) if guesses.size else delays.mean()
+    fit = _gauss_newton(decayed, np.array([initial]), lambda params: params)
+    with np.errstate(all="ignore"):
+        residuals, jacobian = decayed(fit)
+        scale = 1.0 if weighted else np.sum(residuals**2) / (delays.size - 1)
+        lifetime, std_error = float(fit[0]), math.sqrt(scale / np.sum(jacobian**2))
+    interval = (lifetime - 2.0 * std_error, lifetime + 2.0 * std_error)
+    if not (lifetime > 0 and all(map(math.isfinite, (lifetime, std_error, *interval)))):
+        raise ValueError("lifetime is unidentifiable from these rows: no finite fit and error")
+    return LifetimeFit(lifetime, std_error, interval, tuple(delays.tolist()),
+                       tuple(fractions.tolist()))
 
 
 # =========================================================================

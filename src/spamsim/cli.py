@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -87,13 +87,13 @@ def _load_model(args):
 
 
 def _write_json(directory: str, name: str, document: dict) -> str:
-    """Validate ``document`` against ``<name>.schema.json``; write ``<name>.json``.
+    """Write ``document`` as ``<name>.json`` once its text matches ``<name>.schema.json``.
 
     The file is standard JSON: a non-finite float raises ``ValueError``
     before the file is opened.  Returns the path written.
     """
-    validate_document(document, f"{name}.schema.json")
     text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    validate_document(json.loads(text), f"{name}.schema.json")
     path = os.path.join(directory, f"{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -352,8 +352,6 @@ def cmd_bias_scan(args, argv: list[str]) -> int:
 # =========================================================================
 
 def _read_decay_samples(path: str) -> list[tuple]:
-    import csv
-
     rows: list[tuple] = []
     header = True  # only the first non-blank row may be a header
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -379,14 +377,7 @@ def cmd_lifetime_fit(args, argv: list[str]) -> int:
         f"lifetime {_fmt(fit.lifetime)} s, std error {_fmt(fit.std_error)} s, "
         f"2-sigma interval [{_fmt(fit.interval[0])}, {_fmt(fit.interval[1])}]"
     )
-    # An infinite standard error (a singular fit covariance) is written as null.
-    _write_if_out(args, argv, "lifetime", {
-        "lifetime": fit.lifetime,
-        "std_error": fit.std_error if math.isfinite(fit.std_error) else None,
-        "interval": [bound if math.isfinite(bound) else None for bound in fit.interval],
-        "delays": list(fit.delays),
-        "fractions": list(fit.fractions),
-    })
+    _write_if_out(args, argv, "lifetime", dataclasses.asdict(fit))
     return EXIT_OK
 
 

@@ -8,9 +8,9 @@ to be subtracted upstream, so the configured means are net counts and sampled
 values may come out negative.  A state is called bright when its counts
 strictly exceed the threshold; ties count as dark.
 
-The count model is stated once: :func:`mean_counts` gives the Poisson mean
-and :func:`draw_counts` the counts around it.  :func:`sample_counts` chains
-the two, and the engine's detect op calls the same two helpers.
+The count model is stated once: :func:`mean_counts` gives the Poisson mean,
+:func:`draw_counts` the counts around it and :func:`count_pmf` their law;
+:func:`sample_counts` and the engine's detect op call the first two.
 """
 
 from __future__ import annotations
@@ -222,6 +222,27 @@ def equal_density_crossing(
     return inside[0]
 
 
+def _gauss_newton(model, params: np.ndarray, scale) -> np.ndarray:
+    """Least squares of ``model(p) = (residuals, jacobian)`` by Gauss-Newton from ``params``.
+
+    A step that raises the squared sum beyond rounding is halved.  The fit has
+    converged when each step is under 1e-10 of ``scale(p)``; it is nan after 100
+    steps or at a Jacobian that is not finite or has lost rank.
+    """
+    with np.errstate(all="ignore"):  # an overflow is inf or nan, not an error
+        for _ in range(100):
+            residuals, jacobian = model(params)
+            if not np.isfinite(jacobian).all() or np.linalg.matrix_rank(jacobian) < params.size:
+                break
+            step = np.linalg.lstsq(jacobian, -residuals, rcond=None)[0]
+            if (np.abs(step) <= 1e-10 * np.abs(scale(params))).all():
+                return params
+            while np.sum(model(params + step)[0] ** 2) > np.sum(residuals**2) * (1 + 1e-12):
+                step /= 2
+            params = params + step
+    return np.full_like(params, np.nan)
+
+
 def _fit_gaussian(hist: CountHistogram, method: str) -> tuple[float, float]:
     mean, std = hist.moments()
     if method == "moments":
@@ -231,17 +252,23 @@ def _fit_gaussian(hist: CountHistogram, method: str) -> tuple[float, float]:
     if len(hist.bin_lows) < 3:
         raise ValueError(f"least-squares calibration needs 3 or more bins; histogram "
                          f"{hist.label} has {len(hist.bin_lows)}")
-    from scipy.optimize import curve_fit
-
     values = np.asarray(hist.bin_lows, dtype=float)
     freqs = np.asarray(hist.frequencies, dtype=float)
 
-    def gaussian(x, amplitude, mu, sigma):
-        return amplitude * np.exp(-0.5 * ((x - mu) / sigma) ** 2)
+    def gaussian(params):  # amplitude * exp(-z^2 / 2) - freqs, and its Jacobian
+        amplitude, mu, sigma = params
+        z = (values - mu) / sigma
+        shape = np.exp(-0.5 * z * z)
+        slope = amplitude * shape * z / sigma
+        return amplitude * shape - freqs, np.column_stack([shape, slope, slope * z])
 
-    p0 = (float(freqs.max()), mean, max(std, 0.5))
-    params, _ = curve_fit(gaussian, values, freqs, p0=p0, maxfev=20000)
-    return float(params[1]), abs(float(params[2]))
+    # From the moments; mu's steps are measured against the width.
+    fit = _gauss_newton(gaussian, np.array([freqs.max(), mean, max(std, 0.5)]),
+                        lambda params: params[[0, 2, 2]])
+    if not np.isfinite(fit).all():
+        raise ThresholdSeparationError(
+            f"the least-squares fit of histogram {hist.label} does not converge")
+    return float(fit[1]), abs(float(fit[2]))
 
 
 def calibrate_threshold(
@@ -252,8 +279,9 @@ def calibrate_threshold(
     The histogram with the lower fitted mean is treated as dark, so the result
     does not depend on argument order.  Raises
     :class:`ThresholdSeparationError` when the fitted means are closer than
-    one combined standard deviation or the bright fit has zero width, and
-    ``ValueError`` when ``least-squares`` gets a histogram of under 3 bins.
+    one combined standard deviation, the bright fit has zero width or a
+    least-squares fit does not converge, and ``ValueError`` when
+    ``least-squares`` gets a histogram of under 3 bins.
     """
     fit_a = _fit_gaussian(hist_a, method)
     fit_b = _fit_gaussian(hist_b, method)
@@ -294,28 +322,30 @@ def optimal_threshold(
 # Exact misclassification rates of the count model
 # =========================================================================
 
+def count_pmf(mean: float, model: DetectionModel) -> tuple[int, np.ndarray]:
+    """The law of a window's counts at Poisson mean ``mean``, as ``(lowest, pmf)``.
+
+    ``pmf[i]`` is the probability of ``lowest + i`` counts.  As round(k + g) =
+    k + round(g) for an integer k, the law is the Poisson pmf convolved with
+    that of the rounded read noise g, so ``lowest`` depends on g alone.
+    """
+    ks = np.arange(int(mean + 14.0 * math.sqrt(mean + 1.0)) + 11 if mean > 0 else 1)
+    poisson = np.exp(ks * math.log(mean or 1.0) - mean - np.vectorize(math.lgamma)(ks + 1.0))
+    sigma = model.read_noise_sigma
+    # tails[j] = P(g > j + 1/2), each from its small side (0 without noise).
+    tails = np.array([0.5 * math.erfc((j + 0.5) / (sigma * math.sqrt(2.0))) if sigma else 0.0
+                      for j in range(math.ceil(14.0 * sigma) + 1)])
+    wing = tails[:-1] - tails[1:]  # P(round(g) = j) = P(round(g) = -j) for j >= 1
+    return -wing.size, np.convolve(poisson, np.concatenate([wing[::-1], [1 - 2 * tails[0]], wing]))
+
+
 def optical_error_rates(model: DetectionModel) -> tuple[float, float]:
     """Exact per-window misread probabilities ``(bright_error, dark_error)``.
 
     ``bright_error`` is the probability that a fully fluorescing state reads
-    dark, ``dark_error`` that a fully dark state reads bright, both under the
-    configured Poisson-plus-read-noise counts and threshold.
+    dark, ``dark_error`` that a fully dark state reads bright: each is a sum
+    of :func:`count_pmf` over the wrong side of the threshold.
     """
-    from scipy import stats
-
-    def misread(lam: float, below: bool) -> float:
-        hi = int(lam + 14.0 * math.sqrt(lam + 1.0)) + 10
-        ks = np.arange(0, hi + 1)
-        pmf = stats.poisson.pmf(ks, lam)
-        sigma = model.read_noise_sigma
-        if sigma > 0:
-            # round(k + g) <= threshold  <=>  g < threshold + 0.5 - k
-            p_below = stats.norm.cdf((model.threshold + 0.5 - ks) / sigma)
-        else:
-            p_below = (ks <= model.threshold).astype(float)
-        total_below = float(np.sum(pmf * p_below))
-        return total_below if below else 1.0 - total_below
-
-    bright_error = misread(model.mean_bright, below=True)
-    dark_error = misread(model.mean_dark, below=False)
-    return bright_error, dark_error
+    lowest, bright = count_pmf(model.mean_bright, model)
+    split = max(model.threshold + 1 - lowest, 0)  # the index of the first count above it
+    return float(bright[:split].sum()), float(count_pmf(model.mean_dark, model)[1][split:].sum())

@@ -19,6 +19,9 @@ Frozen expectations and where they come from:
   over those combinations); the values sit below the first-order sums by at
   most the pairwise product bound sum_{i<j} p_i p_j, on the default model and
   on drawn ones.
+
+scipy is a test dependency only: ``curve_fit`` is the oracle that the
+Gauss-Newton lifetime fit is held to.
 """
 
 import dataclasses
@@ -29,6 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
 import spamsim as sp
 from spamsim.sequence import Prepare
@@ -432,6 +436,70 @@ def test_fit_lifetime_input_validation():
         sp.fit_lifetime([(5.0, 1000, 1000), (10.0, 1000, 1000)])  # everything decayed
     with pytest.raises(ValueError):
         sp.fit_lifetime([])
+    # Delays 600 decades apart leave no finite lifetime and error.
+    with pytest.raises(ValueError, match="lifetime is unidentifiable from these rows"):
+        sp.fit_lifetime(UNIDENTIFIABLE_ROWS)
+
+
+UNIDENTIFIABLE_ROWS = [(1e-300, 999, 1000), (1e300, 1, 1000)]
+
+
+def curve_fit_lifetime(samples):
+    # Independent oracle: scipy's curve_fit on the same objective from the
+    # same start, with binomial sigmas (absolute) where every bin has one.
+    delays = sorted({float(row[0]) for row in samples})
+    counts, trials = (np.array([sum(row[column] for row in samples if row[0] == t)
+                                for t in delays], dtype=float) for column in (1, 2))
+    delays = np.array(delays)
+    fractions = counts / trials
+    sigma = np.sqrt(fractions * (1.0 - fractions) / trials)
+    weighted = bool((sigma > 0).all())
+    interior = (fractions > 0) & (fractions < 1)
+    start = np.median(-delays[interior] / np.log1p(-fractions[interior]))
+    popt, pcov = curve_fit(lambda t, tau: -np.expm1(-t / tau), delays, fractions, p0=[start],
+                           sigma=sigma if weighted else None, absolute_sigma=weighted,
+                           maxfev=10_000)
+    return popt[0], math.sqrt(pcov[0][0])
+
+
+def _decay_inputs():
+    tau = 27.2
+    yield "noiseless", [(t, round(1_000_000 * -math.expm1(-t / tau)), 1_000_000)
+                        for t in (2.0, 5.0, 10.0, 20.0, 40.0)]
+    yield "monte-carlo", sp.sample_decay_events([5.0, 10.0, 20.0, 30.0], 2500, tau,
+                                                np.random.default_rng(3))
+    yield "command", sp.sample_decay_events([5.0, 10.0, 20.0, 30.0], 2000, tau,
+                                            np.random.default_rng(12))
+    yield "smoke-run", [(5, 167, 1000), (10, 308, 1000), (20, 521, 1000), (30, 668, 1000)]
+    # Unweighted, with a covariance scaled by the residuals: the first bin has
+    # no binomial error.
+    yield "unweighted", [(0.01, 0, 1000), (5, 167, 1000), (10, 308, 1000), (20, 521, 1000)]
+    # Three shots a delay: the first full Gauss-Newton step overshoots from
+    # 57 s to 4 s and raises the squared error, so the fit needs halved steps.
+    yield "few-shots", [(22.6, 1, 3), (24.0, 1, 3), (36.1, 3, 3), (40.2, 3, 3)]
+    for repetition in range(50):  # the lifetime coverage criterion's fits
+        yield f"coverage-{repetition}", sp.sample_decay_events(
+            (5.0, 10.0, 20.0, 30.0), 2500, tau, np.random.default_rng(1000 + repetition))
+
+
+def test_fit_lifetime_matches_curve_fit():
+    # curve_fit's error comes from a finite-difference Jacobian at its own
+    # stopping point, hence the looser bound on it.
+    for name, samples in _decay_inputs():
+        fit = sp.fit_lifetime(samples)
+        lifetime, std_error = curve_fit_lifetime(samples)
+        assert fit.lifetime == pytest.approx(lifetime, rel=1e-5, abs=0), name
+        assert fit.std_error == pytest.approx(std_error, rel=1e-4, abs=0), name
+
+
+def test_fit_lifetime_per_shot_rows_match_binned_rows():
+    binned = [(5.0, 3, 10), (10.0, 4, 8), (20.0, 9, 12)]
+    per_shot = [(delay, int(shot < decayed)) for delay, decayed, trials in binned
+                for shot in range(trials)]
+    np.random.default_rng(8).shuffle(per_shot)
+    fit = sp.fit_lifetime(per_shot)
+    assert fit == sp.fit_lifetime(binned)
+    assert fit.fractions == (0.3, 0.5, 0.75)
 
 
 @pytest.mark.parametrize("bad", [
@@ -446,15 +514,12 @@ def test_fit_lifetime_input_validation():
     pytest.param((1.0, math.nan), id="nan-per-shot"),
     pytest.param((1.0, 2), id="per-shot-not-0-or-1"),
 ])
-def test_fit_lifetime_rejects_bad_rows_before_fitting(monkeypatch, bad):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("the fit ran before every row was checked")
-
-    monkeypatch.setattr("scipy.optimize.curve_fit", no_fit)
-    good = [(5.0, 167, 1000), (10.0, 308, 1000), (20.0, 521, 1000)]
-    # The bad row sits last, so every row is checked before the fit.
+def test_fit_lifetime_rejects_bad_rows_before_fitting(bad):
+    # The rows before the bad one are well formed, but a fit of them alone is
+    # refused as unidentifiable; so an error that names the bad row shows that
+    # every row was checked before the fit.
     with pytest.raises(ValueError, match="decay row") as excinfo:
-        sp.fit_lifetime(good + [bad])
+        sp.fit_lifetime(UNIDENTIFIABLE_ROWS + [bad])
     assert repr(bad) in str(excinfo.value)
 
 

@@ -425,6 +425,10 @@ def test_calibrate_threshold_rejects_malformed_histogram(tmp_path, model, capsys
                  id="least-squares-two-bins"),
     pytest.param("moments", "30,10\n", 4, "the bright fit at mean 30.00 has zero width",
                  id="moments-one-bin"),
+    # A U-shaped histogram, to which no Gaussian fit converges.
+    pytest.param("least-squares", "0,10\n1,1\n2,10\n", 4,
+                 "the least-squares fit of histogram {bright} does not converge",
+                 id="least-squares-no-convergence"),
 ])
 @pytest.mark.parametrize("order", [1, -1], ids=["dark-first", "bright-first"])
 def test_calibrate_threshold_rejects_unfittable_histograms(tmp_path, capsys, method,
@@ -439,6 +443,7 @@ def test_calibrate_threshold_rejects_unfittable_histograms(tmp_path, capsys, met
                      "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(bright=bright)), err
+    assert len(err.splitlines()) == 1, err  # no warning next to the error
     assert not out.exists()
 
 
@@ -550,30 +555,20 @@ def test_lifetime_fit_command(tmp_path):
         assert abs(document["lifetime"] - 27.2) < 5.0 * document["std_error"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_lifetime_fit_writes_null_for_an_infinite_error(tmp_path, capsys):
-    # Delays 600 decades apart leave the fit covariance without a finite error.
-    csv = tmp_path / "decay.csv"
-    csv.write_text("delay_s,decayed,trials\n1e-300,999,1000\n1e300,1,1000\n")
-    out = tmp_path / "fit"
-    assert cli.main(["lifetime-fit", str(csv), "--out", str(out)]) == 0
-    assert "std error inf s, 2-sigma interval [-inf, inf]" in capsys.readouterr().out
-
-    def reject(constant):
-        raise AssertionError(f"{constant} is not standard JSON")
-
-    document = json.loads((out / "lifetime.json").read_text(), parse_constant=reject)
-    jsonschema.validate(document, load_schema("lifetime.schema.json"))
-    assert document["std_error"] is None
-    assert document["interval"] == [None, None]
-
-
-def test_lifetime_fit_rejects_unusable_input(tmp_path):
+def test_lifetime_fit_rejects_unusable_input(tmp_path, capsys):
     csv = tmp_path / "flat.csv"
     csv.write_text("delay_s,decayed,trials\n5.0,0,100\n10.0,0,100\n")
     assert cli.main(["lifetime-fit", str(csv), "--out", str(tmp_path / "x")]) == 2
     assert cli.main(["lifetime-fit", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "y")]) == 3
+    # Delays 600 decades apart leave no finite lifetime and error.
+    csv.write_text("delay_s,decayed,trials\n1e-300,999,1000\n1e300,1,1000\n")
+    capsys.readouterr()
+    assert cli.main(["lifetime-fit", str(csv), "--out", str(tmp_path / "z")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lifetime is unidentifiable from these rows")
+    assert len(err.splitlines()) == 1, err
+    assert not any((tmp_path / name).exists() for name in ("x", "y", "z"))
 
 
 @pytest.mark.parametrize("row", ["nan,10,100", "1.0,150,100", "1.0,15,100,7", "1.0"])

@@ -9,6 +9,9 @@ The frozen numbers below were derived independently of the implementation:
 * Optical misread rates for the default counting model (dark mean 100, bright
   mean 232.6364, read noise sigma 6, threshold 161) come from summing the
   Poisson pmf against the Gaussian noise tail, recomputed here from scipy.
+
+scipy is a test dependency only: it is the oracle for the count pmf, the
+misread rates and the least-squares Gaussian fit, none of which use it.
 """
 
 import csv
@@ -18,10 +21,11 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import curve_fit
 
 import spamsim as sp
 from spamsim import engine
-from spamsim.detection import draw_counts, mean_counts, sample_counts
+from spamsim.detection import count_pmf, draw_counts, mean_counts, sample_counts
 from spamsim.sequence import Prepare
 
 CROSSING_20_15_320_60 = 84.05606042004078
@@ -41,13 +45,14 @@ def quadratic_crossing(m1, s1, m2, s2):
 
 
 def misread_probability(lam, sigma, threshold, below):
-    # P(rounded Poisson+Gaussian counts land on the wrong side of threshold).
+    # P(rounded Poisson+Gaussian counts land on the wrong side of threshold),
+    # summed over that side directly: round(k + g) <= t iff g < t + 0.5 - k.
+    if sigma == 0:
+        return float((stats.poisson.cdf if below else stats.poisson.sf)(threshold, lam))
     ks = np.arange(0, int(lam + 20.0 * math.sqrt(lam) + 20))
     pmf = stats.poisson.pmf(ks, lam)
-    tail = stats.norm.cdf((threshold + 0.5 - ks) / sigma)
-    if below:
-        return float(np.sum(pmf * tail))
-    return float(np.sum(pmf * (1.0 - tail)))
+    tail = (stats.norm.cdf if below else stats.norm.sf)((threshold + 0.5 - ks) / sigma)
+    return float(np.sum(pmf * tail))
 
 
 def test_equal_density_crossing_frozen():
@@ -67,17 +72,68 @@ def test_optical_error_rates_frozen(model):
     assert dark_err == pytest.approx(DARK_MISREAD, rel=1e-5)
 
 
-def test_optical_error_rates_match_independent_sum(model):
-    det = model.detection
+def assert_misread_rates_match_independent_sum(det):
+    # abs=0: pytest's default abs of 1e-12 would pass any dark rate near 2.6e-7.
     bright_err, dark_err = sp.optical_error_rates(det)
     assert bright_err == pytest.approx(
         misread_probability(det.mean_bright, det.read_noise_sigma, det.threshold, below=True),
-        rel=1e-9,
+        rel=1e-9, abs=0,
     )
     assert dark_err == pytest.approx(
         misread_probability(det.mean_dark, det.read_noise_sigma, det.threshold, below=False),
-        rel=1e-9,
+        rel=1e-9, abs=0,
     )
+
+
+def test_optical_error_rates_match_independent_sum(model):
+    assert_misread_rates_match_independent_sum(model.detection)
+
+
+def test_optical_error_rates_without_read_noise_are_poisson_tails(model):
+    det = dataclasses.replace(model.detection, read_noise_sigma=0.0)
+    assert_misread_rates_match_independent_sum(det)
+    # Without noise the law is the Poisson pmf itself, from count 0.
+    lowest, pmf = count_pmf(det.mean_bright, det)
+    assert lowest == 0
+    np.testing.assert_allclose(pmf, stats.poisson.pmf(np.arange(pmf.size), det.mean_bright),
+                               rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("sigma", [None, 0.0, 0.3])
+@pytest.mark.parametrize("mean", [0.0, 0.01, 3.0, 100.0, 232.6364])
+def test_count_pmf_sums_to_one(model, mean, sigma):
+    det = model.detection if sigma is None else dataclasses.replace(
+        model.detection, read_noise_sigma=sigma)
+    lowest, pmf = count_pmf(mean, det)
+    assert (pmf >= 0).all()
+    assert math.fsum(pmf) == pytest.approx(1.0, rel=0, abs=1e-12)
+    # The rounded noise is symmetric, so the mean is the Poisson mean.
+    assert math.fsum((lowest + np.arange(pmf.size)) * pmf) == pytest.approx(mean, abs=1e-9)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0], ids=["dark", "bright"])
+def test_draw_counts_follow_count_pmf(model, fraction):
+    # A chi-square test of 10^5 draws against the exact law, at a fixed seed,
+    # with adjacent counts pooled until each bin expects at least 5.
+    det = model.detection
+    mean = mean_counts(np.full(100_000, fraction), det)
+    counts = draw_counts(mean, det, np.random.default_rng(2024))
+    lowest, pmf = count_pmf(mean[0], det)
+    observed = np.bincount(counts - lowest, minlength=pmf.size)
+    assert observed.size == pmf.size
+    expected = pmf * counts.size
+    edges, total = [], 0.0
+    for index, value in enumerate(expected):
+        total += value
+        if total >= 5:
+            edges.append(index + 1)
+            total = 0.0
+    edges[-1] = pmf.size  # the last bin takes the short tail
+    observed_bins = np.add.reduceat(observed, [0] + edges[:-1])
+    expected_bins = np.add.reduceat(expected, [0] + edges[:-1])
+    assert observed_bins.sum() == counts.size
+    statistic = float(np.sum((observed_bins - expected_bins) ** 2 / expected_bins))
+    assert stats.chi2.sf(statistic, len(edges) - 1) >= 1e-3
 
 
 def test_histogram_basics():
@@ -146,6 +202,49 @@ def test_calibrate_threshold_least_squares_close_to_moments():
     by_moments = sp.calibrate_threshold(dark, bright, method="moments")
     by_fit = sp.calibrate_threshold(dark, bright, method="least-squares")
     assert abs(by_fit.crossing - by_moments.crossing) < 2.0
+
+
+def curve_fit_gaussian(hist):
+    # Independent oracle: scipy's curve_fit on the same objective, from the same start.
+    mean, std = hist.moments()
+    values = np.asarray(hist.bin_lows, dtype=float)
+    freqs = np.asarray(hist.frequencies, dtype=float)
+
+    def gaussian(x, amplitude, mu, sigma):
+        return amplitude * np.exp(-0.5 * ((x - mu) / sigma) ** 2)
+
+    params, _ = curve_fit(gaussian, values, freqs, p0=(freqs.max(), mean, max(std, 0.5)),
+                          maxfev=20000)
+    return params[1], abs(params[2])
+
+
+def rounded_normals(seed, n, *shapes):
+    # Drawn as the calibration tests and criterion 8 draw their histograms.
+    rng = np.random.default_rng(seed)
+    return [np.rint(rng.normal(mu, sigma, n)).astype(int) for mu, sigma in shapes]
+
+
+def default_model_counts(model, seed, n=4000):
+    # n dark, then n bright counts of the default model, as the command tests use.
+    rng = np.random.default_rng(seed)
+    return [sample_counts(np.full(n, fraction), model.detection, rng) for fraction in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("samples", [
+    pytest.param(lambda model: rounded_normals(5, 100_000, (50.0, 8.0), (230.0, 16.0)),
+                 id="normals-100000"),
+    pytest.param(lambda model: rounded_normals(11, 200_000, (20.0, 15.0), (320.0, 60.0)),
+                 id="normals-200000"),
+    pytest.param(lambda model: rounded_normals(5, 5000, (60.0, 12.0), (140.0, 16.0)),
+                 id="mixture-5000"),
+    pytest.param(lambda model: default_model_counts(model, 12), id="count-model-4000"),
+])
+def test_least_squares_fits_match_curve_fit(model, samples):
+    dark, bright = (sp.CountHistogram.from_samples(counts, label=label)
+                    for counts, label in zip(samples(model), ("dark", "bright")))
+    result = sp.calibrate_threshold(dark, bright, method="least-squares")
+    for fit, hist in ((result.dark_fit, dark), (result.bright_fit, bright)):
+        assert fit == pytest.approx(curve_fit_gaussian(hist), rel=1e-6, abs=0)
 
 
 def test_calibrate_threshold_rejects_overlapping_histograms():

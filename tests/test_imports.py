@@ -1,15 +1,16 @@
-"""spamsim loads scipy and jsonschema only inside the calls that use them.
+"""spamsim runs without scipy, and loads jsonschema only to validate.
 
-scipy is imported by ``fit_lifetime``, least-squares ``calibrate_threshold``
-and ``optical_error_rates``, on first call.  jsonschema is imported when a
-document is validated: a configuration read by ``load_error_model`` or
-``model_from_config`` (``--config``), and every JSON file the CLI writes.
-Loading either at start-up made up most of a cold ``import spamsim`` plus
-``default_model()``, which every CLI command pays.  For the same reason
-``fractions`` (which loads ``decimal``) is imported only by the exact
-propagator, and ``concurrent.futures`` (which loads ``logging``) only by a
-run with more than one worker.  Each case runs in a fresh interpreter with
-this run's ``sys.path``, because this test process has them all loaded
+scipy is a test dependency: no spamsim call imports it, and the three calls
+that once did (``fit_lifetime``, least-squares ``calibrate_threshold`` and
+``optical_error_rates``) run in an interpreter where it cannot be imported.
+jsonschema is imported when a document is validated: a configuration read by
+``load_error_model`` or ``model_from_config`` (``--config``), and every JSON
+file the CLI writes.  Loading it at start-up made up most of a cold ``import
+spamsim`` plus ``default_model()``, which every CLI command pays.  For the
+same reason ``fractions`` (which loads ``decimal``) is imported only by the
+exact propagator, and ``concurrent.futures`` (which loads ``logging``) only
+by a run with more than one worker.  Each case runs in a fresh interpreter
+with this run's ``sys.path``, because this test process has them all loaded
 already.
 """
 
@@ -160,8 +161,8 @@ def test_invalid_config_still_fails_with_the_jsonschema_message(model, tmp_path)
                                         f"{expected.value.message}\n"}
 
 
-def _scipy_user(sp, name, inputs):
-    """The result of one scipy-using call, as JSON-ready floats."""
+def _former_scipy_user(sp, name, inputs):
+    """The result of one call that used scipy, as JSON-ready floats."""
     if name == "fit_lifetime":
         fit = sp.fit_lifetime([tuple(row) for row in inputs["samples"]])
         return [fit.lifetime, fit.std_error]
@@ -174,7 +175,7 @@ def _scipy_user(sp, name, inputs):
 
 
 @pytest.fixture(scope="module")
-def scipy_inputs(model):
+def former_scipy_inputs(model):
     rng = np.random.default_rng(12)
     return {
         "samples": sp.sample_decay_events([5.0, 10.0, 20.0, 30.0], 2000, 27.2, rng),
@@ -184,19 +185,16 @@ def scipy_inputs(model):
 
 
 @pytest.mark.parametrize("name", ["fit_lifetime", "calibrate_threshold", "optical_error_rates"])
-def test_scipy_users_load_scipy_themselves(scipy_inputs, name):
-    source = textwrap.dedent(f"""
+def test_former_scipy_users_run_without_scipy(former_scipy_inputs, name):
+    source = textwrap.dedent("""
         import json, sys
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
         import spamsim as sp
-        before = {SCIPY_MODULES}
-        result = _scipy_user(sp, sys.argv[1], json.loads(sys.stdin.read()))
-        print(json.dumps({{"before": before, "after": bool({SCIPY_MODULES}),
-                          "result": result}}))
+        result = _former_scipy_user(sp, sys.argv[1], json.loads(sys.stdin.read()))
+        print(json.dumps(result))
     """)
     # The child runs the same helper as this process, so the results compare.
-    source = inspect.getsource(_scipy_user) + source
-    child = _fresh(source, name, stdin=json.dumps(scipy_inputs))
-    assert child["before"] == []
-    assert child["after"]
-    expected = json.loads(json.dumps(_scipy_user(sp, name, scipy_inputs)))
-    assert child["result"] == expected
+    source = inspect.getsource(_former_scipy_user) + source
+    child = _fresh(source, name, stdin=json.dumps(former_scipy_inputs))
+    expected = _former_scipy_user(sp, name, former_scipy_inputs)
+    assert child == json.loads(json.dumps(expected))
