@@ -124,11 +124,11 @@ def _propagate(compiled: _Compiled) -> np.ndarray:
             fail = 1 - p if channel.tests_success else p
             before, mass = mass, np.zeros_like(mass)
             for label in np.flatnonzero(before.any(axis=1)):
-                if channel.split[label]:
-                    mass[channel.success[label]] += before[label] * (1 - fail)
-                    mass[channel.failure[label]] += before[label] * fail
+                if label in channel.apart:
+                    mass[channel.to[label]] += before[label] * (1 - fail)
+                    mass[channel.failed_to[label]] += before[label] * fail
                 else:
-                    mass[channel.success[label]] += before[label]
+                    mass[channel.to[label]] += before[label]
         if op.detect is not None:
             # Axis 2 of this view is the op's R bit of the pattern index.
             view = mass.reshape(len(mass), -1, 2, 1 << op.detect)
@@ -172,11 +172,10 @@ def rejection_contributions(
             raise ValueError(_BASIS_ONLY)
         for channel in op.channels:
             ideal, pattern = points[0]
-            success = channel.success.tolist()
-            points = [(success[label], bits) for label, bits in points]
-            if channel.split[ideal]:
+            points = [(channel.to[label], bits) for label, bits in points]
+            if ideal in channel.apart:
                 events.append(channel)
-                points.append((int(channel.failure[ideal]), pattern))
+                points.append((channel.failed_to[ideal], pattern))
         if op.detect is not None:
             points = [(label, bits | fluor[label] << op.detect) for label, bits in points]
     reasons = _FLAG_TABLES[strict][0]

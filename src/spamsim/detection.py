@@ -329,8 +329,15 @@ def count_pmf(mean: float, model: DetectionModel) -> tuple[int, np.ndarray]:
     k + round(g) for an integer k, the law is the Poisson pmf convolved with
     that of the rounded read noise g, so ``lowest`` depends on g alone.
     """
-    ks = np.arange(int(mean + 14.0 * math.sqrt(mean + 1.0)) + 11 if mean > 0 else 1)
-    poisson = np.exp(ks * math.log(mean or 1.0) - mean - np.vectorize(math.lgamma)(ks + 1.0))
+    size = int(mean + 14.0 * math.sqrt(mean + 1.0)) + 11 if mean > 0 else 1
+    # Each term relative to the mode's, by p(k + 1) = p(k) mean / (k + 1)
+    # outward from it, then scaled to sum to 1 (what lies past the last term
+    # is below 1e-40).  exp(k log mean - mean - lgamma(k + 1)) would lose
+    # about 1e-16 mean log(mean) to the cancellation of its terms.
+    mode = int(mean)
+    below = np.cumprod(np.arange(mode, 0, -1) / mean)[::-1] if mode else np.empty(0)
+    weights = np.concatenate([below, [1.0], np.cumprod(mean / np.arange(mode + 1, size))])
+    poisson = weights / math.fsum(weights)
     sigma = model.read_noise_sigma
     # tails[j] = P(g > j + 1/2), each from its small side (0 without noise).
     tails = np.array([0.5 * math.erfc((j + 0.5) / (sigma * math.sqrt(2.0))) if sigma else 0.0

@@ -39,6 +39,7 @@ the ion in ``WrongGround`` before the next step.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence as SequenceType
@@ -155,17 +156,31 @@ class _Channel:
     step: int  # op index; -1 for the per-shot loss before op 0
     event: str  # the failure, as rejection_contributions names it
     probability: float  # u < probability is success if tests_success, else failure
-    success: np.ndarray  # int16 map over label ids
-    failure: np.ndarray  # int16 map over label ids
+    to: list[int]  # the success map over label ids
+    failed_to: list[int]  # the failure map over label ids
     tests_success: bool = False
 
     def __post_init__(self) -> None:
         # The maps are a few labels long: Python lists and sets beat numpy here.
-        self.to = self.success.tolist()
-        self.split = self.success != self.failure  # labels the two branches send apart
-        self.apart = frozenset(np.flatnonzero(self.split).tolist())
+        self.apart = frozenset(label for label, (to, failed_to)
+                               in enumerate(zip(self.to, self.failed_to)) if to != failed_to)
         self.moved = frozenset(label for label, to in enumerate(self.to) if to != label)
         self.failure_probability = 1 - self.probability if self.tests_success else self.probability
+
+    # The chunk runner's arrays, made on its first use: the analytic
+    # interpreters read the lists and sets alone.
+    @functools.cached_property
+    def split(self) -> np.ndarray:
+        """Over label ids: whether the two branches send the label apart."""
+        return self.success != self.failure
+
+    @functools.cached_property
+    def success(self) -> np.ndarray:
+        return np.array(self.to, dtype=np.int16)
+
+    @functools.cached_property
+    def failure(self) -> np.ndarray:
+        return np.array(self.failed_to, dtype=np.int16)
 
 
 @dataclass(frozen=True)
@@ -182,10 +197,10 @@ class _Compiled:
     """A sequence bound to a model: integer state labels plus one op per step.
 
     Every step but ``Detect`` and ``Rotate`` compiles to channels
-    (:class:`_Channel`).  A channel holds a probability and two int16 maps
-    over label ids, a success map and a failure map; a uniform draw per shot
-    picks the branch, and a shot in label ``l`` goes to ``success[l]`` or to
-    ``failure[l]``.  The channels are:
+    (:class:`_Channel`).  A channel holds a probability and two maps over
+    label ids, a success map ``to`` and a failure map ``failed_to``; a
+    uniform draw per shot picks the branch, and a shot in label ``l`` goes to
+    ``to[l]`` or to ``failed_to[l]``.  The channels are:
 
     * decay over a step's duration, first in its op (a detection window's
       too): the failure map sends B labels to ``WrongGround``;
@@ -239,14 +254,14 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
 
     labels = list(ids)
     fluor = np.array([label.fluoresces() for label in labels])
-    identity = np.arange(len(labels), dtype=np.int16)
+    identity = list(range(len(labels)))
 
-    def relabel(where, to: int) -> np.ndarray:
-        table = identity.copy()
-        table[where] = to
-        return table
+    def relabel(sources: set[int], to: int) -> list[int]:
+        return [to if label in sources else label for label in identity]
 
-    strand = relabel(np.array([label.in_manifold(Manifold.B) for label in labels]), _WG)
+    bright = {label for label, state in enumerate(labels) if state.fluoresces()}
+    strand = relabel({label for label, state in enumerate(labels)
+                      if state.in_manifold(Manifold.B)}, _WG)
 
     def decay(index: int, duration: float) -> list[_Channel]:
         p = decay_probability(duration, model.decay)
@@ -257,7 +272,7 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
     channels = []
     if model.loss_probability_per_shot > 0:
         channels.append(_Channel(-1, "ion loss", model.loss_probability_per_shot,
-                                 identity, relabel(_WG, _LOST)))
+                                 identity, relabel({_WG}, _LOST)))
     for index, step in enumerate(sequence.steps):
         detect = born = None
         if isinstance(step, Cool):
@@ -265,15 +280,16 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
         elif isinstance(step, Pump):
             channels += decay(index, model.pump.duration)
             channels.append(_Channel(index, "optical pumping failure", model.pump.error_rate,
-                                     relabel(fluor, target_id), relabel(fluor, _WG)))
+                                     relabel(bright, target_id), relabel(bright, _WG)))
         elif isinstance(step, Transfer):
             pulse = model.pulse_for(step.from_state, step.to_state)
             duration = pulse.t_pi if step.duration is None else step.duration
             p_success = pulse_success_probability(duration, pulse)
             channels += decay(index, duration)
+            source, target = moves[index]
             channels.append(_Channel(
                 index, f"transfer {step.from_state} -> {step.to_state} failure", p_success,
-                relabel(*moves[index]), identity, True))
+                relabel({source}, target), identity, True))
         elif isinstance(step, Detect):
             channels += decay(index, model.detection.total_duration)
             detect = int(step.label)
@@ -393,7 +409,7 @@ def _apply_channel(chunk: _ChunkState, channel: _Channel) -> np.ndarray:
     state[failed] = to
     chunk.present = {channel.to[label] for label in present}
     if failed.size:
-        chunk.present.update(int(channel.failure[label]) for label in present & channel.apart)
+        chunk.present.update(channel.failed_to[label] for label in present & channel.apart)
     return failed
 
 

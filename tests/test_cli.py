@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -118,6 +119,21 @@ def test_records_csv_matches_row_writer(tmp_path, model, monkeypatch, case):
         assert written.count(b"\r\n") == 4_001
 
 
+def test_records_csv_with_six_digit_shot_indices_matches_row_writer(tmp_path):
+    # 100500 rows cross 99999/100000 and span seven CHUNK_SHOTS write blocks;
+    # each state's rows hold all 192 (prepared, pattern) keys.  No engine run.
+    rng = np.random.default_rng(23)
+    keys = {name: rng.permutation(np.arange(100_500) % 192) for name in ("zero", "one")}
+    records = {name: {"prepared": (key // 64 - 1).astype(np.int8),
+                      "pattern": (key % 64).astype(np.uint8)} for name, key in keys.items()}
+    cli._write_records(str(tmp_path), records, False)
+    for name, state in records.items():
+        write_records_reference(tmp_path / f"{name}-reference.csv", state, False)
+        written = (tmp_path / f"records_{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}-reference.csv").read_bytes(), name
+        assert written.count(b"\r\n") == 100_501
+
+
 @pytest.mark.parametrize("extra", [[], ["--strict-flags"], ["--prepare", "superposition"]])
 def test_run_spam_records_match_row_writer(tmp_path, monkeypatch, extra):
     # 16500 rows cross the 999/1000 and 9999/10000 index widths and the
@@ -178,8 +194,75 @@ def test_bundled_config_is_valid_and_builds_the_validated_model():
     assert sp.default_model() == sp.model_from_config(json.loads(text))
 
 
+# (schema, path, value, valid): a valid document with the value at that path
+# must get that verdict.  The rows cover every "T or null" node and the
+# state block and retention row written inline in summary.schema.json.
+_RATE, _INTERVAL = ("states", "zero", "error_rate", 5), ("states", "zero", "error_interval", 5)
+SCHEMA_VERDICTS = [
+    ("summary", _RATE, None, True),
+    ("summary", _RATE, 0, True),
+    ("summary", _RATE, 1, True),
+    ("summary", _RATE, -0.1, False),
+    ("summary", _RATE, 1.5, False),
+    ("summary", _RATE, "x", False),
+    ("summary", _INTERVAL, None, True),
+    ("summary", _INTERVAL, [0.25, 0.5], True),
+    ("summary", _INTERVAL, [0.1, 0.2, 0.3], False),
+    ("summary", _INTERVAL, [None, 0.5], False),
+    ("summary", ("average",), None, True),
+    ("summary", ("average",), {}, False),
+    ("summary", ("average",), 0.5, False),
+    ("summary", ("average", "error_rate", 0), None, True),
+    ("summary", ("average", "error_rate", 0), 1.5, False),
+    ("summary", ("average", "error_interval", 0), None, True),
+    ("summary", ("average", "error_interval", 0), [None, 0.5], False),
+    ("summary", ("states", "zero", "retention", 0), 1, True),
+    ("summary", ("states", "zero", "retention", 0), 1.5, False),
+    ("summary", ("states", "zero", "retention", 0), None, False),
+    ("summary", ("states", "zero", "shots"), 0, False),
+    ("summary", ("states", "zero", "extra"), 1, False),
+    ("manifest", ("seed",), 3, True),
+    ("manifest", ("seed",), None, True),
+    ("manifest", ("seed",), 1.5, False),
+    ("manifest", ("config_path",), "model.json", True),
+    ("manifest", ("config_path",), None, True),
+    ("manifest", ("config_path",), 3, False),
+    ("config", ("decay", "lifetime"), 27.2, True),
+    ("config", ("decay", "lifetime"), None, True),
+    ("config", ("decay", "lifetime"), 0, False),
+    ("config", ("decay", "lifetime"), -1, False),
+    ("config", ("decay", "lifetime"), "x", False),
+]
+
+
+@pytest.fixture(scope="module")
+def valid_documents(model):
+    result = sp.run_experiment(sp.ExperimentConfig(model=model, shots=200, seed=4))
+    return {
+        "summary": json.loads(json.dumps(sp.spam_summary(result))),
+        "manifest": {"command": "run-spam", "version": sp.__version__, "seed": 4,
+                     "config_path": None, "arguments": [], "outputs": ["summary.json"],
+                     "duration_seconds": 0.5},
+        "config": sp.model_to_config(model),
+    }
+
+
+@pytest.mark.parametrize("name, path, value, valid", SCHEMA_VERDICTS,
+                         ids=[f"{name}-{'.'.join(map(str, path))}={value!r}"
+                              for name, path, value, _ in SCHEMA_VERDICTS])
+def test_bundled_schemas_give_each_document_its_verdict(valid_documents, name, path, value,
+                                                        valid):
+    document = copy.deepcopy(valid_documents[name])
+    assert schema_validator(f"{name}.schema.json").is_valid(document)
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert schema_validator(f"{name}.schema.json").is_valid(document) is valid
+
+
 def test_invalid_config_message_matches_jsonschema(tmp_path, model, capsys):
-    # A oneOf failure: the best match is a sub-error, not the first error.
+    # The CLI reports the message jsonschema.validate gives for the same document.
     document = sp.model_to_config(model)
     document["decay"]["lifetime"] = -1.0
     with pytest.raises(jsonschema.ValidationError) as expected:

@@ -100,15 +100,28 @@ def test_optical_error_rates_without_read_noise_are_poisson_tails(model):
 
 
 @pytest.mark.parametrize("sigma", [None, 0.0, 0.3])
-@pytest.mark.parametrize("mean", [0.0, 0.01, 3.0, 100.0, 232.6364])
+@pytest.mark.parametrize("mean", [0.0, 0.01, 3.0, 100.0, 232.6364, 5000.0, 20000.0])
 def test_count_pmf_sums_to_one(model, mean, sigma):
     det = model.detection if sigma is None else dataclasses.replace(
         model.detection, read_noise_sigma=sigma)
     lowest, pmf = count_pmf(mean, det)
     assert (pmf >= 0).all()
-    assert math.fsum(pmf) == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert math.fsum(pmf) == pytest.approx(1.0, rel=0, abs=1e-13)
     # The rounded noise is symmetric, so the mean is the Poisson mean.
     assert math.fsum((lowest + np.arange(pmf.size)) * pmf) == pytest.approx(mean, abs=1e-9)
+
+
+@pytest.mark.parametrize("mean", [5000.0, 20000.5])
+def test_count_pmf_at_large_means_matches_stirling(model, mean):
+    # At the mode k, Stirling's series gives log p(k) = k log1p(d / k) - d
+    # - log(2 pi k) / 2 - 1/(12 k) + 1/(360 k^3) - ... with d = mean - k in
+    # [0, 1): no term near mean log(mean), so it is an oracle to about 1e-15.
+    det = dataclasses.replace(model.detection, read_noise_sigma=0.0)
+    lowest, pmf = count_pmf(mean, det)
+    k = int(mean)
+    log_mode = (k * math.log1p((mean - k) / k) - (mean - k) - 0.5 * math.log(2 * math.pi * k)
+                - 1 / (12 * k) + 1 / (360 * k**3))
+    assert pmf[k - lowest] == pytest.approx(math.exp(log_mode), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0], ids=["dark", "bright"])
