@@ -17,9 +17,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Mapping
 
 from .detection import DetectionModel
 from .states import (
@@ -58,9 +57,6 @@ class TransferPulse:
         if not 0 < self.t_pi < math.inf:  # NaN fails too
             raise ValueError(f"t_pi must be finite and positive, got {self.t_pi}")
 
-    def reversed(self) -> "TransferPulse":
-        return replace(self, from_state=self.to_state, to_state=self.from_state)
-
 
 @dataclass(frozen=True)
 class PumpChannel:
@@ -74,8 +70,9 @@ class PumpChannel:
         if not self.target.in_manifold(Manifold.A):
             raise ValueError("pump target must be a hyperfine level of manifold A")
         _check_probability(self.error_rate, "error_rate")
-        if not self.duration >= 0:  # NaN fails too
-            raise ValueError(f"pump duration must be non-negative, got {self.duration}")
+        if not 0 <= self.duration < math.inf:  # NaN fails too
+            raise ValueError(
+                f"pump duration must be finite and non-negative, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -125,34 +122,26 @@ class ErrorModel:
     cooling_duration: float
     loss_probability_per_shot: float
 
-    # internal lookup of each pulse in both orientations, keyed by (from, to)
-    _by_pair: Mapping[tuple[StateLabel, StateLabel], TransferPulse] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
-
     def __post_init__(self) -> None:
         _check_probability(self.loss_probability_per_shot, "loss_probability_per_shot")
-        if not self.cooling_duration >= 0:  # NaN fails too
-            raise ValueError(f"cooling duration must be non-negative, got {self.cooling_duration}")
-        lookup: dict[tuple[StateLabel, StateLabel], TransferPulse] = {}
-        for pulse in self.pulses:
-            if (pulse.from_state, pulse.to_state) in lookup:
-                low, high = _pair_key(pulse.from_state, pulse.to_state)
+        if not 0 <= self.cooling_duration < math.inf:  # NaN fails too
+            raise ValueError(
+                f"cooling duration must be finite and non-negative, got {self.cooling_duration}")
+        pairs = [_pair_key(pulse.from_state, pulse.to_state) for pulse in self.pulses]
+        for index, (low, high) in enumerate(pairs):
+            if (low, high) in pairs[:index]:
                 raise ValueError(f"duplicate pulse for transition {low} <-> {high}")
-            lookup[pulse.from_state, pulse.to_state] = pulse
-            lookup[pulse.to_state, pulse.from_state] = pulse.reversed()
-        object.__setattr__(self, "_by_pair", lookup)
 
     def pulse_for(self, from_state: StateLabel, to_state: StateLabel) -> TransferPulse:
         """The configured pulse for a transition, oriented from -> to."""
         if not transition_allowed(from_state, to_state):
             raise ValueError(f"no transition {from_state} -> {to_state}")
-        try:
-            return self._by_pair[from_state, to_state]
-        except KeyError:
-            raise ValueError(
-                f"model has no pulse for transition {from_state} <-> {to_state}"
-            ) from None
+        for pulse in self.pulses:
+            if pulse.from_state == from_state and pulse.to_state == to_state:
+                return pulse
+            if pulse.from_state == to_state and pulse.to_state == from_state:
+                return replace(pulse, from_state=from_state, to_state=to_state)
+        raise ValueError(f"model has no pulse for transition {from_state} <-> {to_state}")
 
     def with_perfect_channels(self) -> "ErrorModel":
         """Copy with zero pump/pulse error rates, no decay and no ion loss.

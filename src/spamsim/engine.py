@@ -7,8 +7,9 @@ draws from its own generator seeded by ``SeedSequence(master_seed,
 spawn_key=(batch, chunk))``, so aggregate results are identical for any worker
 count and chunks can be replayed in isolation.
 
-:func:`_compile` binds a sequence to an :class:`ErrorModel` once, and nothing
-after it reads the model: the interpreters get all they need from its output.
+:func:`_compile` binds a sequence to an :class:`ErrorModel` and the run's
+transfer durations once, and nothing after it reads the model: the
+interpreters get all they need from its output.
 
 A ``Rotate`` step Born-projects every shot in the qubit subspace on the spot,
 and that outcome is the shot's prepared value.  Built sequences apply no
@@ -240,7 +241,15 @@ class _Compiled:
     mean_counts: np.ndarray  # float64 Poisson mean of a whole window, per label
 
 
-def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
+def _compile(
+    sequence: Sequence,
+    model: ErrorModel,
+    durations: dict[tuple[StateLabel, StateLabel], float] | None = None,
+) -> _Compiled:
+    """Bind ``sequence`` to ``model``.  A transfer drives for its oriented
+    (from, to) pair's entry in ``durations`` if it has one, else for the
+    pulse's pi-time: this is the one place an override binds."""
+    durations = durations or {}
     ids = {WRONG_GROUND: _WG, LOST: _LOST}
 
     def intern(state: StateLabel) -> int:
@@ -283,7 +292,7 @@ def _compile(sequence: Sequence, model: ErrorModel) -> _Compiled:
                                      relabel(bright, target_id), relabel(bright, _WG)))
         elif isinstance(step, Transfer):
             pulse = model.pulse_for(step.from_state, step.to_state)
-            duration = pulse.t_pi if step.duration is None else step.duration
+            duration = durations.get((step.from_state, step.to_state), pulse.t_pi)
             p_success = pulse_success_probability(duration, pulse)
             channels += decay(index, duration)
             source, target = moves[index]
@@ -575,7 +584,9 @@ class ExperimentConfig:
     :class:`Prepare` value runs that state alone, as batch 0.
     ``transfer_durations`` overrides the duration of specific pulses, keyed by
     oriented (from, to) state pairs; the bias scans use this to detune single
-    transfers away from their calibrated length.
+    transfers away from their calibrated length.  The overrides bind in
+    :func:`_compile`; :func:`run_experiment` rejects a pair given twice or
+    driven by no transfer of the run's sequences.
 
     Random streams depend on ``seed``, the batch index and the chunk index
     only.  Two configurations run at one seed therefore draw the same numbers
@@ -721,13 +732,20 @@ def run_experiment(
     sizes = [min(CHUNK_SHOTS, config.shots - start)
              for start in range(0, config.shots, CHUNK_SHOTS)]
 
+    sequences = [build_sequence(config.encoding, prepare) for prepare in batches]
+    driven = {(step.from_state, step.to_state) for sequence in sequences
+              for step in sequence.steps if isinstance(step, Transfer)}
+    durations: dict[tuple[StateLabel, StateLabel], float] = {}
+    for pair, duration in config.transfer_durations:
+        if pair in durations or pair not in driven:
+            problem = "is given twice" if pair in durations else "matches no transfer of this run"
+            raise ValueError(f"transfer duration for {pair[0]} -> {pair[1]} {problem}")
+        durations[pair] = duration
+
     # Tasks run batch by batch, chunk by chunk; both runners keep that order.
     tasks = []
-    for batch_index, prepare in enumerate(batches):
-        sequence = build_sequence(config.encoding, prepare)
-        if config.transfer_durations:
-            sequence = sequence.with_transfer_durations(dict(config.transfer_durations))
-        compiled = _compile(sequence, config.model)
+    for batch_index, (prepare, sequence) in enumerate(zip(batches, sequences)):
+        compiled = _compile(sequence, config.model, durations)
         for chunk_index, size in enumerate(sizes):
             seed_seq = np.random.SeedSequence(
                 entropy=config.seed, spawn_key=(batch_index, chunk_index)

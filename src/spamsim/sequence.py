@@ -11,7 +11,7 @@ outcomes feed the flag logic in :mod:`spamsim.engine`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .states import (
@@ -62,7 +62,6 @@ class Pump:
 class Transfer:
     from_state: StateLabel
     to_state: StateLabel
-    duration: float | None = None  # None: drive for the pulse's pi-time
 
     def __post_init__(self) -> None:
         if not transition_allowed(self.from_state, self.to_state):
@@ -130,18 +129,6 @@ class Sequence:
     def prep_end(self) -> int:
         """Index of the herald detection R1 ending the preparation portion."""
         return self.detect_index(DetectLabel.R1)
-
-    def with_transfer_durations(
-        self, overrides: dict[tuple[StateLabel, StateLabel], float]
-    ) -> "Sequence":
-        """Copy with explicit drive durations on the matching transfer steps."""
-        steps = tuple(
-            replace(s, duration=overrides[(s.from_state, s.to_state)])
-            if isinstance(s, Transfer) and (s.from_state, s.to_state) in overrides
-            else s
-            for s in self.steps
-        )
-        return Sequence(self.encoding, steps)
 
 
 def _detects(*labels: DetectLabel) -> list[SequenceStep]:

@@ -25,15 +25,6 @@ def test_pulse_validation():
         sp.TransferPulse(sp.A_2_0, sp.A_1_0, error_rate=0.1, t_pi=25e-6)
 
 
-def test_pulse_reversed_swaps_endpoints_only():
-    fwd = pulse()
-    rev = fwd.reversed()
-    assert rev.from_state == fwd.to_state
-    assert rev.to_state == fwd.from_state
-    assert rev.error_rate == fwd.error_rate
-    assert rev.t_pi == fwd.t_pi
-
-
 def test_pulse_success_probability_endpoints():
     p = pulse(rate=0.04)
     assert pulse_success_probability(p.t_pi, p) == pytest.approx(0.96)
@@ -108,11 +99,27 @@ def test_pulse_lookup_is_orientation_free(model):
     fwd = model.pulse_for(sp.B_2_M1, sp.A_2_0)
     rev = model.pulse_for(sp.A_2_0, sp.B_2_M1)
     assert fwd.error_rate == rev.error_rate == pytest.approx(0.0138)
-    assert fwd.from_state == sp.B_2_M1 and rev.from_state == sp.A_2_0
+    # The reversed orientation swaps the endpoints only.
+    assert (fwd.from_state, fwd.to_state) == (sp.B_2_M1, sp.A_2_0)
+    assert (rev.from_state, rev.to_state) == (sp.A_2_0, sp.B_2_M1)
+    assert rev.t_pi == fwd.t_pi
     with pytest.raises(ValueError):
         model.pulse_for(sp.A_1_0, sp.B_2_P1)
     with pytest.raises(ValueError):
         model.pulse_for(sp.A_2_0, sp.A_1_0)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["same", "reversed"])
+def test_config_rejects_a_second_pulse_for_one_transition(model, reverse):
+    document = sp.model_to_config(model)
+    first = document["pulses"][0]
+    again = dict(first, error_rate=0.02)
+    if reverse:
+        again["from"], again["to"] = first["to"], first["from"]
+    document["pulses"].append(again)
+    with pytest.raises(sp.ConfigError,
+                       match="duplicate pulse for transition A:F=2,mF=0 <-> B:F=2,mF=-1"):
+        sp.model_from_config(document)
 
 
 def test_perfect_channels_keep_detection(model):
@@ -201,7 +208,8 @@ def test_config_rejects_bad_documents(model):
         ("detection.mean_dark", math.nan), ("detection.mean_dark", math.inf),
         ("detection.read_noise_sigma", math.nan), ("detection.read_noise_sigma", math.inf),
         ("detection.total_duration", math.nan), ("detection.total_duration", math.inf),
-        ("pump.duration", math.nan), ("durations.cooling", math.nan),
+        ("pump.duration", math.nan), ("pump.duration", math.inf),
+        ("durations.cooling", math.nan), ("durations.cooling", math.inf),
         ("pulses.0.t_pi", math.nan), ("pulses.0.t_pi", math.inf),
     ]:
         document = sp.model_to_config(model)

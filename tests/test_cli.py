@@ -394,13 +394,17 @@ def test_run_spam_invalid_config_document(tmp_path, model, monkeypatch, capsys):
         raise AssertionError("shots ran before the config was checked")
 
     monkeypatch.setattr(cli, "run_experiment", no_runs)
-    # json reads NaN and Infinity, so non-finite detection values get past
-    # the parser; the model checks reject them before any shot runs.
-    documents = ["{\"pump\": {}}"]
-    for field, value in [("read_noise_sigma", "NaN"), ("mean_bright", "NaN"),
-                         ("total_duration", "Infinity")]:
+    # json reads NaN and Infinity, so non-finite values get past the parser;
+    # the model checks reject them before any shot runs.
+    truncated = "{\"pump\""  # not JSON at all
+    documents = ["{\"pump\": {}}", truncated]
+    for section, field, value in [
+        ("detection", "read_noise_sigma", "NaN"), ("detection", "mean_bright", "NaN"),
+        ("detection", "total_duration", "Infinity"), ("pump", "duration", "Infinity"),
+        ("durations", "cooling", "Infinity"),
+    ]:
         document = sp.model_to_config(model)
-        document["detection"][field] = float(value)
+        document[section][field] = float(value)
         documents.append(json.dumps(document))
         assert f'"{field}": {value}' in documents[-1]
     # Only single-order pulses are modelled.
@@ -413,7 +417,9 @@ def test_run_spam_invalid_config_document(tmp_path, model, monkeypatch, capsys):
         out = tmp_path / "x"
         code = cli.main(["run-spam", "--shots", "10", "--config", str(bad), "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: invalid configuration")
+        message = ("configuration is not valid JSON" if text == truncated
+                   else "invalid configuration")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
 
@@ -603,15 +609,20 @@ def test_bias_scan_command(tmp_path):
     assert abs(float(last[4])) < 6.0 * float(last[5])
 
 
-@pytest.mark.parametrize("grid", ["nan", "0.8,inf", "1.0,-0.5", "0.8,nan"])
-def test_bias_scan_rejects_bad_ratios(tmp_path, capsys, grid):
+@pytest.mark.parametrize("grid, message", [
+    *[pytest.param(grid, "finite and positive", id=grid)
+      for grid in ["nan", "0.8,inf", "1.0,-0.5", "0.8,nan"]],
+    pytest.param("abc", "--t-grid must be a comma-separated float list, got 'abc'", id="abc"),
+    pytest.param(",", "--t-grid must contain at least one ratio", id=","),
+])
+def test_bias_scan_rejects_bad_ratios(tmp_path, capsys, grid, message):
     out = tmp_path / "bias"
     code = cli.main([
         "bias-scan", "--family", "all", "--t-grid", grid,
         "--shots", "1000", "--seed", "6", "--out", str(out),
     ])
     assert code == 2
-    assert "finite and positive" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     # Every family's scan runs before --out is made.
     assert not out.exists()
 
@@ -651,7 +662,13 @@ def test_lifetime_fit_rejects_unusable_input(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: lifetime is unidentifiable from these rows")
     assert len(err.splitlines()) == 1, err
-    assert not any((tmp_path / name).exists() for name in ("x", "y", "z"))
+    # Only the first non-blank row may be a header, and some row must hold data.
+    for rows, message in [("5.0,167,1000\nx,308,1000\n", "non-numeric row 3"),
+                          ("\n", "no decay samples found")]:
+        csv.write_text("delay_s,decayed,trials\n" + rows)
+        assert cli.main(["lifetime-fit", str(csv), "--out", str(tmp_path / "w")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {csv}: {message}")
+    assert not any((tmp_path / name).exists() for name in ("w", "x", "y", "z"))
 
 
 @pytest.mark.parametrize("row", ["nan,10,100", "1.0,150,100", "1.0,15,100,7", "1.0"])

@@ -59,11 +59,18 @@ def test_equal_density_crossing_frozen():
     value = sp.equal_density_crossing(20.0, 15.0, 320.0, 60.0)
     assert value == pytest.approx(CROSSING_20_15_320_60, abs=1e-6)
     assert value == pytest.approx(quadratic_crossing(20.0, 15.0, 320.0, 60.0), abs=1e-9)
+    # Either argument order names the same two densities.
+    assert sp.equal_density_crossing(320.0, 60.0, 20.0, 15.0) == value
+    # A narrow density whose peak sits under a wide one crosses it outside the means.
+    with pytest.raises(sp.ThresholdSeparationError, match="do not cross between the means"):
+        sp.equal_density_crossing(0.0, 10.0, 1.0, 1.0)
 
 
 def test_equal_sigma_crossing_is_weighted_midpoint():
     # Equal widths reduce the condition to |x-m1| = |x-m2|.
     assert sp.equal_density_crossing(10.0, 5.0, 30.0, 5.0) == pytest.approx(20.0)
+    # So do two zero widths.
+    assert sp.equal_density_crossing(10.0, 0.0, 30.0, 0.0) == 20.0
 
 
 def test_optical_error_rates_frozen(model):
@@ -171,6 +178,20 @@ def test_histogram_csv_round_trip(tmp_path):
     # Integral floats read as the integers they name.
     path.write_text("bin_low,frequency\n9.0,1\n1,2.0\n2e0,1\n")
     assert sp.read_histogram_csv(str(path), label="roundtrip") == hist
+    path.write_text("bin_low,frequency\n\n")
+    with pytest.raises(ValueError, match="no histogram rows in"):
+        sp.read_histogram_csv(str(path))
+
+
+@pytest.mark.parametrize("bin_lows, frequencies, message", [
+    ((1, 2), (3,), "bin_lows and frequencies must have equal length"),
+    ((1, 2), (3, -1), "frequencies must be non-negative"),
+    ((1, 2), (0, 0), "histogram must contain at least one sample"),
+    ((2, 2), (3, 1), "bin_lows must be strictly increasing"),
+])
+def test_histogram_rejects_malformed_bins(bin_lows, frequencies, message):
+    with pytest.raises(ValueError, match=message):
+        sp.CountHistogram(bin_lows, frequencies)
 
 
 def test_histogram_csv_matches_csv_writer(tmp_path):
@@ -202,6 +223,8 @@ def test_calibrate_threshold_on_synthetic_gaussians():
     # Argument order must not matter.
     swapped = sp.calibrate_threshold(bright, dark, method="moments")
     assert swapped.threshold == result.threshold
+    with pytest.raises(ValueError, match="unknown calibration method 'x'"):
+        sp.calibrate_threshold(dark, bright, method="x")
 
 
 def test_calibrate_threshold_least_squares_close_to_moments():

@@ -224,6 +224,37 @@ def test_transfer_duration_override_scans_acceptance(perfect):
     assert tally.reasons.get("R3R4Dark", 0) > 0
 
 
+_SHELVE_ONE = ((sp.A_2_0, sp.B_1_M1), 20e-6)  # driven by an M one batch, not by a zero batch
+
+
+def test_transfer_duration_override_needs_only_one_batch_to_drive_it(model):
+    tuned = run(model, shots=2_000, seed=1, transfer_durations=(_SHELVE_ONE,))
+    plain = run(model, shots=2_000, seed=1)
+    assert tuned.states["zero"] == plain.states["zero"]
+    assert tuned.states["one"].accepted < plain.states["one"].accepted
+
+
+@pytest.mark.parametrize("prepare, overrides, problem", [
+    (None, [((sp.A_2_0, sp.B_2_P1), 20e-6)], "A:F=2,mF=0 -> B:F=2,mF=1 matches no transfer"),
+    (None, [((sp.A_2_0, sp.A_1_0), 20e-6)], "A:F=2,mF=0 -> A:F=1,mF=0 matches no transfer"),
+    (None, [((sp.B_2_M1, sp.A_2_0), 20e-6), ((sp.B_2_M1, sp.A_2_0), 30e-6)],
+     "B:F=2,mF=-1 -> A:F=2,mF=0 is given twice"),
+    (Prepare.ZERO, [_SHELVE_ONE], "A:F=2,mF=0 -> B:F=1,mF=-1 matches no transfer"),
+])
+def test_transfer_duration_overrides_name_a_driven_transfer_once(
+        model, monkeypatch, prepare, overrides, problem):
+    # Each of these used to run as the default run; the override is checked
+    # against every batch's transfers before any chunk runs.
+    def no_runs(*args):
+        raise AssertionError("a chunk ran before the overrides were checked")
+
+    monkeypatch.setattr(engine, "_run_chunk", no_runs)
+    cfg = sp.ExperimentConfig(model=model, shots=2_000, seed=1, prepare=prepare,
+                              transfer_durations=tuple(overrides))
+    with pytest.raises(ValueError, match=f"transfer duration for {problem}"):
+        sp.run_experiment(cfg)
+
+
 def test_strict_mode_matches_lax_under_perfect_channels(perfect):
     lax = run(perfect, shots=5_000, seed=13)
     strict = run(perfect, shots=5_000, seed=13, strict_flags=True)

@@ -1,9 +1,11 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 import spamsim as sp
 from spamsim import engine
+from spamsim.channels import decay_probability, pulse_success_probability
 from spamsim.sequence import Cool, Deshelve, Detect, DetectLabel, Prepare, Pump, Rotate, Transfer
 
 
@@ -109,16 +111,52 @@ def test_second_rotation_is_rejected(encoding):
         sp.Sequence(seq.encoding, steps)
 
 
-def test_with_transfer_durations_overrides_matching_pairs_only():
+# build_sequence("M", Prepare.ONE): Cool R0 Cool Pump T R1 R2 T R3 T R4 Deshelve R5
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda s: s[:5] + (s[6], s[5]) + s[7:], r"detections must be R0..R5 in order",
+                 id="swapped-detections"),
+    pytest.param(lambda s: s[:4] + s[5:], "R1 must follow the first transfer into manifold B",
+                 id="no-shelving"),
+    pytest.param(lambda s: s[:7] + s[8:], "R3 must directly follow a readout transfer into A",
+                 id="no-readout-transfer"),
+    pytest.param(lambda s: s[:11] + s[12:], "R5 must directly follow the deshelve step",
+                 id="no-deshelve"),
+])
+def test_malformed_step_lists_are_rejected(edit, message):
+    steps = sp.build_sequence("M", Prepare.ONE).steps
+    with pytest.raises(ValueError, match=message):
+        sp.Sequence(sp.encoding_catalog("M"), edit(steps))
+
+
+def test_step_lists_the_engine_cannot_run(model):
+    steps = sp.build_sequence("M", Prepare.ONE).steps
+    # One cooling step is a valid sequence, but a retry has nowhere to rewind to.
+    single_cool = sp.Sequence(sp.encoding_catalog("M"), steps[:2] + steps[3:])
+    with pytest.raises(ValueError, match="lacks a second cooling step"):
+        engine._compile(single_cool, model)
+    # A step of no known type passes the structural checks, and the compiler names it.
+    unknown = sp.Sequence(sp.encoding_catalog("M"), ("wait",) + steps)
+    with pytest.raises(TypeError, match="unknown step type str"):
+        engine._compile(unknown, model)
+    # Every Sequence holds all six detections, so only a bare step list lacks one.
+    with pytest.raises(ValueError, match="sequence has no detection R3"):
+        sp.Sequence.detect_index(SimpleNamespace(steps=steps[:8]), DetectLabel.R3)
+
+
+def test_compile_binds_transfer_durations_to_matching_pairs_only(model):
     seq = sp.build_sequence("M", Prepare.ONE)
-    assert all(s.duration is None for s in seq.steps if isinstance(s, Transfer))
-    tuned = seq.with_transfer_durations({(sp.B_2_M1, sp.A_2_0): 12.5e-6})
-    changed = [s for s in tuned.steps if isinstance(s, Transfer) and s.duration is not None]
-    assert len(changed) == 1
-    assert changed[0].from_state == sp.B_2_M1
-    assert changed[0].duration == pytest.approx(12.5e-6)
-    # The original is untouched.
-    assert all(s.duration is None for s in seq.steps if isinstance(s, Transfer))
+    pair, duration = (sp.B_2_M1, sp.A_2_0), 12.5e-6
+    plain = engine._compile(seq, model)
+    tuned = engine._compile(seq, model, {pair: duration})
+    changed = [index for index, (before, after) in enumerate(zip(plain.ops, tuned.ops))
+               if [c.probability for c in before.channels]
+               != [c.probability for c in after.channels]]
+    assert changed == [seq.steps.index(Transfer(*pair))]
+    # The matching transfer decays over, and drives for, the override.
+    assert [c.probability for c in tuned.ops[changed[0]].channels] == [
+        decay_probability(duration, model.decay),
+        pulse_success_probability(duration, model.pulse_for(*pair)),
+    ]
 
 
 def test_build_sequence_accepts_encoding_objects():
