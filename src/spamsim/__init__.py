@@ -52,7 +52,6 @@ from .detection import (
     calibrate_threshold,
     equal_density_crossing,
     optical_error_rates,
-    optimal_threshold,
     read_histogram_csv,
     write_histogram_csv,
 )

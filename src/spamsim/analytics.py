@@ -1,9 +1,10 @@
 """Closed-form predictors and estimators for flagged SPAM experiments.
 
-Everything here is deterministic given its inputs: Wilson score intervals,
-rejection-fraction predictions, the per-detection error budget,
-post-selection bias formulas and their inversions, metastable lifetime
-fitting, and the summary statistics derived from a batch run.
+Wilson score intervals, rejection-fraction predictions, the per-detection
+error budget, post-selection bias formulas and their inversions, metastable
+lifetime fitting and the summary statistics of a batch run are deterministic
+given their inputs.  :func:`bias_scan` (a Monte Carlo scan through the engine)
+and :func:`sample_decay_events` draw from the seed or generator they are given.
 
 The rejection predictions interpret the same compiled op list the engine
 runs, with its channels in the form :class:`spamsim.engine._Compiled`

@@ -276,8 +276,6 @@ def _build_model(document: dict) -> ErrorModel:
             loss_probability_per_shot=document.get("loss_probability_per_shot", 0.0),
         )
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 

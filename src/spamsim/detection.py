@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -192,34 +192,39 @@ def equal_density_crossing(
 ) -> float:
     """Where two Gaussian densities cross, restricted to between the means.
 
-    Solves sigma_high^2 (x - mu_low)^2 - sigma_low^2 (x - mu_high)^2
-    = 2 sigma_low^2 sigma_high^2 ln(sigma_high / sigma_low).
+    With d = mu_high - mu_low and r = ln(sigma_high / sigma_low), the crossing
+    solves sigma_high^2 (x - mu_low)^2 - sigma_low^2 (x - mu_high)^2
+    = 2 sigma_low^2 sigma_high^2 r.  Its root between the means is taken with
+    the numerator rationalized,
+
+        x = mu_low + sigma_low (d^2 + 2 sigma_high^2 r)
+            / (sigma_high sqrt(d^2 + 2 (sigma_high^2 - sigma_low^2) r) + sigma_low d),
+
+    so both terms under the square root are >= 0, nothing cancels, and equal
+    widths give the midpoint.  A zero dark width gives the dark mean, the
+    limit of the root.
     """
     if mu_low > mu_high:
         mu_low, mu_high = mu_high, mu_low
         sigma_low, sigma_high = sigma_high, sigma_low
-    if sigma_low <= 0 and sigma_high <= 0:
-        return 0.5 * (mu_low + mu_high)
     if sigma_high <= 0:
+        if sigma_low <= 0:
+            return 0.5 * (mu_low + mu_high)
         raise ThresholdSeparationError(f"the bright fit at mean {mu_high:.2f} has zero "
                                        "width, so the densities do not cross between the means")
-    a = sigma_high**2 - sigma_low**2
-    b = -2.0 * (sigma_high**2 * mu_low - sigma_low**2 * mu_high)
-    c = (
-        sigma_high**2 * mu_low**2
-        - sigma_low**2 * mu_high**2
-        - 2.0 * (sigma_low * sigma_high) ** 2 * math.log(sigma_high / max(sigma_low, 1e-300))
-    )
-    if abs(a) < 1e-12 * max(sigma_low, sigma_high) ** 2:
-        return -c / b
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
+    if sigma_low <= 0:
+        return mu_low
+    d = mu_high - mu_low
+    if d == 0:
+        raise ThresholdSeparationError(f"both fits have mean {mu_low:.2f}, so no threshold "
+                                       "separates them")
+    r = math.log(sigma_high / sigma_low)
+    root = math.sqrt(d * d + 2.0 * (sigma_high**2 - sigma_low**2) * r)
+    x = mu_low + sigma_low * (d * d + 2.0 * sigma_high**2 * r) / (
+        sigma_high * root + sigma_low * d)
+    if not mu_low <= x <= mu_high:
         raise ThresholdSeparationError("densities do not cross between the means")
-    roots = ((-b - math.sqrt(disc)) / (2 * a), (-b + math.sqrt(disc)) / (2 * a))
-    inside = [r for r in roots if mu_low <= r <= mu_high]
-    if not inside:
-        raise ThresholdSeparationError("densities do not cross between the means")
-    return inside[0]
+    return x
 
 
 def _gauss_newton(model, params: np.ndarray, scale) -> np.ndarray:
@@ -276,10 +281,12 @@ def calibrate_threshold(
 ) -> CalibrationResult:
     """Fit one Gaussian per histogram and put the threshold at their crossing.
 
-    The histogram with the lower fitted mean is treated as dark, so the result
-    does not depend on argument order.  Raises
-    :class:`ThresholdSeparationError` when the fitted means are closer than
-    one combined standard deviation, the bright fit has zero width or a
+    The threshold is the largest integer at or below the crossing, since
+    counts strictly above it read bright; a one-bin dark histogram, whose fit
+    has zero width, puts it at that bin.  The histogram with the lower fitted
+    mean is treated as dark, so the result does not depend on argument order.
+    Raises :class:`ThresholdSeparationError` when the fitted means are closer
+    than one combined standard deviation, the bright fit has zero width or a
     least-squares fit does not converge, and ``ValueError`` when
     ``least-squares`` gets a histogram of under 3 bins.
     """
@@ -294,28 +301,12 @@ def calibrate_threshold(
         )
     crossing = equal_density_crossing(dark[0], dark[1], bright[0], bright[1])
     return CalibrationResult(
-        threshold=int(round(crossing)),
+        threshold=math.floor(crossing),
         crossing=crossing,
         dark_fit=dark,
         bright_fit=bright,
         method=method,
     )
-
-
-def optimal_threshold(
-    dark_density, bright_density, candidates: Sequence[int]
-) -> tuple[int, float]:
-    """Brute-force integer threshold minimizing the equal-prior misclassification.
-
-    ``dark_density(t)`` and ``bright_density(t)`` must return the probabilities
-    P(counts > t) and P(counts <= t) respectively.
-    """
-    best_thr, best_p = None, math.inf
-    for thr in candidates:
-        p = 0.5 * dark_density(thr) + 0.5 * bright_density(thr)
-        if p < best_p:
-            best_thr, best_p = thr, p
-    return int(best_thr), float(best_p)
 
 
 # =========================================================================

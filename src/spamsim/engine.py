@@ -585,8 +585,9 @@ class ExperimentConfig:
     ``transfer_durations`` overrides the duration of specific pulses, keyed by
     oriented (from, to) state pairs; the bias scans use this to detune single
     transfers away from their calibrated length.  The overrides bind in
-    :func:`_compile`; :func:`run_experiment` rejects a pair given twice or
-    driven by no transfer of the run's sequences.
+    :func:`_compile`; :func:`run_experiment` rejects a pair given twice,
+    driven by no transfer of the run's sequences, or with a duration that is
+    not finite and non-negative.
 
     Random streams depend on ``seed``, the batch index and the chunk index
     only.  Two configurations run at one seed therefore draw the same numbers
@@ -737,10 +738,16 @@ def run_experiment(
               for step in sequence.steps if isinstance(step, Transfer)}
     durations: dict[tuple[StateLabel, StateLabel], float] = {}
     for pair, duration in config.transfer_durations:
-        if pair in durations or pair not in driven:
-            problem = "is given twice" if pair in durations else "matches no transfer of this run"
-            raise ValueError(f"transfer duration for {pair[0]} -> {pair[1]} {problem}")
-        durations[pair] = duration
+        if pair in durations:
+            problem = "is given twice"
+        elif pair not in driven:
+            problem = "matches no transfer of this run"
+        elif not 0 <= duration < math.inf:  # NaN fails too
+            problem = f"must be finite and non-negative, got {duration}"
+        else:
+            durations[pair] = duration
+            continue
+        raise ValueError(f"transfer duration for {pair[0]} -> {pair[1]} {problem}")
 
     # Tasks run batch by batch, chunk by chunk; both runners keep that order.
     tasks = []

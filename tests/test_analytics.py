@@ -309,6 +309,25 @@ def test_rejection_contributions_decay_mode(model):
     assert 1e-5 < extra < 2e-4
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: sp.detection_error_budget(-0.1, 0.0, 0.0), "bright_error must be a probability"),
+    (lambda: sp.detection_error_budget(0.0, 0.0, 1.5), "decay_error must be a probability"),
+    (lambda: sp.bias_closed_form(0.0, 0.5), "gamma must be positive, got 0.0"),
+    (lambda: sp.bias_closed_form(1.0, 1.5), "p_zero must be a probability, got 1.5"),
+    (lambda: sp.correct_bias(0.5, 0.2, 0.2), "the two conditional probabilities must differ"),
+    (lambda: sp.correct_bias_simplified(0.1, 0.1, 0.0, 0.5), "must be positive"),
+    (lambda: sp.bias_family("metastable-zero").gamma(0.0), "acceptance vanishes at t/t_pi = 0.0"),
+    (lambda: sp.sample_decay_events([1.0], 0, 27.2, np.random.default_rng(0)),
+     "shots_per_delay must be >= 1, got 0"),
+    (lambda: sp.sample_decay_events([1.0], 10, 0.0, np.random.default_rng(0)),
+     "lifetime must be positive, got 0.0"),
+], ids=["budget-bright", "budget-decay", "bias-gamma", "bias-p-zero", "correct-bias",
+        "correct-bias-simplified", "family-gamma", "decay-shots", "decay-lifetime"])
+def test_analytics_arguments_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_bias_closed_form_basics():
     assert sp.bias_closed_form(1.0, 0.5) == 0.0
     assert sp.bias_closed_form(1.0, 0.73) == 0.0
@@ -564,6 +583,18 @@ def test_spam_summary_rejects_bad_z(model, bad):
     res = sp.run_experiment(cfg, workers=1)
     with pytest.raises(ValueError, match="finite and > 0"):
         sp.spam_summary(res, z=bad)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda states: {}, "no batches to summarize"),
+    (lambda states: {**states, "one": dataclasses.replace(states["one"], shots=0)},
+     "batch 'one' has no shots"),
+], ids=["no-batches", "no-shots"])
+def test_spam_summary_needs_shots_to_summarize(model, edit, message):
+    cfg = sp.ExperimentConfig(model=model, encoding="M", shots=200, seed=22)
+    res = sp.run_experiment(cfg, workers=1)
+    with pytest.raises(ValueError, match=message):
+        sp.spam_summary(dataclasses.replace(res, states=edit(res.states)))
 
 
 def test_spam_summary_survives_empty_acceptance(model):

@@ -75,9 +75,11 @@ def test_infinite_pulse_duration_is_rejected_by_name(model):
     # in math.sin with "math domain error".
     with pytest.raises(ValueError, match="pulse duration must be finite, got inf"):
         pulse_success_probability(math.inf, pulse(rate=0.04))
+    # An override is checked before it reaches the pulse, and the error names its transfer.
     cfg = sp.ExperimentConfig(model=model, shots=100,
                               transfer_durations=(((sp.B_2_M1, sp.A_2_0), math.inf),))
-    with pytest.raises(ValueError, match="pulse duration must be finite, got inf"):
+    with pytest.raises(ValueError, match="transfer duration for B:F=2,mF=-1 -> A:F=2,mF=0 "
+                                         "must be finite and non-negative, got inf"):
         sp.run_experiment(cfg)
 
 

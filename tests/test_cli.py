@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import runpy
+import sys
 from importlib import resources
 
 import jsonschema
@@ -627,6 +629,21 @@ def test_bias_scan_rejects_bad_ratios(tmp_path, capsys, grid, message):
     assert not out.exists()
 
 
+def test_bias_scan_with_no_accepted_shot_is_a_usage_error(tmp_path, model, capsys):
+    # Above every count, the threshold reads each detection dark, so the
+    # flags reject every shot and the point has no bias to measure.
+    document = sp.model_to_config(model)
+    document["detection"]["threshold"] = 100000
+    config = tmp_path / "dark.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / "bias"
+    code = cli.main(["bias-scan", "--config", str(config), "--family", "metastable-zero",
+                     "--t-grid", "1.0", "--shots", "1000", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: no shots accepted at t/t_pi = 1.0")
+    assert not out.exists()
+
+
 def test_bias_scan_unknown_family(tmp_path):
     # argparse enforces the family choices itself.
     with pytest.raises(SystemExit) as excinfo:
@@ -687,6 +704,19 @@ def test_version_and_unknown_command():
         cli.main(["--version"])
     with pytest.raises(SystemExit):
         cli.main(["definitely-not-a-command"])
+
+
+def test_main_reads_sys_argv_and_runs_as_a_module(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["spamsim", "predict-rejection", "--encoding", "M"])
+    assert cli.main() == 0
+    table = capsys.readouterr().out
+    assert table.startswith("M zero  first-order")
+    # python -m spamsim.cli runs main on sys.argv and exits with its code.
+    monkeypatch.delitem(sys.modules, "spamsim.cli")  # run afresh, as python -m does
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_module("spamsim.cli", run_name="__main__")
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == table
 
 
 def test_config_with_removed_exposure_field_is_rejected(tmp_path, model, capsys):

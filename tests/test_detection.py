@@ -16,6 +16,7 @@ misread rates and the least-squares Gaussian fit, none of which use it.
 
 import csv
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -71,6 +72,60 @@ def test_equal_sigma_crossing_is_weighted_midpoint():
     assert sp.equal_density_crossing(10.0, 5.0, 30.0, 5.0) == pytest.approx(20.0)
     # So do two zero widths.
     assert sp.equal_density_crossing(10.0, 0.0, 30.0, 0.0) == 20.0
+
+
+def test_zero_width_dark_fit_crosses_at_its_mean():
+    # The limit of the root as the dark width goes to 0, in either argument order.
+    for mu in (-3.0, 0.0, 3.0, 6.0, 95.25):
+        assert sp.equal_density_crossing(mu, 0.0, 229.8, 15.9) == mu
+        assert sp.equal_density_crossing(229.8, 15.9, mu, 0.0) == mu
+
+
+def test_identical_fits_have_no_crossing():
+    # Equal means leave nothing to separate, whatever the widths.
+    for sigma_a, sigma_b in [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]:
+        with pytest.raises(sp.ThresholdSeparationError, match="both fits have mean 5.00"):
+            sp.equal_density_crossing(5.0, sigma_a, 5.0, sigma_b)
+
+
+def decimal_crossing(m1, s1, m2, s2):
+    # Independent oracle: the equal-density quadratic in u = x - m1,
+    # (s2^2 - s1^2) u^2 + 2 s1^2 d u - s1^2 (d^2 + 2 s2^2 ln(s2/s1)) = 0 with
+    # d = m2 - m1, solved by the textbook formula in 60-digit arithmetic, where
+    # its cancellation costs at most 13 of the 60 digits.
+    with decimal.localcontext() as context:
+        context.prec = 60
+        m1, s1, m2, s2 = (decimal.Decimal(value) for value in (m1, s1, m2, s2))
+        d = m2 - m1
+        a = s2 * s2 - s1 * s1
+        b = 2 * s1 * s1 * d
+        c = -s1 * s1 * (d * d + 2 * s2 * s2 * (s2 / s1).ln())
+        u = -c / b if a == 0 else (-b + (b * b - 4 * a * c).sqrt()) / (2 * a)
+        return m1 + u
+
+
+def test_equal_density_crossing_matches_a_60_digit_root():
+    rng = np.random.default_rng(25)
+    n = 12_000
+    mu_low = rng.uniform(0.0, 300.0, n)
+    mu_high = mu_low + rng.uniform(0.5, 300.0, n)
+    sigma_low = rng.uniform(0.1, 80.0, n)
+    # A quarter of the pairs have widths 1e-13, 1e-9 or 1e-6 apart, where the
+    # quadratic's leading coefficient nearly vanishes.
+    near = sigma_low * (1.0 + rng.choice([-1e-6, -1e-9, -1e-13, 1e-13, 1e-9, 1e-6], n))
+    sigma_high = np.where(rng.random(n) < 0.25, near, rng.uniform(0.1, 80.0, n))
+    checked = 0
+    for args in zip(mu_low, sigma_low, mu_high, sigma_high):
+        args = tuple(float(value) for value in args)
+        exact = decimal_crossing(*args)
+        if not args[0] <= exact <= args[2]:
+            with pytest.raises(sp.ThresholdSeparationError, match="do not cross"):
+                sp.equal_density_crossing(*args)
+            continue
+        value = sp.equal_density_crossing(*args)
+        assert abs(decimal.Decimal(value) - exact) <= decimal.Decimal(1e-11) * exact, args
+        checked += 1
+    assert checked >= 10_000
 
 
 def test_optical_error_rates_frozen(model):
@@ -218,7 +273,7 @@ def test_calibrate_threshold_on_synthetic_gaussians():
     )
     result = sp.calibrate_threshold(dark, bright, method="moments")
     assert result.crossing == pytest.approx(CROSSING_20_15_320_60, abs=1.0)
-    assert result.threshold == int(round(result.crossing))
+    assert result.threshold == math.floor(result.crossing)
     assert result.method == "moments"
     # Argument order must not matter.
     swapped = sp.calibrate_threshold(bright, dark, method="moments")
@@ -283,27 +338,40 @@ def test_least_squares_fits_match_curve_fit(model, samples):
         assert fit == pytest.approx(curve_fit_gaussian(hist), rel=1e-6, abs=0)
 
 
+def test_threshold_is_the_largest_integer_at_or_below_the_crossing():
+    # Counts strictly above the threshold read bright, so the threshold is
+    # floor(crossing).  Here the crossing is 110.77 and count 111 is more
+    # likely under the bright fit; a threshold at the nearest integer, 111,
+    # would read it dark.
+    dark, bright = (sp.CountHistogram.from_samples(counts) for counts in
+                    rounded_normals(5, 5000, (50.0, 8.0), (230.0, 16.0)))
+    result = sp.calibrate_threshold(dark, bright)
+    assert result.crossing == pytest.approx(110.77, abs=0.01)
+    assert result.threshold == 110
+
+    def density(fit, x):
+        return stats.norm.pdf(x, *fit)
+
+    assert density(result.dark_fit, 110) > density(result.bright_fit, 110)
+    assert density(result.dark_fit, 111) < density(result.bright_fit, 111)
+
+
+def test_one_bin_dark_histogram_puts_the_threshold_at_its_bin():
+    # A zero-width dark fit crosses the bright one at the dark mean, for every bin.
+    [counts] = rounded_normals(9, 20_000, (229.8, 15.9))
+    bright = sp.CountHistogram.from_samples(counts, label="bright")
+    for low in range(1, 9):
+        dark = sp.CountHistogram((low,), (50,), label="dark")
+        result = sp.calibrate_threshold(dark, bright)
+        assert (result.crossing, result.threshold) == (low, low)
+
+
 def test_calibrate_threshold_rejects_overlapping_histograms():
     rng = np.random.default_rng(0)
     counts = np.rint(rng.normal(100.0, 10.0, 5_000)).astype(int)
     hist = sp.CountHistogram.from_samples(counts, label="same")
     with pytest.raises(sp.ThresholdSeparationError):
         sp.calibrate_threshold(hist, hist)
-
-
-def test_optimal_threshold_is_brute_force_argmin():
-    def dark_density(t):
-        return stats.norm.sf(t + 0.5, loc=100.0, scale=12.0)
-
-    def bright_density(t):
-        return stats.norm.cdf(t + 0.5, loc=230.0, scale=16.0)
-
-    candidates = range(100, 231)
-    threshold, risk = sp.optimal_threshold(dark_density, bright_density, candidates)
-    risks = {t: 0.5 * (dark_density(t) + bright_density(t)) for t in candidates}
-    best = min(risks, key=risks.get)
-    assert threshold == best
-    assert risk == pytest.approx(risks[best])
 
 
 def test_sample_counts_statistics(model):

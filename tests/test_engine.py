@@ -240,6 +240,9 @@ def test_transfer_duration_override_needs_only_one_batch_to_drive_it(model):
     (None, [((sp.B_2_M1, sp.A_2_0), 20e-6), ((sp.B_2_M1, sp.A_2_0), 30e-6)],
      "B:F=2,mF=-1 -> A:F=2,mF=0 is given twice"),
     (Prepare.ZERO, [_SHELVE_ONE], "A:F=2,mF=0 -> B:F=1,mF=-1 matches no transfer"),
+    *[(None, [((sp.B_2_M1, sp.A_2_0), bad)],
+       f"B:F=2,mF=-1 -> A:F=2,mF=0 must be finite and non-negative, got {bad}")
+      for bad in (-1e-6, math.nan, math.inf)],
 ])
 def test_transfer_duration_overrides_name_a_driven_transfer_once(
         model, monkeypatch, prepare, overrides, problem):
@@ -274,6 +277,8 @@ def test_config_validation(model):
         sp.ExperimentConfig(model=model, encoding="X", shots=10)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         sp.ExperimentConfig(model=model, encoding="M", shots=10, seed=-1)
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        sp.run_experiment(sp.ExperimentConfig(model=model, encoding="M", shots=10), workers=0)
 
 
 def test_config_rejects_enum_fields_given_as_strings(model):

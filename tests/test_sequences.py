@@ -121,6 +121,9 @@ def test_second_rotation_is_rejected(encoding):
                  id="no-readout-transfer"),
     pytest.param(lambda s: s[:11] + s[12:], "R5 must directly follow the deshelve step",
                  id="no-deshelve"),
+    # A transfer between two levels of one manifold is refused as it is made.
+    pytest.param(lambda s: s[:4] + (Transfer(sp.A_2_0, sp.A_1_0),) + s[5:],
+                 "illegal transfer A:F=2,mF=0 -> A:F=1,mF=0", id="illegal-transfer"),
 ])
 def test_malformed_step_lists_are_rejected(edit, message):
     steps = sp.build_sequence("M", Prepare.ONE).steps
@@ -165,6 +168,10 @@ def test_build_sequence_accepts_encoding_objects():
     assert by_name.steps == by_obj.steps
     with pytest.raises(ValueError):
         sp.build_sequence("Q", Prepare.ZERO)
+    # An encoding outside the catalog has no step list.
+    custom = sp.QubitEncoding("X", zero=sp.B_2_M1, one=sp.A_2_0)
+    with pytest.raises(ValueError, match="no sequence defined for encoding 'X'"):
+        sp.build_sequence(custom, Prepare.ZERO)
 
 
 def test_detect_labels_cover_all_six_rounds():

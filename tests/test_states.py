@@ -9,6 +9,7 @@ from spamsim.states import LOST, WRONG_GROUND, Manifold, StateLabel, format_stat
 def test_parse_format_round_trip():
     for state in (sp.A_2_0, sp.A_1_0, sp.B_2_M1, sp.B_1_M1, sp.B_2_P1, WRONG_GROUND, LOST):
         assert sp.parse_state(format_state(state)) == state
+    assert repr(sp.A_2_0) == "StateLabel('A:F=2,mF=0')"
 
 
 def test_parse_known_spellings():
@@ -40,6 +41,11 @@ def test_label_round_trip_property(manifold, f, mf):
 def test_sentinels_carry_no_quantum_numbers():
     with pytest.raises(ValueError):
         StateLabel(Manifold.A, 2, 0, WRONG_GROUND.sentinel)
+
+
+def test_hyperfine_labels_need_all_three_quantum_numbers():
+    with pytest.raises(ValueError, match="hyperfine labels need manifold, F and mF"):
+        StateLabel(Manifold.A, None, 0)
 
 
 def test_fluorescence_by_manifold():
