@@ -32,6 +32,7 @@ from .engine import (
     ExperimentResult,
     FlagReason,
     _Channel,
+    _check_workers,
     _compile,
     _Compiled,
     run_experiment,
@@ -388,9 +389,11 @@ def bias_scan(
     the closed form is the exact expectation of each point.
     """
     ratios = list(ratios)
-    # The seed and the whole grid are checked before any point runs.
+    # The seed, the worker count and the whole grid are checked before any
+    # point runs.
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_workers(workers)
     for ratio in ratios:
         if not (math.isfinite(ratio) and ratio > 0):
             raise ValueError(f"duration ratios must be finite and positive, got {ratio!r}")

@@ -61,6 +61,7 @@ EXIT_IO = 3
 EXIT_SEPARATION = 4
 
 _ENCODINGS = ("O", "M", "G")
+_THREADS_HELP = "threads in all, the calling one included (1 starts no other)"
 
 
 def _fmt(value: float) -> str:
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strict-flags", action="store_true",
                      help="also flag the R3 bright, R4 dark pattern")
     run.add_argument("--records", action="store_true", help="write per-shot CSVs")
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     run.add_argument("--z", type=float, default=1.0, help="interval quantile")
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=cmd_run_spam)
@@ -463,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated t/t_pi ratios")
     bias.add_argument("--shots", type=int, default=100_000)
     bias.add_argument("--seed", type=int, default=None)
-    bias.add_argument("--threads", type=int, default=1)
+    bias.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     bias.add_argument("--out", required=True, help="output directory")
     bias.set_defaults(func=cmd_bias_scan)
 

@@ -5,7 +5,9 @@ and the ops act on a chunk of shots at once.  :func:`run_experiment` splits
 its batches into fixed-size chunks of :data:`CHUNK_SHOTS` shots; every chunk
 draws from its own generator seeded by ``SeedSequence(master_seed,
 spawn_key=(batch, chunk))``, so aggregate results are identical for any worker
-count and chunks can be replayed in isolation.
+count and chunks can be replayed in isolation.  With ``workers`` N the
+calling thread runs chunks beside N - 1 helper threads that the run starts
+and joins (:func:`_run_all`); one worker starts no thread.
 
 :func:`_compile` binds a sequence to an :class:`ErrorModel` and the run's
 transfer durations once, and nothing after it reads the model: the
@@ -42,6 +44,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence as SequenceType
 
@@ -706,6 +709,57 @@ def _merged_histogram(parts: list[tuple[int, np.ndarray]], label: str) -> CountH
     return CountHistogram(tuple((bins + low).tolist()), tuple(total[bins].tolist()), label)
 
 
+def _check_workers(workers: int) -> None:
+    # bool is an int subclass, and a float would fail later without a name.
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
+def _run_all(execute, tasks: list, workers: int) -> list:
+    """``[execute(task) for task in tasks]`` on ``workers`` threads in all.
+
+    Every thread runs one loop: claim the lowest unclaimed task index under a
+    lock, run it and store its result at that index.  The calling thread
+    claims task 0 and then works beside ``min(workers, len(tasks)) - 1``
+    helper threads, so one worker starts no thread.  Once a task raises, no
+    thread claims another; after every helper has joined, the exception of
+    the lowest failed index is raised.  Every lower index was claimed before
+    it and has finished, so that is the first exception in task order.
+    """
+    results = [None] * len(tasks)
+    failures: dict[int, BaseException] = {}
+    pending = iter(range(len(tasks)))
+    lock = threading.Lock()
+
+    def claim() -> int | None:
+        with lock:
+            return None if failures else next(pending, None)
+
+    def work(index: int | None) -> None:
+        while index is not None:
+            try:
+                results[index] = execute(tasks[index])
+            except BaseException as exc:  # re-raised by the calling thread
+                with lock:
+                    failures[index] = exc
+            index = claim()
+
+    first = claim()
+    helpers = []
+    try:
+        for _ in range(min(workers, len(tasks)) - 1):
+            helper = threading.Thread(target=lambda: work(claim()))
+            helper.start()
+            helpers.append(helper)
+        work(first)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def run_experiment(
     config: ExperimentConfig,
     *,
@@ -715,6 +769,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the configured batches and aggregate per-state tallies.
 
+    The calling thread runs chunks beside ``workers - 1`` helper threads,
+    all joined when the call returns or raises (:func:`_run_all`).
     Results are bitwise independent of ``workers``: work is split into fixed
     chunks whose generators derive from the seed, the batch index and the
     chunk index alone (see :class:`ExperimentConfig`), and chunk results merge
@@ -727,8 +783,7 @@ def run_experiment(
     detection counts are only kept when ``collect_histograms`` is set, and
     per-shot records (:class:`ExperimentResult`) when ``keep_records`` is.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     batches = [Prepare.ZERO, Prepare.ONE] if config.prepare is None else [config.prepare]
     sizes = [min(CHUNK_SHOTS, config.shots - start)
              for start in range(0, config.shots, CHUNK_SHOTS)]
@@ -749,7 +804,7 @@ def run_experiment(
             continue
         raise ValueError(f"transfer duration for {pair[0]} -> {pair[1]} {problem}")
 
-    # Tasks run batch by batch, chunk by chunk; both runners keep that order.
+    # Tasks are numbered batch by batch, chunk by chunk, and merge in that order.
     tasks = []
     for batch_index, (prepare, sequence) in enumerate(zip(batches, sequences)):
         compiled = _compile(sequence, config.model, durations)
@@ -764,12 +819,7 @@ def run_experiment(
         return _run_chunk(compiled, size, seed_seq, code, config.max_attempts,
                           config.strict_flags, collect_histograms, keep_records)
 
-    if workers == 1:
-        outputs = [execute(task) for task in tasks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging, so not at import
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(execute, tasks))
+    outputs = _run_all(execute, tasks, workers)
 
     table = _FLAG_TABLES[config.strict_flags]
     states: dict[str, BatchTally] = {}

@@ -391,6 +391,16 @@ def test_bias_scan_rejects_a_negative_seed_before_running(monkeypatch):
         sp.analytics.bias_scan(sp.bias_family("metastable-zero"), [0.8, 1.0], 1_000, seed=-1)
 
 
+def test_bias_scan_rejects_a_bad_worker_count_before_running(monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a point ran before the worker count was checked")
+
+    monkeypatch.setattr(sp.analytics, "run_experiment", no_runs)
+    with pytest.raises(ValueError, match=r"workers must be an integer >= 1, got 2\.0"):
+        sp.analytics.bias_scan(sp.bias_family("metastable-zero"), [0.8, 1.0], 1_000,
+                               workers=2.0)
+
+
 def test_correct_bias_round_trip():
     # Mix the two basis calibrations with known weights and invert.
     p0, p1 = 0.62, 0.38

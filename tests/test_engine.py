@@ -3,6 +3,9 @@ import functools
 import hashlib
 import json
 import math
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -80,6 +83,125 @@ def test_records_and_histograms_are_worker_invariant(model, mode, max_attempts):
     assert serial.histograms == threaded.histograms
     assert serial.accepted_r3 == threaded.accepted_r3
     assert len(serial.histograms) == 6 and set(serial.accepted_r3) == {"zero", "one"}
+
+
+# Two batches of three chunks: task indices 0-2 are batch 0, 3-5 batch 1.
+_SIX_CHUNKS = 2 * engine.CHUNK_SHOTS + 1
+
+
+def _patch_chunks(monkeypatch, failing, waits):
+    """Make each chunk keyed ``(batch, chunk)`` in ``failing`` raise its
+    exception; a chunk keyed in ``waits`` first waits (10 s at most) until the
+    chunk it maps to has started.  Returns the name of the thread that ran
+    each chunk, and a started event for every key named."""
+    real = engine._run_chunk
+    ran = {}
+    started = {key: threading.Event() for key in (*failing, *waits, *waits.values())}
+
+    def chunk(compiled, size, seed_seq, *rest):
+        key = tuple(seed_seq.spawn_key)
+        ran[key] = threading.current_thread().name
+        if key in waits:
+            started[waits[key]].wait(timeout=10)
+        if key in started:
+            started[key].set()
+        if key in failing:
+            raise failing[key]
+        return real(compiled, size, seed_seq, *rest)
+
+    monkeypatch.setattr(engine, "_run_chunk", chunk)
+    return ran, started
+
+
+def _six_chunk_run(model, workers):
+    cfg = sp.ExperimentConfig(model=model, encoding="M", shots=_SIX_CHUNKS, seed=5)
+    return sp.run_experiment(cfg, workers=workers, collect_histograms=False)
+
+
+def test_a_chunk_that_raises_in_a_helper_surfaces_from_the_run(model, monkeypatch):
+    # The calling thread holds chunk 0 until chunk 1 has started, so a helper
+    # runs chunk 1.
+    failure = RuntimeError("chunk (0, 1) failed")
+    ran, started = _patch_chunks(monkeypatch, {(0, 1): failure}, waits={(0, 0): (0, 1)})
+    with pytest.raises(RuntimeError) as raised:
+        _six_chunk_run(model, workers=3)
+    assert raised.value is failure
+    assert started[(0, 1)].is_set()
+    assert ran[(0, 0)] == threading.main_thread().name != ran[(0, 1)]
+
+
+def test_the_lowest_failed_task_index_is_the_one_raised(model, monkeypatch):
+    # Task 2 waits until task 3 has started, and task 3 fails at once; the
+    # exception of task 2 surfaces all the same, as pool.map would raise it.
+    low, high = RuntimeError("task 2"), RuntimeError("task 3")
+    _, started = _patch_chunks(monkeypatch, {(0, 2): low, (1, 0): high},
+                               waits={(0, 2): (1, 0)})
+    with pytest.raises(RuntimeError) as raised:
+        _six_chunk_run(model, workers=3)
+    assert raised.value is low
+    assert started[(1, 0)].is_set()
+
+
+def test_no_task_is_claimed_after_one_has_failed():
+    calls = []
+
+    def execute(task):
+        calls.append(task)
+        if task == 1:
+            raise KeyError(task)
+
+    with pytest.raises(KeyError):
+        engine._run_all(execute, [0, 1, 2, 3], workers=1)
+    assert calls == [0, 1]
+
+
+def test_no_thread_outlives_a_run(model, monkeypatch):
+    before = set(threading.enumerate())
+    _six_chunk_run(model, workers=3)
+    assert set(threading.enumerate()) == before
+    _patch_chunks(monkeypatch, {(0, 1): RuntimeError("chunk (0, 1) failed")}, waits={})
+    with pytest.raises(RuntimeError, match=r"chunk \(0, 1\) failed"):
+        _six_chunk_run(model, workers=3)
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("workers, shots, prepare, helpers", [
+    (1, _SIX_CHUNKS, None, 0),  # one worker is the calling thread alone
+    (8, 10, Prepare.ZERO, 0),  # one chunk in all
+    (8, _SIX_CHUNKS, None, 5),  # no more threads than chunks
+])
+def test_the_calling_thread_works_beside_one_helper_fewer(model, monkeypatch, workers,
+                                                          shots, prepare, helpers):
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(engine.threading, "Thread", Counting)
+    cfg = sp.ExperimentConfig(model=model, encoding="M", shots=shots, seed=5, prepare=prepare)
+    sp.run_experiment(cfg, workers=workers, collect_histograms=False)
+    assert len(started) == helpers
+
+
+def test_every_task_runs_once_under_rapid_thread_switching():
+    # More threads than cores and a switch every microsecond: a task claimed
+    # twice, or a result stored at the wrong index, breaks the equalities.
+    calls = []
+
+    def execute(task):
+        calls.append(task)
+        return task * task
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = engine._run_all(execute, list(range(2000)), workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [task * task for task in range(2000)]
+    assert sorted(calls) == list(range(2000))
 
 
 def test_different_seeds_differ(model):
@@ -277,8 +399,15 @@ def test_config_validation(model):
         sp.ExperimentConfig(model=model, encoding="X", shots=10)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         sp.ExperimentConfig(model=model, encoding="M", shots=10, seed=-1)
-    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-        sp.run_experiment(sp.ExperimentConfig(model=model, encoding="M", shots=10), workers=0)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.0, True, "2"])
+def test_workers_must_be_an_integer_of_at_least_one(model, workers):
+    # A float would otherwise fail inside range() with a message that names
+    # no argument, and True would run as one worker.
+    with pytest.raises(ValueError, match=re.escape(f"workers must be an integer >= 1, got {workers!r}")):
+        sp.run_experiment(sp.ExperimentConfig(model=model, encoding="M", shots=10),
+                          workers=workers)
 
 
 def test_config_rejects_enum_fields_given_as_strings(model):

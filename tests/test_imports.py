@@ -8,8 +8,9 @@ jsonschema is imported when a document is validated: a configuration read by
 file the CLI writes.  Loading it at start-up made up most of a cold ``import
 spamsim`` plus ``default_model()``, which every CLI command pays.  For the
 same reason ``fractions`` (which loads ``decimal``) is imported only by the
-exact propagator, and ``concurrent.futures`` (which loads ``logging``) only
-by a run with more than one worker.  Each case runs in a fresh interpreter
+exact propagator.  No call imports ``concurrent.futures`` or ``logging``: a
+run with more than one worker starts plain ``threading`` threads, and
+``threading`` is loaded with numpy.  Each case runs in a fresh interpreter
 with this run's ``sys.path``, because this test process has them all loaded
 already.
 """
@@ -115,6 +116,29 @@ print(json.dumps([name for name in {DEFERRED_STDLIB!r} if name in sys.modules]))
 
 def test_cold_start_loads_no_deferred_stdlib_module():
     assert _fresh(COLD_START) == []
+
+
+# Runs of two chunks or more at two workers, so each starts a helper thread.
+MULTI_WORKER = """
+import contextlib, io, json, sys
+import spamsim, spamsim.cli
+from spamsim import ExperimentConfig
+
+model = spamsim.default_model()
+spamsim.run_experiment(ExperimentConfig(model=model, encoding="M", shots=2000, seed=1),
+                       workers=2)
+spamsim.bias_scan(spamsim.bias_family("metastable-zero"), [0.8, 1.0], 20000,
+                  model=model, seed=3, workers=2)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = spamsim.cli.main(["run-spam", "--shots", "2000", "--seed", "4",
+                             "--threads", "2", "--out", sys.argv[1]])
+assert code == 0
+print(json.dumps([name for name in ("concurrent.futures", "logging") if name in sys.modules]))
+"""
+
+
+def test_multi_worker_runs_load_no_executor_or_logging(tmp_path):
+    assert _fresh(MULTI_WORKER, str(tmp_path / "run")) == []
 
 
 LOAD_CONFIG = f"""
