@@ -22,8 +22,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import DecayChannel, ErrorModel, decay_probability, default_model
-from .detection import _gauss_newton
+from .channels import (
+    DecayChannel, ErrorModel, _check_probability, decay_probability, default_model,
+)
+from .detection import _check_count, _gauss_newton
 from .engine import (
     _FLAG_TABLES,
     _REASON_CODES,
@@ -32,7 +34,6 @@ from .engine import (
     ExperimentResult,
     FlagReason,
     _Channel,
-    _check_workers,
     _compile,
     _Compiled,
     run_experiment,
@@ -72,10 +73,12 @@ def wilson_interval(successes: int, trials: int, z: float = 1.0) -> RateEstimate
     Center (p + z^2/2n) / (1 + z^2/n), half-width
     (z / (1 + z^2/n)) * sqrt(p(1-p)/n + z^2/4n^2), clamped to [0, 1], and
     exactly 0 at no successes and 1 at all, where rounding would miss them.
+    ``trials`` must be an ``int`` >= 1 and ``successes`` an ``int`` in
+    [0, trials]: not a bool, a float or a numpy integer.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
+    _check_count("trials", trials, 1)
+    _check_count("successes", successes, 0)
+    if successes > trials:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     check_z(z)
     p_hat = successes / trials
@@ -250,13 +253,9 @@ def detection_error_budget(
     adds the decay probability times the chance the resulting fluorescence is
     actually read as bright.
     """
-    for name, value in (
-        ("bright_error", bright_error),
-        ("dark_optical_error", dark_optical_error),
-        ("decay_error", decay_error),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be a probability, got {value}")
+    _check_probability(bright_error, "bright_error")
+    _check_probability(dark_optical_error, "dark_optical_error")
+    _check_probability(decay_error, "decay_error")
     dark_total = dark_optical_error + decay_error * (1.0 - bright_error)
     return DetectionErrorBudget(bright_error, dark_total, 0.5 * (bright_error + dark_total))
 
@@ -269,8 +268,7 @@ def bias_closed_form(gamma: float, p_zero: float) -> float:
     """Observable bias <Z_meas> - <Z> for acceptance ratio gamma = P(a|0)/P(a|1)."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if not 0.0 <= p_zero <= 1.0:
-        raise ValueError(f"p_zero must be a probability, got {p_zero}")
+    _check_probability(p_zero, "p_zero")
     p_one = 1.0 - p_zero
     return (gamma * p_zero - p_one) / (gamma * p_zero + p_one) - (p_zero - p_one)
 
@@ -391,9 +389,8 @@ def bias_scan(
     ratios = list(ratios)
     # The seed, the worker count and the whole grid are checked before any
     # point runs.
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    _check_workers(workers)
+    _check_count("seed", seed, 0)
+    _check_count("workers", workers, 1)
     for ratio in ratios:
         if not (math.isfinite(ratio) and ratio > 0):
             raise ValueError(f"duration ratios must be finite and positive, got {ratio!r}")
@@ -455,8 +452,7 @@ def sample_decay_events(
     rng: np.random.Generator,
 ) -> list[tuple[float, int, int]]:
     """Draw binned decayed-or-not counts at each delay for a known lifetime."""
-    if shots_per_delay < 1:
-        raise ValueError(f"shots_per_delay must be >= 1, got {shots_per_delay}")
+    _check_count("shots_per_delay", shots_per_delay, 1)
     if lifetime <= 0:
         raise ValueError(f"lifetime must be positive, got {lifetime}")
     rows = []
@@ -534,20 +530,6 @@ def fit_lifetime(samples: Iterable[tuple]) -> LifetimeFit:
 STAGE_NAMES = ("raw", "R0", "R1", "R2", "R3R4", "R5")
 
 
-def _stage_estimates(tally, z: float):
-    rates: list[float | None] = []
-    intervals: list[list[float] | None] = []
-    for kept, wrong in zip(tally.kept, tally.wrong):
-        if kept == 0:
-            rates.append(None)
-            intervals.append(None)
-            continue
-        estimate = wilson_interval(wrong, kept, z)
-        rates.append(estimate.point)
-        intervals.append([estimate.interval[0], estimate.interval[1]])
-    return rates, intervals
-
-
 def spam_summary(result: ExperimentResult, z: float = 1.0) -> dict:
     """Condense a run into cumulative per-flag retention and error statistics.
 
@@ -563,18 +545,20 @@ def spam_summary(result: ExperimentResult, z: float = 1.0) -> dict:
         raise ValueError("no batches to summarize")
     config = result.config
     states_block: dict[str, dict] = {}
+    estimates: dict[str, list[RateEstimate | None]] = {}
     for name, tally in result.states.items():
         if tally.shots == 0:
             raise ValueError(f"batch {name!r} has no shots")
-        rates, intervals = _stage_estimates(tally, z)
+        stages = estimates[name] = [wilson_interval(wrong, kept, z) if kept else None
+                                    for kept, wrong in zip(tally.kept, tally.wrong)]
         states_block[name] = {
             "shots": tally.shots,
             "kept": list(tally.kept),
             "retention": [k / tally.shots for k in tally.kept],
             "rejected_fraction": tally.rejected_fraction,
             "wrong": list(tally.wrong),
-            "error_rate": rates,
-            "error_interval": intervals,
+            "error_rate": [None if e is None else e.point for e in stages],
+            "error_interval": [None if e is None else list(e.interval) for e in stages],
             "flag_reasons": dict(tally.reasons),
             "accepted": tally.accepted,
             "accepted_zero": tally.accepted_zero,
@@ -584,21 +568,16 @@ def spam_summary(result: ExperimentResult, z: float = 1.0) -> dict:
         }
 
     average_block = None
-    if "zero" in states_block and "one" in states_block:
+    if "zero" in estimates and "one" in estimates:
         rate_rows = []
         interval_rows = []
-        for stage in range(len(STAGE_NAMES)):
-            pair = [states_block[s]["error_rate"][stage] for s in ("zero", "one")]
-            halves = [states_block[s]["error_interval"][stage] for s in ("zero", "one")]
-            if any(r is None for r in pair):
+        for zero, one in zip(estimates["zero"], estimates["one"]):
+            if zero is None or one is None:
                 rate_rows.append(None)
                 interval_rows.append(None)
                 continue
-            rate = 0.5 * (pair[0] + pair[1])
-            half = 0.5 * math.hypot(
-                0.5 * (halves[0][1] - halves[0][0]),
-                0.5 * (halves[1][1] - halves[1][0]),
-            )
+            rate = 0.5 * (zero.point + one.point)
+            half = 0.5 * math.hypot(zero.half_width, one.half_width)
             rate_rows.append(rate)
             interval_rows.append([max(0.0, rate - half), min(1.0, rate + half)])
         average_block = {"error_rate": rate_rows, "error_interval": interval_rows}

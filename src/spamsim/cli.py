@@ -101,26 +101,26 @@ def _write_json(directory: str, name: str, document: dict) -> str:
     return path
 
 
-def _write_manifest(args, argv: list[str], outputs: list[str], seed: int | None) -> None:
+def _write_manifest(args, outputs: list[str]) -> None:
     """Write ``manifest.json`` into ``args.out``, listing ``outputs``."""
     _write_json(args.out, "manifest", {
         "command": args.command,
         "version": __version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "config_path": getattr(args, "config", None),
-        "arguments": list(argv),
+        "arguments": args.argv,
         # Keep the manifest relocatable: record paths relative to it.
         "outputs": sorted(os.path.relpath(path, args.out) for path in outputs),
         "duration_seconds": time.monotonic() - args.started,
     })
 
 
-def _write_if_out(args, argv: list[str], name: str, document: dict) -> None:
+def _write_if_out(args, name: str, document: dict) -> None:
     """With ``--out`` set, write ``document`` as ``<name>.json`` plus its manifest."""
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         path = _write_json(args.out, name, document)
-        _write_manifest(args, argv, [path], None)
+        _write_manifest(args, [path])
         print(f"wrote {path}")
 
 
@@ -193,11 +193,11 @@ def _write_records(directory: str, records: dict, strict: bool) -> list[str]:
     return paths
 
 
-def cmd_run_spam(args, argv: list[str]) -> int:
+def cmd_run_spam(args) -> int:
     # A bad quantile fails before any shot runs or --out is made.
     check_z(args.z)
     model = _load_model(args)
-    seed = _resolve_seed(args.seed)
+    args.seed = _resolve_seed(args.seed)
     max_attempts = args.max_attempts
     if max_attempts is None:
         max_attempts = 3 if args.mode == "rus" else 1
@@ -207,7 +207,7 @@ def cmd_run_spam(args, argv: list[str]) -> int:
         shots=args.shots,
         mode=Mode(args.mode),
         max_attempts=max_attempts,
-        seed=seed,
+        seed=args.seed,
         prepare=None if args.prepare == "both" else Prepare(args.prepare),
         strict_flags=args.strict_flags,
     )
@@ -229,7 +229,7 @@ def cmd_run_spam(args, argv: list[str]) -> int:
         outputs.append(path)
     if args.records:
         outputs += _write_records(args.out, result.records, args.strict_flags)
-    _write_manifest(args, argv, outputs, seed)
+    _write_manifest(args, outputs)
 
     for name, block in summary["states"].items():
         line = (
@@ -256,7 +256,7 @@ def cmd_run_spam(args, argv: list[str]) -> int:
 # calibrate-threshold
 # =========================================================================
 
-def cmd_calibrate_threshold(args, argv: list[str]) -> int:
+def cmd_calibrate_threshold(args) -> int:
     hist_a, hist_b = (read_histogram_csv(path, label=path)
                       for path in (args.histogram_a, args.histogram_b))
     calibration = calibrate_threshold(hist_a, hist_b, method=args.method)
@@ -267,7 +267,7 @@ def cmd_calibrate_threshold(args, argv: list[str]) -> int:
         "dark_fit": {"mean": calibration.dark_fit[0], "sigma": calibration.dark_fit[1]},
         "bright_fit": {"mean": calibration.bright_fit[0], "sigma": calibration.bright_fit[1]},
     }
-    _write_if_out(args, argv, "calibration", document)
+    _write_if_out(args, "calibration", document)
     print(
         f"threshold {calibration.threshold} (crossing {_fmt(calibration.crossing)}, "
         f"dark {_fmt(calibration.dark_fit[0])} +/- {_fmt(calibration.dark_fit[1])}, "
@@ -280,7 +280,7 @@ def cmd_calibrate_threshold(args, argv: list[str]) -> int:
 # predict-rejection
 # =========================================================================
 
-def cmd_predict_rejection(args, argv: list[str]) -> int:
+def cmd_predict_rejection(args) -> int:
     model = _load_model(args)
     encodings = _ENCODINGS if args.encoding == "all" else (args.encoding,)
     rows = []
@@ -309,7 +309,7 @@ def cmd_predict_rejection(args, argv: list[str]) -> int:
             f"{row['encoding']} {row['prepared']:<5} "
             f"first-order {_fmt(row['first_order'])} exact {_fmt(row['exact'])}"
         )
-    _write_if_out(args, argv, "rejection", {"rows": rows})
+    _write_if_out(args, "rejection", {"rows": rows})
     return EXIT_OK
 
 
@@ -327,16 +327,16 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def cmd_bias_scan(args, argv: list[str]) -> int:
+def cmd_bias_scan(args) -> int:
     model = _load_model(args)
-    seed = _resolve_seed(args.seed)
+    args.seed = _resolve_seed(args.seed)
     grid = _parse_grid(args.t_grid)
     families = (
         BIAS_FAMILIES if args.family == "all" else (bias_family(args.family),)
     )
     # Every scan runs before --out is made, so a rejected grid leaves nothing.
     scans = [
-        (family, bias_scan(family, grid, args.shots, model=model, seed=seed,
+        (family, bias_scan(family, grid, args.shots, model=model, seed=args.seed,
                            workers=args.threads))
         for family in families
     ]
@@ -359,7 +359,7 @@ def cmd_bias_scan(args, argv: list[str]) -> int:
                 f"{family.name} t/t_pi {_fmt(p.ratio)}: measured {_fmt(p.measured)} "
                 f"predicted {_fmt(p.predicted)} (se {_fmt(p.std_error)})"
             )
-    _write_manifest(args, argv, outputs, seed)
+    _write_manifest(args, outputs)
     return EXIT_OK
 
 
@@ -386,14 +386,14 @@ def _read_decay_samples(path: str) -> list[tuple]:
     return rows
 
 
-def cmd_lifetime_fit(args, argv: list[str]) -> int:
+def cmd_lifetime_fit(args) -> int:
     samples = _read_decay_samples(args.samples)
     fit = fit_lifetime(samples)
     print(
         f"lifetime {_fmt(fit.lifetime)} s, std error {_fmt(fit.std_error)} s, "
         f"2-sigma interval [{_fmt(fit.interval[0])}, {_fmt(fit.interval[1])}]"
     )
-    _write_if_out(args, argv, "lifetime", dataclasses.asdict(fit))
+    _write_if_out(args, "lifetime", dataclasses.asdict(fit))
     return EXIT_OK
 
 
@@ -482,9 +482,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(argv)
     args.started = time.monotonic()
     try:
-        return args.func(args, list(argv))
+        return args.func(args)
     except ThresholdSeparationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEPARATION

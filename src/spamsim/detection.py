@@ -27,9 +27,22 @@ class ThresholdSeparationError(ValueError):
     """Histograms too entangled to place a threshold between them."""
 
 
+def _check_count(name: str, value: int, minimum: int) -> None:
+    """Refuse ``value`` unless it is an ``int`` (not a bool) of at least ``minimum``.
+
+    A float would fail later with an error that names no argument, and a numpy
+    integer would make the run's summary unserializable.
+    """
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectionModel:
-    """Count statistics and timing of one population detection window."""
+    """Count statistics and timing of one population detection window.
+
+    ``threshold`` must be an ``int`` >= 0: not a bool, a float or a numpy integer.
+    """
 
     mean_bright: float
     mean_dark: float
@@ -44,6 +57,7 @@ class DetectionModel:
             raise ValueError("read noise sigma must be finite and non-negative")
         if not 0 < self.total_duration < math.inf:
             raise ValueError("total_duration must be finite and positive")
+        _check_count("threshold", self.threshold, 0)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,9 @@ from typing import Sequence as SequenceType
 import numpy as np
 
 from .channels import ErrorModel, decay_probability, pulse_success_probability
-from .detection import CountHistogram, DetectionModel, classify, draw_counts, mean_counts
+from .detection import (
+    CountHistogram, DetectionModel, _check_count, classify, draw_counts, mean_counts,
+)
 from .sequence import (
     Cool,
     Deshelve,
@@ -582,9 +584,11 @@ def _run_chunk(
 class ExperimentConfig:
     """One batch experiment: what to prepare, how often, and how to retry.
 
-    ``shots`` counts shots per prepared state.  With ``prepare`` None (the
-    default) both basis states run: a zero batch, then a one batch.  A
-    :class:`Prepare` value runs that state alone, as batch 0.
+    ``shots`` counts shots per prepared state.  ``shots`` and ``max_attempts``
+    must be ``int``s >= 1 and ``seed`` an ``int`` >= 0: not a bool, a float or
+    a numpy integer.  With ``prepare`` None (the default) both basis states
+    run: a zero batch, then a one batch.  A :class:`Prepare` value runs that
+    state alone, as batch 0.
     ``transfer_durations`` overrides the duration of specific pulses, keyed by
     oriented (from, to) state pairs; the bias scans use this to detune single
     transfers away from their calibrated length.  The overrides bind in
@@ -611,18 +615,15 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         encoding_catalog(self.encoding)
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_count("shots", self.shots, 1)
+        _check_count("seed", self.seed, 0)
         if self.prepare is not None and not isinstance(self.prepare, Prepare):
             raise ValueError(f"prepare must be None or a Prepare, got {self.prepare!r}")
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode, got {self.mode!r}")
         if not isinstance(self.strict_flags, bool):
             raise ValueError(f"strict_flags must be a bool, got {self.strict_flags!r}")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        _check_count("max_attempts", self.max_attempts, 1)
         if self.mode is Mode.POST_SELECT and self.max_attempts != 1:
             raise ValueError("max_attempts only applies to repeat-until-success mode")
 
@@ -637,7 +638,6 @@ class BatchTally:
     ``Rotate``.  ``wrong`` counts misreads against that prepared value.
     """
 
-    prepared: str
     shots: int
     kept: tuple[int, ...]
     wrong: tuple[int, ...]
@@ -673,7 +673,7 @@ class ExperimentResult:
     records: dict[str, dict[str, np.ndarray]] | None = None
 
 
-def _batch_tally(name: str, tally: np.ndarray, table: np.ndarray,
+def _batch_tally(tally: np.ndarray, table: np.ndarray,
                  attempts_total: int, attempts_max: int) -> BatchTally:
     """Derive every count of a batch from its (prepared, pattern) tally."""
     reason, stage, inferred = table
@@ -681,7 +681,6 @@ def _batch_tally(name: str, tally: np.ndarray, table: np.ndarray,
     misread = tally[1] * (inferred != 0) + tally[2] * (inferred != 1)
     accepted = stage == _ACCEPTED
     return BatchTally(
-        prepared=name,
         shots=int(shots.sum()),
         kept=tuple(int(shots[stage > k].sum()) for k in range(6)),
         wrong=tuple(int(misread[stage > k].sum()) for k in range(6)),
@@ -707,12 +706,6 @@ def _merged_histogram(parts: list[tuple[int, np.ndarray]], label: str) -> CountH
         total[part_low - low : part_low - low + counts.size] += counts
     bins = np.flatnonzero(total)
     return CountHistogram(tuple((bins + low).tolist()), tuple(total[bins].tolist()), label)
-
-
-def _check_workers(workers: int) -> None:
-    # bool is an int subclass, and a float would fail later without a name.
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def _run_all(execute, tasks: list, workers: int) -> list:
@@ -783,7 +776,7 @@ def run_experiment(
     detection counts are only kept when ``collect_histograms`` is set, and
     per-shot records (:class:`ExperimentResult`) when ``keep_records`` is.
     """
-    _check_workers(workers)
+    _check_count("workers", workers, 1)
     batches = [Prepare.ZERO, Prepare.ONE] if config.prepare is None else [config.prepare]
     sizes = [min(CHUNK_SHOTS, config.shots - start)
              for start in range(0, config.shots, CHUNK_SHOTS)]
@@ -829,7 +822,7 @@ def run_experiment(
         chunk_results = outputs[batch_index * len(sizes) : (batch_index + 1) * len(sizes)]
         name = prepare.value
         states[name] = _batch_tally(
-            name, sum(r.tally for r in chunk_results), table,
+            sum(r.tally for r in chunk_results), table,
             attempts_total=sum(r.attempts_total for r in chunk_results),
             attempts_max=max(r.attempts_max for r in chunk_results),
         )

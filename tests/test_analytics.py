@@ -27,6 +27,7 @@ Gauss-Newton lifetime fit is held to.
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,11 +319,18 @@ def test_rejection_contributions_decay_mode(model):
     (lambda: sp.correct_bias_simplified(0.1, 0.1, 0.0, 0.5), "must be positive"),
     (lambda: sp.bias_family("metastable-zero").gamma(0.0), "acceptance vanishes at t/t_pi = 0.0"),
     (lambda: sp.sample_decay_events([1.0], 0, 27.2, np.random.default_rng(0)),
-     "shots_per_delay must be >= 1, got 0"),
+     "shots_per_delay must be an integer >= 1, got 0"),
+    (lambda: sp.sample_decay_events([1.0], 10.5, 27.2, np.random.default_rng(0)),
+     r"shots_per_delay must be an integer >= 1, got 10\.5"),
+    (lambda: sp.sample_decay_events([1.0], True, 27.2, np.random.default_rng(0)),
+     "shots_per_delay must be an integer >= 1, got True"),
     (lambda: sp.sample_decay_events([1.0], 10, 0.0, np.random.default_rng(0)),
      "lifetime must be positive, got 0.0"),
+    (lambda: sp.wilson_interval(1, 10.5), r"trials must be an integer >= 1, got 10\.5"),
+    (lambda: sp.wilson_interval(1.5, 10), r"successes must be an integer >= 0, got 1\.5"),
 ], ids=["budget-bright", "budget-decay", "bias-gamma", "bias-p-zero", "correct-bias",
-        "correct-bias-simplified", "family-gamma", "decay-shots", "decay-lifetime"])
+        "correct-bias-simplified", "family-gamma", "decay-shots", "decay-shots-float",
+        "decay-shots-bool", "decay-lifetime", "wilson-trials-float", "wilson-successes-float"])
 def test_analytics_arguments_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -382,23 +390,18 @@ def test_bias_scan_rejects_bad_ratios_before_running(monkeypatch, bad):
     assert repr(bad) in str(excinfo.value)
 
 
-def test_bias_scan_rejects_a_negative_seed_before_running(monkeypatch):
+@pytest.mark.parametrize("argument, value, minimum", [
+    ("seed", -1, 0), ("seed", 1.5, 0), ("workers", 2.0, 1),
+])
+def test_bias_scan_checks_its_counts_before_running(monkeypatch, argument, value, minimum):
     def no_runs(*args, **kwargs):
-        raise AssertionError("a point ran before the seed was checked")
+        raise AssertionError(f"a point ran before {argument} was checked")
 
     monkeypatch.setattr(sp.analytics, "run_experiment", no_runs)
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        sp.analytics.bias_scan(sp.bias_family("metastable-zero"), [0.8, 1.0], 1_000, seed=-1)
-
-
-def test_bias_scan_rejects_a_bad_worker_count_before_running(monkeypatch):
-    def no_runs(*args, **kwargs):
-        raise AssertionError("a point ran before the worker count was checked")
-
-    monkeypatch.setattr(sp.analytics, "run_experiment", no_runs)
-    with pytest.raises(ValueError, match=r"workers must be an integer >= 1, got 2\.0"):
+    message = re.escape(f"{argument} must be an integer >= {minimum}, got {value!r}")
+    with pytest.raises(ValueError, match=message):
         sp.analytics.bias_scan(sp.bias_family("metastable-zero"), [0.8, 1.0], 1_000,
-                               workers=2.0)
+                               **{argument: value})
 
 
 def test_correct_bias_round_trip():

@@ -396,14 +396,15 @@ def test_run_spam_invalid_config_document(tmp_path, model, monkeypatch, capsys):
         raise AssertionError("shots ran before the config was checked")
 
     monkeypatch.setattr(cli, "run_experiment", no_runs)
-    # json reads NaN and Infinity, so non-finite values get past the parser;
-    # the model checks reject them before any shot runs.
+    # json reads NaN and Infinity, so non-finite values get past the parser,
+    # and JSON Schema's integer type admits 161.0; the model checks reject
+    # them before any shot runs.
     truncated = "{\"pump\""  # not JSON at all
     documents = ["{\"pump\": {}}", truncated]
     for section, field, value in [
         ("detection", "read_noise_sigma", "NaN"), ("detection", "mean_bright", "NaN"),
         ("detection", "total_duration", "Infinity"), ("pump", "duration", "Infinity"),
-        ("durations", "cooling", "Infinity"),
+        ("durations", "cooling", "Infinity"), ("detection", "threshold", "161.0"),
     ]:
         document = sp.model_to_config(model)
         document[section][field] = float(value)
@@ -458,7 +459,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, command, 
     else:
         argv[1:1] = ["--seed", "-1"]
     assert cli.main(argv) == 2
-    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -465,3 +466,12 @@ def test_classify_uses_strict_greater_than(model):
     det = model.detection
     assert not sp.detection.classify(det.threshold, det.threshold)
     assert sp.detection.classify(det.threshold + 1, det.threshold)
+
+
+@pytest.mark.parametrize("threshold", [160.5, math.nan, True, -1])
+def test_threshold_must_be_an_integer_of_at_least_zero(model, threshold):
+    # Unchecked, 160.5 fails inside optical_error_rates with a message that
+    # names no argument, and nan reads every window dark without an error.
+    message = re.escape(f"threshold must be an integer >= 0, got {threshold!r}")
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(model.detection, threshold=threshold)

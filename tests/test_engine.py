@@ -397,17 +397,28 @@ def test_config_validation(model):
                             mode=sp.Mode.POST_SELECT, max_attempts=3)
     with pytest.raises(ValueError):
         sp.ExperimentConfig(model=model, encoding="X", shots=10)
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
         sp.ExperimentConfig(model=model, encoding="M", shots=10, seed=-1)
 
 
-@pytest.mark.parametrize("workers", [0, -1, 2.0, True, "2"])
-def test_workers_must_be_an_integer_of_at_least_one(model, workers):
-    # A float would otherwise fail inside range() with a message that names
-    # no argument, and True would run as one worker.
-    with pytest.raises(ValueError, match=re.escape(f"workers must be an integer >= 1, got {workers!r}")):
-        sp.run_experiment(sp.ExperimentConfig(model=model, encoding="M", shots=10),
-                          workers=workers)
+@pytest.mark.parametrize("value", [None, 2.0, True, np.int64(2), "2"],
+                         ids=["below", "float", "bool", "numpy", "str"])
+@pytest.mark.parametrize("argument, minimum", [
+    ("shots", 1), ("seed", 0), ("max_attempts", 1), ("workers", 1),
+])
+def test_every_count_must_be_an_integer_of_at_least_its_minimum(model, argument, minimum, value):
+    # A float would otherwise fail inside numpy or range() with a message that
+    # names no argument, True would run as 1, and a numpy integer would make
+    # the summary unserializable.
+    value = minimum - 1 if value is None else value
+    fields = {"model": model, "shots": 10, "mode": sp.Mode.REPEAT_UNTIL_SUCCESS,
+              "max_attempts": 2}
+    message = re.escape(f"{argument} must be an integer >= {minimum}, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        if argument == "workers":
+            sp.run_experiment(sp.ExperimentConfig(**fields), workers=value)
+        else:
+            sp.ExperimentConfig(**{**fields, argument: value})
 
 
 def test_config_rejects_enum_fields_given_as_strings(model):
