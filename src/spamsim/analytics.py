@@ -61,10 +61,15 @@ class RateEstimate:
         return 0.5 * (self.interval[1] - self.interval[0])
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is finite and > 0; NaN is refused too."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def check_z(z: float) -> None:
     """Reject an interval quantile ``z`` unless it is finite and > 0."""
-    if not (math.isfinite(z) and z > 0):
-        raise ValueError(f"z must be finite and > 0, got {z!r}")
+    _check_positive("z", z)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.0) -> RateEstimate:
@@ -265,9 +270,11 @@ def detection_error_budget(
 # =========================================================================
 
 def bias_closed_form(gamma: float, p_zero: float) -> float:
-    """Observable bias <Z_meas> - <Z> for acceptance ratio gamma = P(a|0)/P(a|1)."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    """Observable bias <Z_meas> - <Z> for acceptance ratio gamma = P(a|0)/P(a|1).
+
+    ``gamma`` must be finite and > 0.
+    """
+    _check_positive("gamma", gamma)
     _check_probability(p_zero, "p_zero")
     p_one = 1.0 - p_zero
     return (gamma * p_zero - p_one) / (gamma * p_zero + p_one) - (p_zero - p_one)

@@ -47,7 +47,6 @@ from .detection import (
     write_histogram_csv,
 )
 from .engine import (
-    CHUNK_SHOTS,
     ExperimentConfig,
     Mode,
     evaluate_flags,
@@ -131,6 +130,8 @@ def _write_if_out(args, name: str, document: dict) -> None:
 _RECORD_HEADER = "shot,prepared,R0,R1,R2,R3,R4,R5,flagged,reason,inferred\r\n"
 _STATE_NAMES = ("", "zero", "one")  # indexed by code + 1, code -1 meaning none
 _TAILS = tuple(f"{tail:03d}" for tail in range(1000))
+# Rows of each records file per write(): what one block holds is bounded by it.
+_RECORD_BLOCK_ROWS = 2048
 
 
 def _shot_indices(start: int, stop: int) -> list[str]:
@@ -170,8 +171,9 @@ def _write_records(directory: str, records: dict, strict: bool) -> list[str]:
     function of its R0..R5 pattern, so a row after its shot index depends on
     (prepared, pattern) alone: one of the 192 suffixes of
     :func:`_record_suffixes`.  Every state has as many shots, so the files are
-    written together, ``CHUNK_SHOTS`` rows per ``write()``: each block renders
-    its shot indices once for all states, and memory stays bounded by a block.
+    written together, :data:`_RECORD_BLOCK_ROWS` rows per ``write()``: each
+    block renders its shot indices once for all states.  A block's strings,
+    not the run's shot count, bound the memory the writer takes.
     """
     suffixes = _record_suffixes(strict)
     paths = [os.path.join(directory, f"records_{name}.csv") for name in records]
@@ -181,8 +183,8 @@ def _write_records(directory: str, records: dict, strict: bool) -> list[str]:
                    for path in paths]
         for handle in handles:
             handle.write(_RECORD_HEADER)
-        for start in range(0, shots, CHUNK_SHOTS):
-            stop = min(start + CHUNK_SHOTS, shots)
+        for start in range(0, shots, _RECORD_BLOCK_ROWS):
+            stop = min(start + _RECORD_BLOCK_ROWS, shots)
             parts = [""] * (2 * (stop - start))
             parts[0::2] = _shot_indices(start, stop)
             for handle, state in zip(handles, records.values()):

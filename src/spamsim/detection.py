@@ -62,7 +62,11 @@ class DetectionModel:
 
 @dataclass(frozen=True)
 class CountHistogram:
-    """Integer count histogram, one bin per count value."""
+    """Integer count histogram, one bin per count value.
+
+    Every bin is an ``int``, negative ones included, and every frequency an
+    ``int`` >= 0: neither may be a bool, a float or a numpy integer.
+    """
 
     bin_lows: tuple[int, ...]
     frequencies: tuple[int, ...]
@@ -71,8 +75,11 @@ class CountHistogram:
     def __post_init__(self) -> None:
         if len(self.bin_lows) != len(self.frequencies):
             raise ValueError("bin_lows and frequencies must have equal length")
-        if any(f < 0 for f in self.frequencies):
-            raise ValueError("frequencies must be non-negative")
+        for low in self.bin_lows:
+            if not isinstance(low, int) or isinstance(low, bool):
+                raise ValueError(f"bin_lows must be integers, got {low!r}")
+        for frequency in self.frequencies:
+            _check_count("frequencies", frequency, 0)
         if sum(self.frequencies) <= 0:
             raise ValueError("histogram must contain at least one sample")
         if list(self.bin_lows) != sorted(set(self.bin_lows)):
@@ -156,18 +163,20 @@ def draw_counts(mean: np.ndarray, model: DetectionModel, rng: np.random.Generato
     window; the sum is rounded to the nearest integer.  When every window has
     the same mean it goes to ``rng.poisson`` as a scalar: numpy calls the same
     per-element sampler on either path, so the values and the stream are
-    unchanged, and the scalar path skips the broadcast iterator.
+    unchanged, and the scalar path skips the broadcast iterator.  With read
+    noise a call holds two arrays, the Poisson int64 one it returns and one
+    float64 one, and no third.
     """
     lam = mean
     if mean.size and mean.min() == mean.max():
         lam = mean.flat[0]
     counts = rng.poisson(lam, mean.shape)
     if model.read_noise_sigma > 0:
-        # The Poisson counts go into the noise array in place: one float
-        # array, rounded in place, and then the int64 cast.
+        # The Poisson counts go into the noise array, which is rounded in
+        # place and cast back into the Poisson array: every sum is integral.
         noisy = rng.normal(0.0, model.read_noise_sigma, mean.shape)
         noisy += counts
-        counts = np.rint(noisy, out=noisy).astype(np.int64)
+        np.copyto(counts, np.rint(noisy, out=noisy), casting="unsafe")
     return counts
 
 

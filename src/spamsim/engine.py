@@ -88,6 +88,9 @@ class FlagReason(enum.Enum):
 
 _REASON_CODES = tuple(FlagReason)
 
+# The window whose read gives an unflagged shot's inferred value.
+_READOUT = DetectLabel.R3
+
 # Tally stage at which each reason first rejects a shot; accepted shots pass
 # all five checks.  ``BatchTally.kept[k]`` counts shots whose stage is > k.
 _FAIL_STAGE = {FlagReason.R0_DARK: 1, FlagReason.R1_BRIGHT: 2, FlagReason.R2_BRIGHT: 3,
@@ -134,7 +137,7 @@ def _flag_table(strict: bool) -> np.ndarray:
     for pattern in range(64):
         _, reason, _ = evaluate_flags([pattern >> i & 1 for i in range(6)], strict)
         table[:, pattern] = (_REASON_CODES.index(reason), _FAIL_STAGE[reason],
-                             1 - (pattern >> 3 & 1))
+                             1 - (pattern >> _READOUT & 1))
     return table
 
 
@@ -245,6 +248,21 @@ class _Compiled:
     detection: DetectionModel
     mean_counts: np.ndarray  # float64 Poisson mean of a whole window, per label
 
+    def kept_windows(self, max_attempts: int) -> frozenset[int]:
+        """The windows whose per-shot counts a chunk keeps past their detect op.
+
+        The readout window's counts wait for each shot's final pattern, which
+        picks the accepted shots of its second histogram.  With retries, each
+        window read in ``ops[retry_at : prep_end + 1]`` (R1 in every built
+        sequence) is read again by every retry, and only a shot's last read
+        counts.  Every other window is read once per shot.
+        """
+        windows = {_READOUT}
+        if max_attempts > 1:
+            windows.update(op.detect for op in self.ops[self.retry_at : self.prep_end + 1]
+                           if op.detect is not None)
+        return frozenset(windows)
+
 
 def _compile(
     sequence: Sequence,
@@ -334,52 +352,60 @@ def _compile(
 class _ChunkState:
     """All per-shot arrays of one chunk, or of a sub-chunk gathered from one.
 
-    The shot axis is the last axis of every array; ``pattern`` holds each
-    shot's R0..R5 reads as one byte.  ``counts`` holds the raw detection
-    counts and is ``None`` when no histograms are collected.  ``present``
+    ``pattern`` holds each shot's R0..R5 reads as one byte.  ``present``
     holds every label a shot may be in: a superset of the labels in
     ``state``, which the ops keep up to date.
+
+    ``parts`` is ``None`` when no histograms are collected.  Otherwise it
+    holds a ``(lowest value, counts)`` histogram per window R0..R5, which the
+    window's detect op makes at once, and ``kept`` holds the per-shot counts
+    of each window in ``keep`` (:meth:`_Compiled.kept_windows`), whose
+    histogram waits for the chunk's end.  A sub-chunk shares ``parts``.
     """
 
     rng: np.random.Generator
     state: np.ndarray
     prepared: np.ndarray
     pattern: np.ndarray
-    counts: np.ndarray | None
     present: set[int]
+    parts: list[tuple[int, np.ndarray] | None] | None = None
+    keep: frozenset[int] = frozenset()
+    kept: dict[int, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def start(cls, size: int, rng: np.random.Generator, prepared_code: int,
-              with_counts: bool) -> "_ChunkState":
+              keep: frozenset[int] | None) -> "_ChunkState":
+        """A chunk of ``size`` shots; ``keep`` None collects no histograms."""
         return cls(
             rng=rng,
             state=np.full(size, _WG, dtype=np.int16),
             prepared=np.full(size, prepared_code, dtype=np.int8),
             pattern=np.zeros(size, dtype=np.uint8),
-            counts=np.zeros((6, size), dtype=np.int64) if with_counts else None,
             present={_WG},
+            parts=None if keep is None else [None] * len(DetectLabel),
+            keep=keep or frozenset(),
         )
 
     @property
     def size(self) -> int:
         return self.state.size
 
-    def _per_shot(self) -> tuple[np.ndarray | None, ...]:
-        return (self.state, self.prepared, self.pattern, self.counts)
+    def _per_shot(self) -> tuple[np.ndarray, ...]:
+        return (self.state, self.prepared, self.pattern, *self.kept.values())
 
     def take(self, idx: np.ndarray) -> "_ChunkState":
         """Copy of the shots at ``idx``, with just their labels in its set, that
         draws from the same generator."""
-        state, *rest = (None if a is None else a[..., idx] for a in self._per_shot())
+        state, prepared, pattern, *kept = (a[idx] for a in self._per_shot())
         # bincount, not np.unique, which loads numpy.ma on first use.
         present = set(np.flatnonzero(np.bincount(state)).tolist())
-        return _ChunkState(self.rng, state, *rest, present)
+        return _ChunkState(self.rng, state, prepared, pattern, present, self.parts, self.keep,
+                           dict(zip(self.kept, kept)))
 
     def put(self, idx: np.ndarray, sub: "_ChunkState") -> None:
         """Write a sub-chunk from :meth:`take` back to the shots at ``idx``."""
         for target, values in zip(self._per_shot(), sub._per_shot()):
-            if target is not None:
-                target[..., idx] = values
+            target[idx] = values
         self.present |= sub.present
 
 
@@ -427,6 +453,14 @@ def _apply_channel(chunk: _ChunkState, channel: _Channel) -> np.ndarray:
     return failed
 
 
+def _value_counts(values: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(lowest value, counts)`` with ``counts[i]`` the frequency of lowest + i."""
+    if values.size == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    low = int(values.min())
+    return low, np.bincount(values - low)
+
+
 def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> None:
     """Apply one compiled op to every shot of ``chunk``.
 
@@ -440,7 +474,10 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> None:
     reads each shot's mean count from ``compiled.mean_counts`` after its
     decay channel, rewrites it only for the shots that decayed inside the
     window, and draws the counts with :func:`~spamsim.detection.draw_counts`:
-    the same two steps as :func:`~spamsim.detection.sample_counts`.
+    the same two steps as :func:`~spamsim.detection.sample_counts`.  When the
+    chunk collects histograms, the op keeps the counts in ``chunk.kept`` if
+    its window is in ``chunk.keep`` and otherwise histograms them into
+    ``chunk.parts`` with :func:`_value_counts` and lets them go.
     """
     rng = chunk.rng
     decayed = None
@@ -465,8 +502,11 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> None:
         elif decayed is not None:
             _skip(rng, chunk.size)
         counts = draw_counts(mean, det, rng)
-        if chunk.counts is not None:
-            chunk.counts[op.detect] = counts
+        if chunk.parts is not None:
+            if op.detect in chunk.keep:
+                chunk.kept[op.detect] = counts
+            else:
+                chunk.parts[op.detect] = _value_counts(counts)
         # A retry re-reads R1, so the op clears its bit before setting it.
         bit = np.uint8(1 << op.detect)
         chunk.pattern &= ~bit
@@ -504,14 +544,6 @@ class _ChunkResult:
 _RECORD_KEYS = ("prepared", "pattern", "attempts")
 
 
-def _value_counts(values: np.ndarray) -> tuple[int, np.ndarray]:
-    """``(lowest value, counts)`` with ``counts[i]`` the frequency of lowest + i."""
-    if values.size == 0:
-        return 0, np.zeros(0, dtype=np.int64)
-    low = int(values.min())
-    return low, np.bincount(values - low)
-
-
 def _run_chunk(
     compiled: _Compiled,
     size: int,
@@ -531,9 +563,13 @@ def _run_chunk(
     set, and per-shot columns (keyed by :data:`_RECORD_KEYS`, none of which
     depends on ``strict``) when ``keep_records`` is.  With ``max_attempts`` 1
     no shot retries.
+
+    Each window is histogrammed at its detect op, but for those of
+    :meth:`_Compiled.kept_windows`, whose counts the chunk keeps to its end.
     """
     rng = np.random.default_rng(seed_seq)
-    chunk = _ChunkState.start(size, rng, prepared_code, collect_histograms)
+    keep = compiled.kept_windows(max_attempts) if collect_histograms else None
+    chunk = _ChunkState.start(size, rng, prepared_code, keep)
     attempts = np.ones(size, dtype=np.int32)
 
     ops, split = compiled.ops, compiled.prep_end + 1
@@ -560,8 +596,9 @@ def _run_chunk(
     if collect_histograms:
         _, stage, _ = _FLAG_TABLES[strict]
         accepted = stage.take(chunk.pattern) == _ACCEPTED
-        histograms = [_value_counts(values) for values in chunk.counts]
-        histograms.append(_value_counts(chunk.counts[3, accepted]))
+        for window, counts in chunk.kept.items():
+            chunk.parts[window] = _value_counts(counts)
+        histograms = chunk.parts + [_value_counts(chunk.kept[_READOUT][accepted])]
 
     records = None
     if keep_records:
@@ -773,8 +810,9 @@ def run_experiment(
     :func:`evaluate_flags`.
 
     Repeat-until-success retry rounds draw only for the retrying shots.  Raw
-    detection counts are only kept when ``collect_histograms`` is set, and
-    per-shot records (:class:`ExperimentResult`) when ``keep_records`` is.
+    detection counts are histogrammed only when ``collect_histograms`` is set,
+    and per-shot records (:class:`ExperimentResult`) kept when
+    ``keep_records`` is.
     """
     _check_count("workers", workers, 1)
     batches = [Prepare.ZERO, Prepare.ONE] if config.prepare is None else [config.prepare]

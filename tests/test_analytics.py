@@ -313,7 +313,9 @@ def test_rejection_contributions_decay_mode(model):
 @pytest.mark.parametrize("call, message", [
     (lambda: sp.detection_error_budget(-0.1, 0.0, 0.0), "bright_error must be a probability"),
     (lambda: sp.detection_error_budget(0.0, 0.0, 1.5), "decay_error must be a probability"),
-    (lambda: sp.bias_closed_form(0.0, 0.5), "gamma must be positive, got 0.0"),
+    (lambda: sp.bias_closed_form(0.0, 0.5), "gamma must be finite and > 0, got 0.0"),
+    (lambda: sp.bias_closed_form(math.nan, 0.5), "gamma must be finite and > 0, got nan"),
+    (lambda: sp.bias_closed_form(math.inf, 0.5), "gamma must be finite and > 0, got inf"),
     (lambda: sp.bias_closed_form(1.0, 1.5), "p_zero must be a probability, got 1.5"),
     (lambda: sp.correct_bias(0.5, 0.2, 0.2), "the two conditional probabilities must differ"),
     (lambda: sp.correct_bias_simplified(0.1, 0.1, 0.0, 0.5), "must be positive"),
@@ -328,9 +330,10 @@ def test_rejection_contributions_decay_mode(model):
      "lifetime must be positive, got 0.0"),
     (lambda: sp.wilson_interval(1, 10.5), r"trials must be an integer >= 1, got 10\.5"),
     (lambda: sp.wilson_interval(1.5, 10), r"successes must be an integer >= 0, got 1\.5"),
-], ids=["budget-bright", "budget-decay", "bias-gamma", "bias-p-zero", "correct-bias",
-        "correct-bias-simplified", "family-gamma", "decay-shots", "decay-shots-float",
-        "decay-shots-bool", "decay-lifetime", "wilson-trials-float", "wilson-successes-float"])
+], ids=["budget-bright", "budget-decay", "bias-gamma", "bias-gamma-nan", "bias-gamma-inf",
+        "bias-p-zero", "correct-bias", "correct-bias-simplified", "family-gamma", "decay-shots",
+        "decay-shots-float", "decay-shots-bool", "decay-lifetime", "wilson-trials-float",
+        "wilson-successes-float"])
 def test_analytics_arguments_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()

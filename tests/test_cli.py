@@ -5,6 +5,7 @@ import json
 import math
 import runpy
 import sys
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -109,7 +110,7 @@ RECORD_CASES = {
 @pytest.mark.parametrize("case", sorted(RECORD_CASES))
 def test_records_csv_matches_row_writer(tmp_path, model, monkeypatch, case):
     # 4000 rows span three write blocks, the last one partial.
-    monkeypatch.setattr(cli, "CHUNK_SHOTS", 1_500)
+    monkeypatch.setattr(cli, "_RECORD_BLOCK_ROWS", 1_500)
     cfg = sp.ExperimentConfig(model=model, shots=4_000, seed=15, **RECORD_CASES[case])
     res = sp.run_experiment(cfg, workers=1, collect_histograms=False, keep_records=True)
     paths = cli._write_records(str(tmp_path), res.records, cfg.strict_flags)
@@ -122,7 +123,7 @@ def test_records_csv_matches_row_writer(tmp_path, model, monkeypatch, case):
 
 
 def test_records_csv_with_six_digit_shot_indices_matches_row_writer(tmp_path):
-    # 100500 rows cross 99999/100000 and span seven CHUNK_SHOTS write blocks;
+    # 100500 rows cross 99999/100000 and span 50 write blocks;
     # each state's rows hold all 192 (prepared, pattern) keys.  No engine run.
     rng = np.random.default_rng(23)
     keys = {name: rng.permutation(np.arange(100_500) % 192) for name in ("zero", "one")}
@@ -136,10 +137,28 @@ def test_records_csv_with_six_digit_shot_indices_matches_row_writer(tmp_path):
         assert written.count(b"\r\n") == 100_501
 
 
+def test_records_writer_memory_is_bounded_by_a_block(tmp_path):
+    # Blocks of 16384 rows peaked at about 2300 KB under tracemalloc for two
+    # states of 20000 rows; blocks of 2048 rows peak at about 300 KB.  The
+    # bound, 1024 KB, is 3.4 times the second and under half the first.
+    rng = np.random.default_rng(29)
+    records = {name: {"prepared": np.zeros(20_000, dtype=np.int8),
+                      "pattern": rng.integers(0, 64, 20_000, dtype=np.uint8)}
+               for name in ("zero", "one")}
+    cli._write_records(str(tmp_path), records, False)  # renders the suffix table once
+    tracemalloc.start()
+    try:
+        cli._write_records(str(tmp_path), records, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
 @pytest.mark.parametrize("extra", [[], ["--strict-flags"], ["--prepare", "superposition"]])
 def test_run_spam_records_match_row_writer(tmp_path, monkeypatch, extra):
     # 16500 rows cross the 999/1000 and 9999/10000 index widths and the
-    # CHUNK_SHOTS write block edge at 16384.
+    # write block edge at 16384.
     results, run_experiment = [], cli.run_experiment
 
     def keep(*args, **kwargs):

@@ -241,9 +241,16 @@ def test_histogram_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize("bin_lows, frequencies, message", [
     ((1, 2), (3,), "bin_lows and frequencies must have equal length"),
-    ((1, 2), (3, -1), "frequencies must be non-negative"),
+    ((1, 2), (3, -1), "frequencies must be an integer >= 0, got -1"),
     ((1, 2), (0, 0), "histogram must contain at least one sample"),
     ((2, 2), (3, 1), "bin_lows must be strictly increasing"),
+    ((1.5, 2.5), (2, 3), "bin_lows must be integers, got 1.5"),
+    ((1, 2.0), (2, 3), "bin_lows must be integers, got 2.0"),
+    ((np.int64(1),), (2,), "bin_lows must be integers, got np.int64"),
+    ((False, 1), (2, 3), "bin_lows must be integers, got False"),
+    ((1, 2), (2, 3.0), r"frequencies must be an integer >= 0, got 3\.0"),
+    ((1,), (np.int64(2),), "frequencies must be an integer >= 0, got np.int64"),
+    ((1, 2), (True, 3), "frequencies must be an integer >= 0, got True"),
 ])
 def test_histogram_rejects_malformed_bins(bin_lows, frequencies, message):
     with pytest.raises(ValueError, match=message):

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,52 @@ def test_histograms_cover_all_rounds(model):
     # The survival check R0 sees a fluorescing ion in every shot.
     r0_mean = np.average(res.histograms["R0"].bin_lows, weights=res.histograms["R0"].frequencies)
     assert r0_mean == pytest.approx(model.detection.mean_bright, rel=0.02)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rus_histograms_count_each_shot_once(model, workers):
+    # A retry reads R1 again and only a shot's last read counts, so every
+    # window's histogram holds one value per shot, and its mass above the
+    # threshold is the number of shots whose final pattern reads it bright.
+    cfg = sp.ExperimentConfig(model=model, encoding="O", shots=20_000, seed=8,
+                              mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=3)
+    res = sp.run_experiment(cfg, workers=workers, collect_histograms=True, keep_records=True)
+    assert all(tally.attempts_max > 1 for tally in res.states.values())
+    patterns = np.concatenate([columns["pattern"] for columns in res.records.values()])
+    threshold = model.detection.threshold
+    for window in range(6):
+        hist = res.histograms[f"R{window}"]
+        assert hist.total == 2 * cfg.shots, window
+        bright = sum(frequency for low, frequency in zip(hist.bin_lows, hist.frequencies)
+                     if low > threshold)
+        assert bright == np.count_nonzero(patterns & (1 << window)), window
+    for name, tally in res.states.items():
+        assert res.accepted_r3[name].total == tally.accepted
+
+
+@pytest.mark.parametrize("encoding", ["O", "M", "G"])
+def test_chunks_keep_the_readout_and_the_retried_windows(model, encoding):
+    for prepare in Prepare:
+        compiled = engine._compile(sp.build_sequence(encoding, prepare), model)
+        assert compiled.kept_windows(1) == {sp.DetectLabel.R3}
+        assert compiled.kept_windows(3) == {sp.DetectLabel.R1, sp.DetectLabel.R3}
+
+
+def test_a_chunk_with_histograms_keeps_no_count_matrix(model):
+    # One 16384-shot M chunk with histograms peaked at about 1410 KB under
+    # tracemalloc when it kept a 6 x shots int64 count matrix (786 KB), and at
+    # about 714 KB keeping R3's row alone (numpy 2.4).  The bound, 64 bytes a
+    # shot (1024 KB), is 43% above the second and 27% below the first.
+    compiled = engine._compile(sp.build_sequence("M", Prepare.ONE), model)
+    args = (compiled, engine.CHUNK_SHOTS, np.random.SeedSequence(5), 1, 1, False, True, False)
+    engine._run_chunk(*args)  # the channels make their arrays on first use
+    tracemalloc.start()
+    try:
+        engine._run_chunk(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * engine.CHUNK_SHOTS
 
 
 def test_rejection_rates_track_exact_predictions(model):
@@ -474,7 +521,7 @@ def test_prepared_is_the_rotate_outcome(model):
     sequence = sp.build_sequence("M", Prepare.SUPERPOSITION)
     compiled = engine._compile(sequence, short)
     chunk = engine._ChunkState.start(2_000, np.random.default_rng(61),
-                                     engine._PREPARED_CODES[Prepare.SUPERPOSITION], False)
+                                     engine._PREPARED_CODES[Prepare.SUPERPOSITION], None)
     at_rotate = None
     for op in compiled.ops:
         engine._apply_op(chunk, compiled, op)
@@ -500,7 +547,7 @@ def _reference_rus(model, encoding, prepare, shots, seed, max_attempts):
     """
     code = {Prepare.ZERO: 0, Prepare.ONE: 1, Prepare.SUPERPOSITION: -1}[prepare]
     compiled = engine._compile(sp.build_sequence(encoding, prepare), model)
-    chunk = engine._ChunkState.start(shots, np.random.default_rng(seed), code, False)
+    chunk = engine._ChunkState.start(shots, np.random.default_rng(seed), code, None)
     attempts = np.ones(shots, dtype=np.int32)
     ops = compiled.ops
     for op in ops[: compiled.prep_end + 1]:
@@ -959,7 +1006,7 @@ def test_first_pass_skips_the_draws_no_shot_reads(model, prepare):
     compiled = engine._compile(sp.build_sequence("M", prepare), slow)
     rng = _CountingGenerator(_CountingPCG64(3))
     chunk = engine._ChunkState.start(engine.CHUNK_SHOTS, rng, engine._PREPARED_CODES[prepare],
-                                     False)
+                                     None)
     for op in compiled.ops:
         engine._apply_op(chunk, compiled, op)
     # 22 uniform arrays a shot: 9 drawn, 13 skipped.
