@@ -99,7 +99,12 @@ class CountHistogram:
 
     @classmethod
     def from_samples(cls, counts: Iterable[int], label: str = "unlabeled") -> "CountHistogram":
-        values, freqs = np.unique(np.asarray(list(counts), dtype=int), return_counts=True)
+        """Histogram of integer samples: a float or bool sample is refused, not
+        truncated, as a bin of either type is."""
+        samples = np.asarray(list(counts))
+        if samples.size and samples.dtype.kind not in "iu":
+            raise ValueError(f"samples must be integers, got {samples.flat[0].item()!r}")
+        values, freqs = np.unique(samples, return_counts=True)
         return cls(tuple(int(v) for v in values), tuple(int(f) for f in freqs), label)
 
 

@@ -248,21 +248,6 @@ class _Compiled:
     detection: DetectionModel
     mean_counts: np.ndarray  # float64 Poisson mean of a whole window, per label
 
-    def kept_windows(self, max_attempts: int) -> frozenset[int]:
-        """The windows whose per-shot counts a chunk keeps past their detect op.
-
-        The readout window's counts wait for each shot's final pattern, which
-        picks the accepted shots of its second histogram.  With retries, each
-        window read in ``ops[retry_at : prep_end + 1]`` (R1 in every built
-        sequence) is read again by every retry, and only a shot's last read
-        counts.  Every other window is read once per shot.
-        """
-        windows = {_READOUT}
-        if max_attempts > 1:
-            windows.update(op.detect for op in self.ops[self.retry_at : self.prep_end + 1]
-                           if op.detect is not None)
-        return frozenset(windows)
-
 
 def _compile(
     sequence: Sequence,
@@ -354,13 +339,8 @@ class _ChunkState:
 
     ``pattern`` holds each shot's R0..R5 reads as one byte.  ``present``
     holds every label a shot may be in: a superset of the labels in
-    ``state``, which the ops keep up to date.
-
-    ``parts`` is ``None`` when no histograms are collected.  Otherwise it
-    holds a ``(lowest value, counts)`` histogram per window R0..R5, which the
-    window's detect op makes at once, and ``kept`` holds the per-shot counts
-    of each window in ``keep`` (:meth:`_Compiled.kept_windows`), whose
-    histogram waits for the chunk's end.  A sub-chunk shares ``parts``.
+    ``state``, which the ops keep up to date.  A chunk holds its shots and
+    nothing else: the detection counts go to :func:`_run_chunk`.
     """
 
     rng: np.random.Generator
@@ -368,44 +348,35 @@ class _ChunkState:
     prepared: np.ndarray
     pattern: np.ndarray
     present: set[int]
-    parts: list[tuple[int, np.ndarray] | None] | None = None
-    keep: frozenset[int] = frozenset()
-    kept: dict[int, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def start(cls, size: int, rng: np.random.Generator, prepared_code: int,
-              keep: frozenset[int] | None) -> "_ChunkState":
-        """A chunk of ``size`` shots; ``keep`` None collects no histograms."""
+    def start(cls, size: int, rng: np.random.Generator, prepared_code: int) -> "_ChunkState":
+        """A chunk of ``size`` shots, all in ``WrongGround`` before op 0."""
         return cls(
             rng=rng,
             state=np.full(size, _WG, dtype=np.int16),
             prepared=np.full(size, prepared_code, dtype=np.int8),
             pattern=np.zeros(size, dtype=np.uint8),
             present={_WG},
-            parts=None if keep is None else [None] * len(DetectLabel),
-            keep=keep or frozenset(),
         )
 
     @property
     def size(self) -> int:
         return self.state.size
 
-    def _per_shot(self) -> tuple[np.ndarray, ...]:
-        return (self.state, self.prepared, self.pattern, *self.kept.values())
-
     def take(self, idx: np.ndarray) -> "_ChunkState":
         """Copy of the shots at ``idx``, with just their labels in its set, that
         draws from the same generator."""
-        state, prepared, pattern, *kept = (a[idx] for a in self._per_shot())
+        state = self.state[idx]
         # bincount, not np.unique, which loads numpy.ma on first use.
         present = set(np.flatnonzero(np.bincount(state)).tolist())
-        return _ChunkState(self.rng, state, prepared, pattern, present, self.parts, self.keep,
-                           dict(zip(self.kept, kept)))
+        return _ChunkState(self.rng, state, self.prepared[idx], self.pattern[idx], present)
 
     def put(self, idx: np.ndarray, sub: "_ChunkState") -> None:
         """Write a sub-chunk from :meth:`take` back to the shots at ``idx``."""
-        for target, values in zip(self._per_shot(), sub._per_shot()):
-            target[idx] = values
+        self.state[idx] = sub.state
+        self.prepared[idx] = sub.prepared
+        self.pattern[idx] = sub.pattern
         self.present |= sub.present
 
 
@@ -461,8 +432,9 @@ def _value_counts(values: np.ndarray) -> tuple[int, np.ndarray]:
     return low, np.bincount(values - low)
 
 
-def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> None:
-    """Apply one compiled op to every shot of ``chunk``.
+def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> np.ndarray | None:
+    """Apply one compiled op to every shot of ``chunk``; return the counts a
+    detect op drew, one per shot, and ``None`` for any other op.
 
     The op's channels go through :func:`_apply_channel` in order; then a
     Detect or a Rotate step does its own work.  A channel draws only if its
@@ -474,10 +446,8 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> None:
     reads each shot's mean count from ``compiled.mean_counts`` after its
     decay channel, rewrites it only for the shots that decayed inside the
     window, and draws the counts with :func:`~spamsim.detection.draw_counts`:
-    the same two steps as :func:`~spamsim.detection.sample_counts`.  When the
-    chunk collects histograms, the op keeps the counts in ``chunk.kept`` if
-    its window is in ``chunk.keep`` and otherwise histograms them into
-    ``chunk.parts`` with :func:`_value_counts` and lets them go.
+    the same two steps as :func:`~spamsim.detection.sample_counts`, and sets
+    the window's bit of ``chunk.pattern``.
     """
     rng = chunk.rng
     decayed = None
@@ -502,16 +472,12 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> None:
         elif decayed is not None:
             _skip(rng, chunk.size)
         counts = draw_counts(mean, det, rng)
-        if chunk.parts is not None:
-            if op.detect in chunk.keep:
-                chunk.kept[op.detect] = counts
-            else:
-                chunk.parts[op.detect] = _value_counts(counts)
         # A retry re-reads R1, so the op clears its bit before setting it.
         bit = np.uint8(1 << op.detect)
         chunk.pattern &= ~bit
         chunk.pattern |= classify(counts, det.threshold).view(np.uint8) * bit
-    elif op.born is not None:
+        return counts
+    if op.born is not None:
         # Born projection on the spot; draws only when a shot can be projected.
         pz_from_zero, pz_from_one = op.born
         state = chunk.state
@@ -522,6 +488,7 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> None:
             np.copyto(state, np.where(to_zero, compiled.zero_id, compiled.one_id), where=m)
             np.copyto(chunk.prepared, ~to_zero, where=m)
             chunk.present |= {compiled.zero_id, compiled.one_id}
+    return None
 
 
 @dataclass
@@ -529,14 +496,15 @@ class _ChunkResult:
     """What one chunk contributes to a batch; chunks merge by addition.
 
     ``tally[prepared + 1, pattern]`` counts the shots of each prepared code
-    (-1 for none) and R0..R5 pattern.  ``histograms`` holds ``(lowest value,
-    counts)`` pairs for R0..R5 and then for the accepted shots' R3.
+    (-1 for none) and R0..R5 pattern.  ``histograms`` holds one list of
+    ``(lowest value, counts)`` parts for each window R0..R5 and then one for
+    the accepted shots' R3; a window's parts add up to its histogram.
     """
 
     tally: np.ndarray
     attempts_total: int
     attempts_max: int
-    histograms: list[tuple[int, np.ndarray]] | None
+    histograms: list[list[tuple[int, np.ndarray]]] | None
     records: dict[str, np.ndarray] | None
 
 
@@ -559,34 +527,49 @@ def _run_chunk(
     Every tally of the batch is a function of each shot's prepared code and
     R0..R5 pattern, so the chunk returns just their 3x64 count matrix plus the
     attempt totals.  Raw-count histograms (R0..R5, then R3 of accepted shots)
-    come as ``(lowest value, counts)`` pairs when ``collect_histograms`` is
-    set, and per-shot columns (keyed by :data:`_RECORD_KEYS`, none of which
-    depends on ``strict``) when ``keep_records`` is.  With ``max_attempts`` 1
-    no shot retries.
+    come as lists of ``(lowest value, counts)`` parts when
+    ``collect_histograms`` is set, and per-shot columns (keyed by
+    :data:`_RECORD_KEYS`, none of which depends on ``strict``) when
+    ``keep_records`` is.  With ``max_attempts`` 1 no shot retries.
 
-    Each window is histogrammed at its detect op, but for those of
-    :meth:`_Compiled.kept_windows`, whose counts the chunk keeps to its end.
+    Each read is histogrammed as its detect op returns, and only R3's counts
+    are kept, for the accepted shots' histogram.  A retry repeats R1 alone
+    (:attr:`~spamsim.sequence.Sequence.retry_start`), and only a shot's last
+    read counts: each retry round first zeroes the bright bins of the R1 part
+    just read, and the R1 part read last stays whole.
     """
     rng = np.random.default_rng(seed_seq)
-    keep = compiled.kept_windows(max_attempts) if collect_histograms else None
-    chunk = _ChunkState.start(size, rng, prepared_code, keep)
+    chunk = _ChunkState.start(size, rng, prepared_code)
     attempts = np.ones(size, dtype=np.int32)
+    parts: list[list[tuple[int, np.ndarray]]] = [[] for _ in DetectLabel]
+    readout = None
+
+    def run(shots: _ChunkState, ops: list[_Op]) -> None:
+        nonlocal readout
+        for op in ops:
+            counts = _apply_op(shots, compiled, op)
+            if counts is not None and collect_histograms:
+                parts[op.detect].append(_value_counts(counts))
+                if op.detect == _READOUT:
+                    readout = counts
 
     ops, split = compiled.ops, compiled.prep_end + 1
-    for op in ops[:split]:
-        _apply_op(chunk, compiled, op)
+    run(chunk, ops[:split])
     for _ in range(max_attempts - 1):
         # Only the R1-bright shots retry, on a compacted sub-chunk.
         retry = np.flatnonzero(chunk.pattern & np.uint8(1 << DetectLabel.R1))
         if retry.size == 0:
             break
+        if collect_histograms:
+            # A shot retries iff its R1 count is above the threshold, so the
+            # bins above it hold exactly the reads this round replaces.
+            low, counts = parts[DetectLabel.R1][-1]
+            counts[classify(np.arange(low, low + counts.size), compiled.detection.threshold)] = 0
         attempts[retry] += 1
         sub = chunk.take(retry)
-        for op in ops[compiled.retry_at : split]:
-            _apply_op(sub, compiled, op)
+        run(sub, ops[compiled.retry_at : split])
         chunk.put(retry, sub)
-    for op in ops[split:]:
-        _apply_op(chunk, compiled, op)
+    run(chunk, ops[split:])
 
     tally = np.bincount(
         (chunk.prepared.astype(np.intp) + 1) * 64 + chunk.pattern, minlength=3 * 64
@@ -596,9 +579,7 @@ def _run_chunk(
     if collect_histograms:
         _, stage, _ = _FLAG_TABLES[strict]
         accepted = stage.take(chunk.pattern) == _ACCEPTED
-        for window, counts in chunk.kept.items():
-            chunk.parts[window] = _value_counts(counts)
-        histograms = chunk.parts + [_value_counts(chunk.kept[_READOUT][accepted])]
+        histograms = parts + [[_value_counts(readout[accepted])]]
 
     records = None
     if keep_records:
@@ -866,7 +847,8 @@ def run_experiment(
         )
         if collect_histograms:
             hist = _merged_histogram(
-                [r.histograms[6] for r in chunk_results], f"R3|prepared={name},accepted"
+                [part for r in chunk_results for part in r.histograms[6]],
+                f"R3|prepared={name},accepted",
             )
             if hist is not None:
                 accepted_r3[name] = hist
@@ -877,7 +859,8 @@ def run_experiment(
     histograms = {}
     if collect_histograms:
         for index in range(6):
-            hist = _merged_histogram([r.histograms[index] for r in outputs], f"R{index}")
+            hist = _merged_histogram([part for r in outputs for part in r.histograms[index]],
+                                     f"R{index}")
             if hist is not None:
                 histograms[f"R{index}"] = hist
 

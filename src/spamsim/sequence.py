@@ -119,11 +119,13 @@ class Sequence:
 
     @property
     def retry_start(self) -> int:
-        """Index of the cooling step a repeat-until-success retry rewinds to."""
-        cools = [i for i, s in enumerate(self.steps) if isinstance(s, Cool)]
-        if len(cools) < 2:
-            raise ValueError("sequence lacks a second cooling step to rewind to")
-        return cools[1]
+        """Index of the cooling step a repeat-until-success retry rewinds to:
+        the first after R0, which must come before R1, so that R1 is the only
+        detection a retry repeats.  Index 2 in every built sequence."""
+        for index in range(self.detect_index(DetectLabel.R0) + 1, self.prep_end):
+            if isinstance(self.steps[index], Cool):
+                return index
+        raise ValueError("sequence lacks a second cooling step between R0 and R1 to rewind to")
 
     @property
     def prep_end(self) -> int:

@@ -225,16 +225,23 @@ def test_histograms_cover_all_rounds(model):
     assert r0_mean == pytest.approx(model.detection.mean_bright, rel=0.02)
 
 
+@pytest.mark.parametrize("rewind_in_b", [False, True], ids=["default", "rewind-in-b"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_rus_histograms_count_each_shot_once(model, workers):
+def test_rus_histograms_count_each_shot_once(model, workers, rewind_in_b):
     # A retry reads R1 again and only a shot's last read counts, so every
     # window's histogram holds one value per shot, and its mass above the
     # threshold is the number of shots whose final pattern reads it bright.
+    if rewind_in_b:
+        model = _rewind_in_b(model)
     cfg = sp.ExperimentConfig(model=model, encoding="O", shots=20_000, seed=8,
                               mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=3)
     res = sp.run_experiment(cfg, workers=workers, collect_histograms=True, keep_records=True)
     assert all(tally.attempts_max > 1 for tally in res.states.values())
     patterns = np.concatenate([columns["pattern"] for columns in res.records.values()])
+    # Some shots run out of retries with R1 still bright (4 of the default
+    # model's, 2279 of the rewind-in-B model's), so the last R1 read of a
+    # chunk is histogrammed whole.
+    assert np.count_nonzero(patterns & (1 << sp.DetectLabel.R1)) > 0
     threshold = model.detection.threshold
     for window in range(6):
         hist = res.histograms[f"R{window}"]
@@ -246,21 +253,23 @@ def test_rus_histograms_count_each_shot_once(model, workers):
         assert res.accepted_r3[name].total == tally.accepted
 
 
-@pytest.mark.parametrize("encoding", ["O", "M", "G"])
-def test_chunks_keep_the_readout_and_the_retried_windows(model, encoding):
-    for prepare in Prepare:
-        compiled = engine._compile(sp.build_sequence(encoding, prepare), model)
-        assert compiled.kept_windows(1) == {sp.DetectLabel.R3}
-        assert compiled.kept_windows(3) == {sp.DetectLabel.R1, sp.DetectLabel.R3}
-
-
-def test_a_chunk_with_histograms_keeps_no_count_matrix(model):
+@pytest.mark.parametrize("encoding, prepare, max_attempts, bytes_per_shot", [
     # One 16384-shot M chunk with histograms peaked at about 1410 KB under
     # tracemalloc when it kept a 6 x shots int64 count matrix (786 KB), and at
     # about 714 KB keeping R3's row alone (numpy 2.4).  The bound, 64 bytes a
     # shot (1024 KB), is 43% above the second and 27% below the first.
-    compiled = engine._compile(sp.build_sequence("M", Prepare.ONE), model)
-    args = (compiled, engine.CHUNK_SHOTS, np.random.SeedSequence(5), 1, 1, False, True, False)
+    pytest.param("M", Prepare.ONE, 1, 64, id="M"),
+    # One O chunk of 3 attempts peaked at about 842 KB when it kept R1's
+    # counts too, which every retry sub-chunk copied, and at about 720 KB
+    # keeping R3's alone.  The bound, 48 bytes a shot (768 KB), is 7% above
+    # the second and 9% below the first.
+    pytest.param("O", Prepare.ZERO, 3, 48, id="O-rus"),
+])
+def test_a_chunk_with_histograms_keeps_no_count_matrix(model, encoding, prepare, max_attempts,
+                                                       bytes_per_shot):
+    compiled = engine._compile(sp.build_sequence(encoding, prepare), model)
+    args = (compiled, engine.CHUNK_SHOTS, np.random.SeedSequence(5),
+            engine._PREPARED_CODES[prepare], max_attempts, False, True, False)
     engine._run_chunk(*args)  # the channels make their arrays on first use
     tracemalloc.start()
     try:
@@ -268,7 +277,7 @@ def test_a_chunk_with_histograms_keeps_no_count_matrix(model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * engine.CHUNK_SHOTS
+    assert peak < bytes_per_shot * engine.CHUNK_SHOTS
 
 
 def test_rejection_rates_track_exact_predictions(model):
@@ -521,7 +530,7 @@ def test_prepared_is_the_rotate_outcome(model):
     sequence = sp.build_sequence("M", Prepare.SUPERPOSITION)
     compiled = engine._compile(sequence, short)
     chunk = engine._ChunkState.start(2_000, np.random.default_rng(61),
-                                     engine._PREPARED_CODES[Prepare.SUPERPOSITION], None)
+                                     engine._PREPARED_CODES[Prepare.SUPERPOSITION])
     at_rotate = None
     for op in compiled.ops:
         engine._apply_op(chunk, compiled, op)
@@ -547,7 +556,7 @@ def _reference_rus(model, encoding, prepare, shots, seed, max_attempts):
     """
     code = {Prepare.ZERO: 0, Prepare.ONE: 1, Prepare.SUPERPOSITION: -1}[prepare]
     compiled = engine._compile(sp.build_sequence(encoding, prepare), model)
-    chunk = engine._ChunkState.start(shots, np.random.default_rng(seed), code, None)
+    chunk = engine._ChunkState.start(shots, np.random.default_rng(seed), code)
     attempts = np.ones(shots, dtype=np.int32)
     ops = compiled.ops
     for op in ops[: compiled.prep_end + 1]:
@@ -1005,8 +1014,7 @@ def test_first_pass_skips_the_draws_no_shot_reads(model, prepare):
     slow = dataclasses.replace(model, decay=sp.DecayChannel(lifetime=1e6))
     compiled = engine._compile(sp.build_sequence("M", prepare), slow)
     rng = _CountingGenerator(_CountingPCG64(3))
-    chunk = engine._ChunkState.start(engine.CHUNK_SHOTS, rng, engine._PREPARED_CODES[prepare],
-                                     None)
+    chunk = engine._ChunkState.start(engine.CHUNK_SHOTS, rng, engine._PREPARED_CODES[prepare])
     for op in compiled.ops:
         engine._apply_op(chunk, compiled, op)
     # 22 uniform arrays a shot: 9 drawn, 13 skipped.

@@ -137,6 +137,10 @@ def test_step_lists_the_engine_cannot_run(model):
     single_cool = sp.Sequence(sp.encoding_catalog("M"), steps[:2] + steps[3:])
     with pytest.raises(ValueError, match="lacks a second cooling step"):
         engine._compile(single_cool, model)
+    # Nor when both cooling steps come before R0: a retry would repeat R0.
+    cools_before_r0 = sp.Sequence(sp.encoding_catalog("M"), (Cool(),) + steps[:2] + steps[3:])
+    with pytest.raises(ValueError, match="lacks a second cooling step"):
+        engine._compile(cools_before_r0, model)
     # A step of no known type passes the structural checks, and the compiler names it.
     unknown = sp.Sequence(sp.encoding_catalog("M"), ("wait",) + steps)
     with pytest.raises(TypeError, match="unknown step type str"):
