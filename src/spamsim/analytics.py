@@ -99,9 +99,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.0) -> RateEstimate
 # Rejection-fraction prediction
 # =========================================================================
 
-_BASIS_ONLY = "rejection prediction is defined for basis-state preparations only"
-
-
 @dataclass(frozen=True)
 class RejectionContribution:
     """One failure event and whether its lone occurrence raises a flag."""
@@ -118,7 +115,8 @@ def _propagate(compiled: _Compiled) -> np.ndarray:
 
     Reads are noiseless: a label reads bright iff it fluoresces.  Every
     channel splits the mass of each label it sends apart between its success
-    and failure maps by its failure probability.  The matrix holds
+    and failure maps by its failure probability, a Rotate's Born projection
+    too (the matrix sums over its two outcomes).  The matrix holds
     :class:`~fractions.Fraction` objects and every rate enters as the
     rational value of its float, so no split or sum rounds.  Returns the
     final matrix.
@@ -127,8 +125,6 @@ def _propagate(compiled: _Compiled) -> np.ndarray:
     mass = np.zeros((len(compiled.labels), 64), dtype=object)
     mass[_WG, 0] = Fraction(1)
     for op in compiled.ops:
-        if op.born is not None:
-            raise ValueError(_BASIS_ONLY)
         for channel in op.channels:
             p = Fraction(channel.probability)
             fail = 1 - p if channel.tests_success else p
@@ -169,7 +165,8 @@ def rejection_contributions(
     reads bright for the whole window (the engine instead counts partial
     fluorescence).  Events whose lone failure leaves the shot unflagged
     appear with ``raises_flag=False`` (a transfer failure can self-correct
-    when the same pulse is addressed again later).
+    when the same pulse is addressed again later).  A superposition is
+    refused: its Born split is not a lone failure.
     """
     if not include_decay:
         model = replace(model, decay=DecayChannel(math.inf))
@@ -178,8 +175,8 @@ def rejection_contributions(
     events: list[_Channel] = []
     points = [(_WG, 0)]  # the ideal path, then one point per event in ``events``
     for op in compiled.ops:
-        if op.born is not None:
-            raise ValueError(_BASIS_ONLY)
+        if op.rotate:
+            raise ValueError("rejection contributions need a basis-state preparation")
         for channel in op.channels:
             ideal, pattern = points[0]
             points = [(channel.to[label], bits) for label, bits in points]
@@ -227,7 +224,7 @@ def predict_rejection_exact(
     Propagates the probability of every (state label, R0..R5 pattern) pair
     through the compiled ops, compiled without decay, splitting it at every
     channel by its rate, and sums the final probability of the flagged
-    patterns.
+    patterns.  A superposition's Born projection is one more channel.
     The propagation runs in exact rational arithmetic and rounds once at the
     end, as :func:`predict_rejection` rounds its ``math.fsum`` once, so where
     the union bound ``exact <= first-order`` holds for the rates it also holds

@@ -100,11 +100,16 @@ class CountHistogram:
     @classmethod
     def from_samples(cls, counts: Iterable[int], label: str = "unlabeled") -> "CountHistogram":
         """Histogram of integer samples: a float or bool sample is refused, not
-        truncated, as a bin of either type is."""
-        samples = np.asarray(list(counts))
-        if samples.size and samples.dtype.kind not in "iu":
-            raise ValueError(f"samples must be integers, got {samples.flat[0].item()!r}")
-        values, freqs = np.unique(samples, return_counts=True)
+        truncated, as a bin of either type is.  An array is checked by its dtype,
+        any other iterable element by element."""
+        if isinstance(counts, np.ndarray):
+            odd = counts.flat[:1].tolist() if counts.dtype.kind not in "iu" else []
+        else:
+            counts = list(counts)
+            odd = [c for c in counts if type(c) is bool or not isinstance(c, (int, np.integer))]
+        if odd:
+            raise ValueError(f"samples must be integers, got {odd[0]!r}")
+        values, freqs = np.unique(counts, return_counts=True)
         return cls(tuple(int(v) for v in values), tuple(int(f) for f in freqs), label)
 
 

@@ -13,8 +13,8 @@ and joins (:func:`_run_all`); one worker starts no thread.
 transfer durations once, and nothing after it reads the model: the
 interpreters get all they need from its output.
 
-A ``Rotate`` step Born-projects every shot in the qubit subspace on the spot,
-and that outcome is the shot's prepared value.  Built sequences apply no
+A ``Rotate`` step is one channel that Born-projects every qubit shot on the
+spot, and that outcome is the shot's prepared value.  Built sequences apply no
 second coherent operation after it, so projecting at once gives the same
 outcome distribution as projecting at the first step that tells the two basis
 states apart.
@@ -154,9 +154,6 @@ _LOST = 1
 # Prepared code of a shot before any Rotate; -1 means none.
 _PREPARED_CODES = {Prepare.ZERO: 0, Prepare.ONE: 1, Prepare.SUPERPOSITION: -1}
 
-# P(zero) after the pi/2 Rotate, from zero and from one.
-_BORN = (math.cos(math.pi / 4) ** 2, math.sin(math.pi / 4) ** 2)
-
 
 @dataclass(eq=False)
 class _Channel:
@@ -194,18 +191,18 @@ class _Channel:
 
 @dataclass(frozen=True)
 class _Op:
-    """One step: its channels in order, then a read or a Born projection."""
+    """One step: its channels in order, then a read or a Rotate's prepared values."""
 
     channels: tuple[_Channel, ...] = ()
     detect: int | None = None  # the R label a Detect step reads
-    born: tuple[float, float] | None = None  # Rotate: P(zero) from zero and from one
+    rotate: bool = False  # a Rotate step, whose one channel is the Born projection
 
 
 @dataclass
 class _Compiled:
     """A sequence bound to a model: integer state labels plus one op per step.
 
-    Every step but ``Detect`` and ``Rotate`` compiles to channels
+    Every step but ``Detect`` compiles to channels only
     (:class:`_Channel`).  A channel holds a probability and two maps over
     label ids, a success map ``to`` and a failure map ``failed_to``; a
     uniform draw per shot picks the branch, and a shot in label ``l`` goes to
@@ -218,13 +215,15 @@ class _Compiled:
     * transfer: the success map sends ``from`` to ``to``, the failure map is
       the identity, and the draw tests ``u < p_success``;
     * deshelve: one map, the same on both branches, so it draws nothing;
+    * Born projection (``Rotate``): the draw tests ``u < 1/2``, the exact
+      weight, and the maps send the zero and one labels to zero and to one;
     * per-shot ion loss, first in op 0: the failure map sends
       ``WrongGround`` to ``Lost``.
 
     A decay or loss channel of probability 0 is left out.  Three readers
-    interpret ``ops``, and only ``detect`` and ``born`` have code of their
-    own in each: the chunk runner (:func:`_apply_op`) draws a branch for
-    every shot of a chunk;
+    interpret ``ops``, and only ``detect`` has code of its own in each: the
+    chunk runner (:func:`_apply_op`) draws a branch for every shot of a chunk
+    and records a Rotate's outcome as the prepared value;
     ``analytics._propagate`` splits each label's exact probability between
     the two maps; ``analytics.rejection_contributions`` follows the success
     maps (the ideal path) and forks one point to the failure map of each
@@ -291,7 +290,7 @@ def _compile(
         channels.append(_Channel(-1, "ion loss", model.loss_probability_per_shot,
                                  identity, relabel({_WG}, _LOST)))
     for index, step in enumerate(sequence.steps):
-        detect = born = None
+        detect = None
         if isinstance(step, Cool):
             channels += decay(index, model.cooling_duration)
         elif isinstance(step, Pump):
@@ -313,10 +312,12 @@ def _compile(
         elif isinstance(step, Deshelve):
             channels.append(_Channel(index, "deshelve", 0.0, strand, strand))
         elif isinstance(step, Rotate):
-            born = _BORN
+            qubit = {zero_id, one_id}
+            channels.append(_Channel(index, "Born projection", 0.5, relabel(qubit, zero_id),
+                                     relabel(qubit, one_id), True))
         else:
             raise TypeError(f"unknown step type {type(step).__name__}")
-        ops.append(_Op(tuple(channels), detect, born))
+        ops.append(_Op(tuple(channels), detect, isinstance(step, Rotate)))
         channels = []
 
     return _Compiled(
@@ -437,11 +438,11 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> np.ndarray | 
     detect op drew, one per shot, and ``None`` for any other op.
 
     The op's channels go through :func:`_apply_channel` in order; then a
-    Detect or a Rotate step does its own work.  A channel draws only if its
-    failure probability is above 0 and ``chunk.present`` holds a label its
-    maps send apart.  Each channel maps ``present`` through its success map,
-    adding the failure map's image of those labels if a shot failed; a Born
-    projection adds the zero and one labels.  So ``present`` holds every
+    Detect step reads, and a Rotate step records each qubit shot's label as
+    its prepared value.  A channel draws only if its failure probability is
+    above 0 and ``chunk.present`` holds a label its maps send apart.  Each
+    channel maps ``present`` through its success map, adding the failure
+    map's image of those labels if a shot failed, so ``present`` holds every
     occupied label on every pass, retry rounds included.  The detect op
     reads each shot's mean count from ``compiled.mean_counts`` after its
     decay channel, rewrites it only for the shots that decayed inside the
@@ -477,17 +478,10 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> np.ndarray | 
         chunk.pattern &= ~bit
         chunk.pattern |= classify(counts, det.threshold).view(np.uint8) * bit
         return counts
-    if op.born is not None:
-        # Born projection on the spot; draws only when a shot can be projected.
-        pz_from_zero, pz_from_one = op.born
-        state = chunk.state
-        from_zero = state == compiled.zero_id
-        m = from_zero | (state == compiled.one_id)
-        if m.any():
-            to_zero = rng.random(chunk.size) < np.where(from_zero, pz_from_zero, pz_from_one)
-            np.copyto(state, np.where(to_zero, compiled.zero_id, compiled.one_id), where=m)
-            np.copyto(chunk.prepared, ~to_zero, where=m)
-            chunk.present |= {compiled.zero_id, compiled.one_id}
+    if op.rotate:
+        state = chunk.state  # a shot outside the qubit keeps its prepared value
+        np.copyto(chunk.prepared, state == compiled.one_id,
+                  where=(state == compiled.zero_id) | (state == compiled.one_id))
     return None
 
 

@@ -209,9 +209,9 @@ def test_exact_sits_below_first_order_at_rounding_edges(
 
 @pytest.mark.parametrize("encoding", ["O", "M", "G"])
 def test_rejection_prediction_rejects_superposition(model, encoding):
+    # A Born split is not a lone failure, so the first-order walk refuses it;
+    # the exact propagator takes it as one more channel.
     seq = sp.build_sequence(encoding, Prepare.SUPERPOSITION)
-    with pytest.raises(ValueError, match="basis-state"):
-        sp.predict_rejection_exact(seq, model)
     with pytest.raises(ValueError, match="basis-state"):
         sp.rejection_contributions(seq, model, include_decay=True)
 
@@ -378,6 +378,25 @@ def test_bias_family_signs():
     assert sp.bias_family("metastable-zero").predicted_bias(0.7) < 0.0
     assert sp.bias_family("ground-zero").predicted_bias(0.7) < 0.0
     assert sp.bias_family("optical-one").predicted_bias(0.7) > 0.0
+
+
+@pytest.mark.parametrize("family", sp.BIAS_FAMILIES, ids=lambda family: family.name)
+def test_bias_closed_form_is_the_propagated_bias(model, family):
+    # With perfect channels and noiseless reads the exact propagator gives
+    # each scan point's accepted-bright and accepted-dark mass, and so the
+    # bias that bias_scan samples; the closed form must be that value.
+    perfect = model.with_perfect_channels()
+    sequence = sp.build_sequence(family.encoding, Prepare.SUPERPOSITION)
+    t_pi = perfect.pulse_for(*family.scanned[0]).t_pi
+    _, stage, inferred = sp.engine._FLAG_TABLES[False]
+    accepted = stage == sp.engine._ACCEPTED
+    for ratio in (0.6, 0.7, 0.8, 0.9, 1.0):
+        durations = {pair: ratio * t_pi for pair in family.scanned}
+        compiled = sp.engine._compile(sequence, perfect, durations)
+        pattern = sp.analytics._propagate(compiled).sum(axis=0)
+        bright, dark = (pattern[accepted & (inferred == value)].sum() for value in (0, 1))
+        exact = float((bright - dark) / (bright + dark))
+        assert abs(exact - family.predicted_bias(ratio)) <= 1e-15, ratio
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.5])

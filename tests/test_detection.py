@@ -221,10 +221,13 @@ def test_histogram_basics():
     samples = np.array([3, 3, 4, 7, 7, 7], dtype=float)
     assert mean == pytest.approx(samples.mean())
     assert sigma == pytest.approx(samples.std())
-    # A float or bool sample is refused, not truncated into a bin; no sample
-    # at all is an error of its own.
+    # A float or bool sample is refused, not truncated into a bin, also among
+    # integers; no sample at all is an error of its own.
     for samples, message in [([1.5, 2.7, 2.2], "samples must be integers, got 1.5"),
                              ([True, False], "samples must be integers, got True"),
+                             ([1, True, 2], "samples must be integers, got True"),
+                             ([3, 4.0], "samples must be integers, got 4.0"),
+                             (np.array([1.5, 2.0]), "samples must be integers, got 1.5"),
                              ([], "histogram must contain at least one sample")]:
         with pytest.raises(ValueError, match=message):
             sp.CountHistogram.from_samples(samples)

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import spamsim as sp
@@ -281,51 +283,114 @@ def test_a_chunk_with_histograms_keeps_no_count_matrix(model, encoding, prepare,
 
 
 def test_rejection_rates_track_exact_predictions(model):
-    # Monte Carlo against the closed-form compound probability, 4 sigma.
+    # Monte Carlo against the closed-form compound probability, 4 sigma.  A
+    # superposition's Born split is one more channel of the propagator.
     shots = 100_000
     for encoding in ("O", "M", "G"):
-        res = run(model, encoding=encoding, shots=shots, seed=7)
-        for name, tally in res.states.items():
-            seq = sp.build_sequence(encoding, Prepare.ZERO if name == "zero" else Prepare.ONE)
+        basis = run(model, encoding=encoding, shots=shots, seed=7)
+        superposition = run(model, encoding=encoding, shots=shots, seed=7,
+                            prepare=Prepare.SUPERPOSITION)
+        for name, tally in [*basis.states.items(), *superposition.states.items()]:
+            seq = sp.build_sequence(encoding, Prepare(name))
             expected = sp.predict_rejection_exact(seq, model)
             sigma = math.sqrt(expected * (1.0 - expected) / shots)
             assert abs(tally.rejected_fraction - expected) < 4.0 * sigma, (encoding, name)
 
 
-@pytest.mark.parametrize("encoding", ["O", "M", "G"])
-@pytest.mark.parametrize("state", ["zero", "one"])
-def test_pattern_distribution_matches_propagator(model, encoding, state):
-    # With noiseless reads and no decay the analytic propagator gives the
-    # exact probability of every R0..R5 pattern.  Goodness of fit by
-    # chi-square, cells expecting fewer than 20 shots pooled into one.
-    noiseless = dataclasses.replace(
+def _noiseless(model, pulse_error=None):
+    """``model`` with noiseless reads, no decay, 20% pump error and 1% loss,
+    and every pulse error set to ``pulse_error`` if one is given."""
+    pulses = model.pulses if pulse_error is None else tuple(
+        dataclasses.replace(pulse, error_rate=pulse_error) for pulse in model.pulses)
+    return dataclasses.replace(
         model,
         pump=dataclasses.replace(model.pump, error_rate=0.2),
+        pulses=pulses,
         decay=sp.DecayChannel(lifetime=math.inf),
         detection=dataclasses.replace(model.detection, mean_dark=0.0,
                                       read_noise_sigma=0.0, threshold=0),
         loss_probability_per_shot=0.01,
     )
-    prepare = Prepare(state)
-    shots = 200_000
-    cfg = sp.ExperimentConfig(model=noiseless, encoding=encoding, shots=shots, seed=51,
-                              prepare=prepare)
-    res = sp.run_experiment(cfg, workers=2, collect_histograms=False, keep_records=True)
-    observed = np.bincount(res.records[prepare.value]["pattern"], minlength=64)
-    compiled = engine._compile(sp.build_sequence(encoding, prepare), noiseless)
+
+
+def _patterns_follow(observed, compiled):
+    """Hold 64-pattern counts to the propagator's exact law by chi-square at
+    p > 1e-4, cells expecting fewer than 20 shots pooled into one; return the
+    number of cells compared."""
     probability = analytics._propagate(compiled).astype(float).sum(axis=0)
     assert probability.sum() == pytest.approx(1.0, abs=1e-12)
     assert observed[probability == 0].sum() == 0
 
-    expected = shots * probability
+    expected = observed.sum() * probability
     common = expected >= 20
     observed = np.append(observed[common], observed[~common].sum())
     expected = np.append(expected[common], expected[~common].sum())
     if expected[-1] == 0:
         observed, expected = observed[:-1], expected[:-1]
     chi2, p = stats.chisquare(observed, expected)
-    assert expected.size >= 3
     assert p > 1e-4, (chi2, expected.size - 1, p)
+    return expected.size
+
+
+@pytest.mark.parametrize("encoding", ["O", "M", "G"])
+@pytest.mark.parametrize("state", ["zero", "one", "superposition"])
+def test_pattern_distribution_matches_propagator(model, encoding, state):
+    # With noiseless reads and no decay the analytic propagator gives the
+    # exact probability of every R0..R5 pattern.
+    noiseless = _noiseless(model)
+    prepare = Prepare(state)
+    cfg = sp.ExperimentConfig(model=noiseless, encoding=encoding, shots=200_000, seed=51,
+                              prepare=prepare)
+    res = sp.run_experiment(cfg, workers=2, collect_histograms=False, keep_records=True)
+    observed = np.bincount(res.records[prepare.value]["pattern"], minlength=64)
+    compiled = engine._compile(sp.build_sequence(encoding, prepare), noiseless)
+    assert _patterns_follow(observed, compiled) >= 3
+
+
+_TRANSFERS = [sp.Transfer(*pair) for pulse in sp.default_model().pulses
+              for pair in ((pulse.from_state, pulse.to_state), (pulse.to_state, pulse.from_state))]
+
+
+@st.composite
+def _step_lists(draw):
+    """A step list that ``Sequence._validate`` admits and no encoding builds.
+
+    The detections, the shelving transfer before R1, the readout transfers
+    into A before R3 and R4, the deshelve before R5 and, as in every built
+    list, a cool (a retry's rewind point) and a pump after R0 are fixed.
+    Each gap between them holds up to three random fillers (transfers either
+    way, cools, pumps and deshelves), and one gap may hold the list's one
+    ``Rotate``.
+    """
+    def into(manifold):
+        return st.sampled_from([t for t in _TRANSFERS if t.to_state.in_manifold(manifold)])
+
+    fillers = st.lists(st.sampled_from([sp.Cool(), Pump(), sp.Deshelve(), *_TRANSFERS]),
+                       max_size=3)
+    gaps = [draw(fillers) for _ in range(6)]
+    rotate = draw(st.none() | st.integers(0, len(gaps) - 1))
+    if rotate is not None:
+        gaps[rotate].insert(draw(st.integers(0, len(gaps[rotate]))), Rotate())
+    detect = [sp.Detect(label) for label in sp.DetectLabel]
+    steps = [sp.Cool(), detect[0], sp.Cool(), Pump(), *gaps[0], draw(into(sp.Manifold.B)),
+             *gaps[1], detect[1], *gaps[2], detect[2], *gaps[3], draw(into(sp.Manifold.A)),
+             detect[3], *gaps[4], draw(into(sp.Manifold.A)), detect[4], *gaps[5], sp.Deshelve(),
+             detect[5]]
+    return Sequence(sp.encoding_catalog(draw(st.sampled_from("OMG"))), tuple(steps))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(sequence=_step_lists())
+def test_random_step_lists_match_propagator(sequence):
+    # The chunk runner against the exact propagator on lists no encoding
+    # builds, with every channel able to fail; after each op ``present``
+    # holds every label a shot is in.
+    compiled = engine._compile(sequence, _noiseless(sp.default_model(), pulse_error=0.15))
+    chunk = engine._ChunkState.start(100_000, np.random.default_rng(53), -1)
+    for op in compiled.ops:
+        engine._apply_op(chunk, compiled, op)
+        assert set(np.flatnonzero(np.bincount(chunk.state)).tolist()) <= chunk.present
+    _patterns_follow(np.bincount(chunk.pattern, minlength=64), compiled)
 
 
 def test_more_pump_error_means_more_rejections(model):
@@ -534,7 +599,7 @@ def test_prepared_is_the_rotate_outcome(model):
     at_rotate = None
     for op in compiled.ops:
         engine._apply_op(chunk, compiled, op)
-        if op.born is not None:
+        if op.rotate:
             at_rotate = chunk.state.copy()
     expected = np.full(chunk.size, -1)
     expected[at_rotate == compiled.zero_id] = 0
@@ -1001,10 +1066,13 @@ def test_channel_maps_are_label_tables(model, name):
             assert table.dtype == np.int16 and table.shape == (size,), channel.event
             assert 0 <= table.min() and table.max() < size, channel.event
             assert table[lost] == lost, channel.event
-    # Only Detect and Rotate steps carry work beyond their channels.
+    # Only Detect and Rotate steps carry work beyond their channels, and a
+    # Rotate's one channel is the Born projection.
     for op, step in zip(compiled.ops, sequence.steps):
         assert (op.detect is not None) == isinstance(step, sp.Detect)
-        assert (op.born is not None) == isinstance(step, Rotate)
+        assert op.rotate == isinstance(step, Rotate)
+        if op.rotate:
+            assert [channel.event for channel in op.channels] == ["Born projection"]
 
 
 @pytest.mark.parametrize("prepare", [Prepare.ZERO, Prepare.ONE])

@@ -95,9 +95,16 @@ def test_superposition_rotation_follows_the_preparation_check():
         r2 = next(i for i, s in enumerate(seq.steps)
                   if isinstance(s, Detect) and s.label is DetectLabel.R2)
         assert r1 < rotate < r2
-        # A pi/2 rotation: each basis state projects to zero with probability 1/2.
-        born = engine._compile(seq, sp.default_model()).ops[rotate].born
-        assert born == pytest.approx((0.5, 0.5))
+        # A pi/2 rotation: one channel projects each basis state to zero with
+        # probability exactly 1/2, and to one otherwise.
+        compiled = engine._compile(seq, sp.default_model())
+        op = compiled.ops[rotate]
+        assert op.rotate and op.detect is None
+        (born,) = op.channels
+        assert (born.probability, born.tests_success) == (0.5, True)
+        for label in (compiled.zero_id, compiled.one_id):
+            assert (born.to[label], born.failed_to[label]) == (compiled.zero_id, compiled.one_id)
+        assert born.apart == {compiled.zero_id, compiled.one_id}
 
 
 @pytest.mark.parametrize("encoding", ["O", "M", "G"])
