@@ -22,10 +22,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import (
-    DecayChannel, ErrorModel, _check_probability, decay_probability, default_model,
+from .channels import DecayChannel, ErrorModel, decay_probability, default_model
+from .detection import (
+    _check_count, _check_nonnegative, _check_positive, _check_probability, _gauss_newton,
 )
-from .detection import _check_count, _gauss_newton
 from .engine import (
     _FLAG_TABLES,
     _REASON_CODES,
@@ -59,12 +59,6 @@ class RateEstimate:
     @property
     def half_width(self) -> float:
         return 0.5 * (self.interval[1] - self.interval[0])
-
-
-def _check_positive(name: str, value: float) -> None:
-    """Refuse ``value`` unless it is finite and > 0; NaN is refused too."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def check_z(z: float) -> None:
@@ -255,9 +249,9 @@ def detection_error_budget(
     adds the decay probability times the chance the resulting fluorescence is
     actually read as bright.
     """
-    _check_probability(bright_error, "bright_error")
-    _check_probability(dark_optical_error, "dark_optical_error")
-    _check_probability(decay_error, "decay_error")
+    _check_probability("bright_error", bright_error)
+    _check_probability("dark_optical_error", dark_optical_error)
+    _check_probability("decay_error", decay_error)
     dark_total = dark_optical_error + decay_error * (1.0 - bright_error)
     return DetectionErrorBudget(bright_error, dark_total, 0.5 * (bright_error + dark_total))
 
@@ -267,12 +261,9 @@ def detection_error_budget(
 # =========================================================================
 
 def bias_closed_form(gamma: float, p_zero: float) -> float:
-    """Observable bias <Z_meas> - <Z> for acceptance ratio gamma = P(a|0)/P(a|1).
-
-    ``gamma`` must be finite and > 0.
-    """
+    """Observable bias <Z_meas> - <Z> for acceptance ratio gamma = P(a|0)/P(a|1) > 0."""
     _check_positive("gamma", gamma)
-    _check_probability(p_zero, "p_zero")
+    _check_probability("p_zero", p_zero)
     p_one = 1.0 - p_zero
     return (gamma * p_zero - p_one) / (gamma * p_zero + p_one) - (p_zero - p_one)
 
@@ -287,7 +278,11 @@ def correct_bias(
     Given P(b,a) for the state under test and the calibrations P(b,a|0) and
     P(b,a|1) from preparing each basis state, returns (P(0), P(1), <Z>) with
     P(0) = (P(b,a) - P(b,a|1)) / (P(b,a|0) - P(b,a|1)) and P(1) = 1 - P(0).
+    Every argument must be a probability.
     """
+    _check_probability("p_bright_accepted", p_bright_accepted)
+    _check_probability("p_bright_accepted_given_zero", p_bright_accepted_given_zero)
+    _check_probability("p_bright_accepted_given_one", p_bright_accepted_given_one)
     denominator = p_bright_accepted_given_zero - p_bright_accepted_given_one
     if denominator == 0:
         raise ValueError("the two conditional probabilities must differ")
@@ -309,10 +304,15 @@ def correct_bias_simplified(
     """Acceptance-only inversion, valid when in-window decay is negligible.
 
     P(0) = P(b,a)/P(a|0) and P(1) = P(d,a)/P(a|1); the joint probabilities
-    factor as P(b|a)P(a) and P(d|a)P(a).
+    factor as P(b|a)P(a) and P(d|a)P(a).  Every argument must be a
+    probability, and the two acceptances > 0 too.
     """
-    if p_accept_given_zero <= 0 or p_accept_given_one <= 0:
-        raise ValueError("per-state acceptance probabilities must be positive")
+    _check_probability("p_bright_accepted", p_bright_accepted)
+    _check_probability("p_dark_accepted", p_dark_accepted)
+    for name, acceptance in (("p_accept_given_zero", p_accept_given_zero),
+                             ("p_accept_given_one", p_accept_given_one)):
+        _check_positive(name, acceptance)
+        _check_probability(name, acceptance)
     p_zero = p_bright_accepted / p_accept_given_zero
     p_one = p_dark_accepted / p_accept_given_one
     return p_zero, p_one, p_zero - p_one
@@ -396,8 +396,7 @@ def bias_scan(
     _check_count("seed", seed, 0)
     _check_count("workers", workers, 1)
     for ratio in ratios:
-        if not (math.isfinite(ratio) and ratio > 0):
-            raise ValueError(f"duration ratios must be finite and positive, got {ratio!r}")
+        _check_positive("duration ratio", ratio)
     base = (model if model is not None else default_model()).with_perfect_channels()
     t_pi = base.pulse_for(*family.scanned[0]).t_pi
     points = []
@@ -457,14 +456,9 @@ def sample_decay_events(
 ) -> list[tuple[float, int, int]]:
     """Draw binned decayed-or-not counts at each delay for a known lifetime."""
     _check_count("shots_per_delay", shots_per_delay, 1)
-    if lifetime <= 0:
-        raise ValueError(f"lifetime must be positive, got {lifetime}")
-    rows = []
-    for delay in delays:
-        probability = decay_probability(delay, DecayChannel(lifetime))
-        decayed = int(rng.binomial(shots_per_delay, probability))
-        rows.append((float(delay), decayed, shots_per_delay))
-    return rows
+    decay = DecayChannel(lifetime)
+    return [(float(delay), int(rng.binomial(shots_per_delay, decay_probability(delay, decay))),
+             shots_per_delay) for delay in delays]
 
 
 def _decay_row(row: tuple) -> tuple[float, float, float]:
@@ -474,12 +468,14 @@ def _decay_row(row: tuple) -> tuple[float, float, float]:
     if len(row) == 2 and row[1] not in (0, 1):  # a per-shot row: one trial
         raise ValueError(f"decay row {row!r}: decayed must be 0 or 1")
     delay, count, trials = (float(value) for value in (*row, 1)[:3])
-    if not (math.isfinite(delay) and delay > 0):
-        raise ValueError(f"decay row {row!r}: delay must be finite and > 0")
-    if not (math.isfinite(trials) and trials > 0):
-        raise ValueError(f"decay row {row!r}: trials must be finite and > 0")
-    if not (math.isfinite(count) and 0 <= count <= trials):
-        raise ValueError(f"decay row {row!r}: count must be finite and in [0, trials]")
+    try:
+        _check_positive("delay", delay)
+        _check_positive("trials", trials)
+        _check_nonnegative("count", count)
+        if count > trials:
+            raise ValueError(f"count must not exceed trials, got {count!r}")
+    except ValueError as exc:
+        raise ValueError(f"decay row {row!r}: {exc}") from None
     return delay, count, trials
 
 

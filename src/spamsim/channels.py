@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .detection import DetectionModel
+from .detection import DetectionModel, _check_nonnegative, _check_positive, _check_probability
 from .states import (
     Manifold,
     StateLabel,
@@ -32,11 +32,6 @@ from .states import (
 
 class ConfigError(ValueError):
     """Raised when a configuration document violates the schema."""
-
-
-def _check_probability(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be a probability, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,9 +48,8 @@ class TransferPulse:
             raise ValueError(
                 f"pulse must bridge the manifolds: {self.from_state} -> {self.to_state}"
             )
-        _check_probability(self.error_rate, "error_rate")
-        if not 0 < self.t_pi < math.inf:  # NaN fails too
-            raise ValueError(f"t_pi must be finite and positive, got {self.t_pi}")
+        _check_probability("error_rate", self.error_rate)
+        _check_positive("t_pi", self.t_pi)
 
 
 @dataclass(frozen=True)
@@ -69,21 +63,19 @@ class PumpChannel:
     def __post_init__(self) -> None:
         if not self.target.in_manifold(Manifold.A):
             raise ValueError("pump target must be a hyperfine level of manifold A")
-        _check_probability(self.error_rate, "error_rate")
-        if not 0 <= self.duration < math.inf:  # NaN fails too
-            raise ValueError(
-                f"pump duration must be finite and non-negative, got {self.duration}")
+        _check_probability("error_rate", self.error_rate)
+        _check_nonnegative("duration", self.duration)
 
 
 @dataclass(frozen=True)
 class DecayChannel:
-    """Exponential decay of manifold B with 1/e lifetime in seconds."""
+    """Exponential decay of manifold B with 1/e lifetime in seconds; inf means none."""
 
     lifetime: float
 
     def __post_init__(self) -> None:
-        if not self.lifetime > 0:
-            raise ValueError(f"lifetime must be positive, got {self.lifetime}")
+        if isinstance(self.lifetime, bool) or not self.lifetime > 0:
+            raise ValueError(f"lifetime must be positive, got {self.lifetime!r}")
 
     @property
     def disabled(self) -> bool:
@@ -92,8 +84,7 @@ class DecayChannel:
 
 def decay_probability(duration: float, decay: DecayChannel) -> float:
     """Probability that a B-state decays within ``duration`` seconds."""
-    if not duration >= 0:  # NaN fails too
-        raise ValueError(f"duration must be non-negative, got {duration}")
+    _check_nonnegative("duration", duration)
     return -math.expm1(-duration / decay.lifetime)
 
 
@@ -103,10 +94,7 @@ def pulse_success_probability(duration: float, pulse: TransferPulse) -> float:
     The duration factor is sin^2(pi*t / (2*t_pi)), so a calibrated pi-time
     transfers with probability ``1 - error_rate``.
     """
-    if not duration >= 0:  # NaN fails too
-        raise ValueError(f"duration must be non-negative, got {duration}")
-    if math.isinf(duration):
-        raise ValueError(f"pulse duration must be finite, got {duration}")
+    _check_nonnegative("duration", duration)
     factor = math.sin(math.pi * duration / (2.0 * pulse.t_pi)) ** 2
     return (1.0 - pulse.error_rate) * factor
 
@@ -123,10 +111,8 @@ class ErrorModel:
     loss_probability_per_shot: float
 
     def __post_init__(self) -> None:
-        _check_probability(self.loss_probability_per_shot, "loss_probability_per_shot")
-        if not 0 <= self.cooling_duration < math.inf:  # NaN fails too
-            raise ValueError(
-                f"cooling duration must be finite and non-negative, got {self.cooling_duration}")
+        _check_probability("loss_probability_per_shot", self.loss_probability_per_shot)
+        _check_nonnegative("cooling_duration", self.cooling_duration)
         pairs = [_pair_key(pulse.from_state, pulse.to_state) for pulse in self.pulses]
         for index, (low, high) in enumerate(pairs):
             if (low, high) in pairs[:index]:

@@ -37,6 +37,26 @@ def _check_count(name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+# The rules for a real argument refuse a bool, which a saved model would
+# write as a JSON boolean the schema refuses, and NaN.
+def _check_probability(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is a probability: a real in [0, 1]."""
+    if isinstance(value, bool) or not 0 <= value <= 1:
+        raise ValueError(f"{name} must be a probability, got {value!r}")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is a finite real >= 0."""
+    if isinstance(value, bool) or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is a finite real > 0."""
+    if isinstance(value, bool) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectionModel:
     """Count statistics and timing of one population detection window.
@@ -51,12 +71,10 @@ class DetectionModel:
     threshold: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.mean_bright < math.inf and 0 <= self.mean_dark < math.inf):
-            raise ValueError("count means must be finite and non-negative")
-        if not 0 <= self.read_noise_sigma < math.inf:
-            raise ValueError("read noise sigma must be finite and non-negative")
-        if not 0 < self.total_duration < math.inf:
-            raise ValueError("total_duration must be finite and positive")
+        _check_nonnegative("mean_bright", self.mean_bright)
+        _check_nonnegative("mean_dark", self.mean_dark)
+        _check_nonnegative("read_noise_sigma", self.read_noise_sigma)
+        _check_positive("total_duration", self.total_duration)
         _check_count("threshold", self.threshold, 0)
 
 
@@ -353,6 +371,7 @@ def count_pmf(mean: float, model: DetectionModel) -> tuple[int, np.ndarray]:
     k + round(g) for an integer k, the law is the Poisson pmf convolved with
     that of the rounded read noise g, so ``lowest`` depends on g alone.
     """
+    _check_nonnegative("mean", mean)
     size = int(mean + 14.0 * math.sqrt(mean + 1.0)) + 11 if mean > 0 else 1
     # Each term relative to the mode's, by p(k + 1) = p(k) mean / (k + 1)
     # outward from it, then scaled to sum to 1 (what lies past the last term

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence as SequenceType
@@ -52,7 +51,8 @@ import numpy as np
 
 from .channels import ErrorModel, decay_probability, pulse_success_probability
 from .detection import (
-    CountHistogram, DetectionModel, _check_count, classify, draw_counts, mean_counts,
+    CountHistogram, DetectionModel, _check_count, _check_nonnegative, classify, draw_counts,
+    mean_counts,
 )
 from .sequence import (
     Cool,
@@ -799,16 +799,13 @@ def run_experiment(
               for step in sequence.steps if isinstance(step, Transfer)}
     durations: dict[tuple[StateLabel, StateLabel], float] = {}
     for pair, duration in config.transfer_durations:
+        name = f"transfer duration for {pair[0]} -> {pair[1]}"
         if pair in durations:
-            problem = "is given twice"
-        elif pair not in driven:
-            problem = "matches no transfer of this run"
-        elif not 0 <= duration < math.inf:  # NaN fails too
-            problem = f"must be finite and non-negative, got {duration}"
-        else:
-            durations[pair] = duration
-            continue
-        raise ValueError(f"transfer duration for {pair[0]} -> {pair[1]} {problem}")
+            raise ValueError(f"{name} is given twice")
+        if pair not in driven:
+            raise ValueError(f"{name} matches no transfer of this run")
+        _check_nonnegative(name, duration)
+        durations[pair] = duration
 
     # Tasks are numbered batch by batch, chunk by chunk, and merge in that order.
     tasks = []

@@ -318,7 +318,14 @@ def test_rejection_contributions_decay_mode(model):
     (lambda: sp.bias_closed_form(math.inf, 0.5), "gamma must be finite and > 0, got inf"),
     (lambda: sp.bias_closed_form(1.0, 1.5), "p_zero must be a probability, got 1.5"),
     (lambda: sp.correct_bias(0.5, 0.2, 0.2), "the two conditional probabilities must differ"),
-    (lambda: sp.correct_bias_simplified(0.1, 0.1, 0.0, 0.5), "must be positive"),
+    (lambda: sp.correct_bias(math.nan, 0.5, 0.25),
+     "p_bright_accepted must be a probability, got nan"),
+    (lambda: sp.correct_bias_simplified(0.1, 0.1, 0.0, 0.5),
+     "p_accept_given_zero must be finite and > 0, got 0.0"),
+    (lambda: sp.correct_bias_simplified(0.5, 0.5, 2.0, 0.5),
+     "p_accept_given_zero must be a probability, got 2.0"),
+    (lambda: sp.correct_bias_simplified(0.5, 0.5, math.inf, 0.5),
+     "p_accept_given_zero must be finite and > 0, got inf"),
     (lambda: sp.bias_family("metastable-zero").gamma(0.0), "acceptance vanishes at t/t_pi = 0.0"),
     (lambda: sp.sample_decay_events([1.0], 0, 27.2, np.random.default_rng(0)),
      "shots_per_delay must be an integer >= 1, got 0"),
@@ -328,12 +335,15 @@ def test_rejection_contributions_decay_mode(model):
      "shots_per_delay must be an integer >= 1, got True"),
     (lambda: sp.sample_decay_events([1.0], 10, 0.0, np.random.default_rng(0)),
      "lifetime must be positive, got 0.0"),
+    (lambda: sp.sample_decay_events([], 10, math.nan, np.random.default_rng(0)),
+     "lifetime must be positive, got nan"),
     (lambda: sp.wilson_interval(1, 10.5), r"trials must be an integer >= 1, got 10\.5"),
     (lambda: sp.wilson_interval(1.5, 10), r"successes must be an integer >= 0, got 1\.5"),
 ], ids=["budget-bright", "budget-decay", "bias-gamma", "bias-gamma-nan", "bias-gamma-inf",
-        "bias-p-zero", "correct-bias", "correct-bias-simplified", "family-gamma", "decay-shots",
-        "decay-shots-float", "decay-shots-bool", "decay-lifetime", "wilson-trials-float",
-        "wilson-successes-float"])
+        "bias-p-zero", "correct-bias", "correct-bias-nan", "correct-bias-simplified",
+        "correct-bias-simplified-above-one", "correct-bias-simplified-inf", "family-gamma",
+        "decay-shots", "decay-shots-float", "decay-shots-bool", "decay-lifetime",
+        "decay-lifetime-nan", "wilson-trials-float", "wilson-successes-float"])
 def test_analytics_arguments_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -407,7 +417,7 @@ def test_bias_scan_rejects_bad_ratios_before_running(monkeypatch, bad):
     monkeypatch.setattr(sp.analytics, "run_experiment", no_runs)
     family = sp.bias_family("metastable-zero")
     # The bad ratio sits last, so the check must cover the whole grid first.
-    with pytest.raises(ValueError, match="finite and positive") as excinfo:
+    with pytest.raises(ValueError, match="duration ratio must be finite and > 0") as excinfo:
         sp.analytics.bias_scan(family, iter([0.8, 1.0, bad]), 1_000)
     assert repr(bad) in str(excinfo.value)
 

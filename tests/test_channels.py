@@ -1,12 +1,16 @@
 import json
 import math
+import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import spamsim as sp
 from spamsim.channels import _build_model, decay_probability, pulse_success_probability
+from spamsim.detection import count_pmf
 
 
 def pulse(rate=0.04, t_pi=25e-6):
@@ -64,16 +68,16 @@ def test_decay_disabled_means_never():
 
 @pytest.mark.parametrize("duration", [-1e-6, math.nan])
 def test_negative_or_nan_durations_are_rejected(duration):
-    with pytest.raises(ValueError, match="duration must be non-negative"):
+    with pytest.raises(ValueError, match="duration must be finite and non-negative"):
         decay_probability(duration, sp.DecayChannel(lifetime=27.2))
-    with pytest.raises(ValueError, match="duration must be non-negative"):
+    with pytest.raises(ValueError, match="duration must be finite and non-negative"):
         pulse_success_probability(duration, pulse(rate=0.04))
 
 
 def test_infinite_pulse_duration_is_rejected_by_name(model):
     # sin(inf) has no value; the error names the duration instead of dying
     # in math.sin with "math domain error".
-    with pytest.raises(ValueError, match="pulse duration must be finite, got inf"):
+    with pytest.raises(ValueError, match="duration must be finite and non-negative, got inf"):
         pulse_success_probability(math.inf, pulse(rate=0.04))
     # An override is checked before it reaches the pulse, and the error names its transfer.
     cfg = sp.ExperimentConfig(model=model, shots=100,
@@ -230,3 +234,119 @@ def test_config_rejects_bad_documents(model):
 def test_model_requires_pump_target_in_ground():
     with pytest.raises(ValueError):
         sp.PumpChannel(target=sp.B_2_M1, error_rate=0.01, duration=20e-6)
+
+
+# Each rule for a real argument: the values it refuses and the boundary values
+# it accepts.  An acceptance is a probability that must also be > 0, and a
+# lifetime is > 0 with inf meaning no decay.
+_RULES = {
+    "probability": ([math.nan, math.inf, -1.0, 1.5, True], [0.0, 1.0]),
+    "non-negative": ([math.nan, math.inf, -math.inf, -1.0, True], [0.0]),
+    "positive": ([math.nan, math.inf, -math.inf, 0.0, -1.0, True], []),
+    "acceptance": ([math.nan, math.inf, 0.0, -1.0, 2.0, True], [1.0]),
+    "lifetime": ([math.nan, -math.inf, 0.0, -1.0, True], [math.inf]),
+}
+_DRIVEN = (sp.B_2_M1, sp.A_2_0)  # a transfer that every M run drives
+
+
+def _override(model, duration):
+    config = sp.ExperimentConfig(model=model, shots=100, transfer_durations=((_DRIVEN, duration),))
+    return sp.run_experiment(config)
+
+
+# One row per public real-valued argument: its entry point, the call that
+# takes it, its rule, and the name its refusal carries.
+_REAL_ARGUMENTS = [
+    ("TransferPulse.error_rate", lambda m, v: replace(m.pulses[0], error_rate=v),
+     "probability", "error_rate"),
+    ("TransferPulse.t_pi", lambda m, v: replace(m.pulses[0], t_pi=v), "positive", "t_pi"),
+    ("PumpChannel.error_rate", lambda m, v: replace(m.pump, error_rate=v),
+     "probability", "error_rate"),
+    ("PumpChannel.duration", lambda m, v: replace(m.pump, duration=v),
+     "non-negative", "duration"),
+    ("DecayChannel.lifetime", lambda m, v: sp.DecayChannel(v), "lifetime", "lifetime"),
+    ("ErrorModel.cooling_duration", lambda m, v: replace(m, cooling_duration=v),
+     "non-negative", "cooling_duration"),
+    ("ErrorModel.loss_probability_per_shot",
+     lambda m, v: replace(m, loss_probability_per_shot=v),
+     "probability", "loss_probability_per_shot"),
+    ("DetectionModel.mean_bright", lambda m, v: replace(m.detection, mean_bright=v),
+     "non-negative", "mean_bright"),
+    ("DetectionModel.mean_dark", lambda m, v: replace(m.detection, mean_dark=v),
+     "non-negative", "mean_dark"),
+    ("DetectionModel.read_noise_sigma", lambda m, v: replace(m.detection, read_noise_sigma=v),
+     "non-negative", "read_noise_sigma"),
+    ("DetectionModel.total_duration", lambda m, v: replace(m.detection, total_duration=v),
+     "positive", "total_duration"),
+    ("decay_probability.duration", lambda m, v: decay_probability(v, m.decay),
+     "non-negative", "duration"),
+    ("pulse_success_probability.duration",
+     lambda m, v: pulse_success_probability(v, m.pulses[0]), "non-negative", "duration"),
+    ("count_pmf.mean", lambda m, v: count_pmf(v, m.detection), "non-negative", "mean"),
+    ("wilson_interval.z", lambda m, v: sp.wilson_interval(1, 10, v), "positive", "z"),
+    ("detection_error_budget.bright_error",
+     lambda m, v: sp.detection_error_budget(v, 0.0, 0.0), "probability", "bright_error"),
+    ("detection_error_budget.dark_optical_error",
+     lambda m, v: sp.detection_error_budget(0.0, v, 0.0), "probability", "dark_optical_error"),
+    ("detection_error_budget.decay_error",
+     lambda m, v: sp.detection_error_budget(0.0, 0.0, v), "probability", "decay_error"),
+    ("bias_closed_form.gamma", lambda m, v: sp.bias_closed_form(v, 0.5), "positive", "gamma"),
+    ("bias_closed_form.p_zero", lambda m, v: sp.bias_closed_form(1.0, v),
+     "probability", "p_zero"),
+    ("correct_bias.p_bright_accepted", lambda m, v: sp.correct_bias(v, 0.5, 0.25),
+     "probability", "p_bright_accepted"),
+    ("correct_bias.p_bright_accepted_given_zero", lambda m, v: sp.correct_bias(0.5, v, 0.25),
+     "probability", "p_bright_accepted_given_zero"),
+    ("correct_bias.p_bright_accepted_given_one", lambda m, v: sp.correct_bias(0.5, 0.5, v),
+     "probability", "p_bright_accepted_given_one"),
+    ("correct_bias_simplified.p_bright_accepted",
+     lambda m, v: sp.correct_bias_simplified(v, 0.5, 0.5, 0.5),
+     "probability", "p_bright_accepted"),
+    ("correct_bias_simplified.p_dark_accepted",
+     lambda m, v: sp.correct_bias_simplified(0.5, v, 0.5, 0.5),
+     "probability", "p_dark_accepted"),
+    ("correct_bias_simplified.p_accept_given_zero",
+     lambda m, v: sp.correct_bias_simplified(0.5, 0.5, v, 0.5),
+     "acceptance", "p_accept_given_zero"),
+    ("correct_bias_simplified.p_accept_given_one",
+     lambda m, v: sp.correct_bias_simplified(0.5, 0.5, 0.5, v),
+     "acceptance", "p_accept_given_one"),
+    ("bias_scan.ratios",
+     lambda m, v: sp.bias_scan(sp.bias_family("metastable-zero"), [v], 1_000),
+     "positive", "duration ratio"),
+    # Each delay is the duration of a decay_probability call.
+    ("sample_decay_events.delays",
+     lambda m, v: sp.sample_decay_events([v], 10, 27.2, np.random.default_rng(0)),
+     "non-negative", "duration"),
+    # With no delay, only the lifetime check can refuse a bad lifetime.
+    ("sample_decay_events.lifetime",
+     lambda m, v: sp.sample_decay_events([], 10, v, np.random.default_rng(0)),
+     "lifetime", "lifetime"),
+    ("run_experiment.transfer_durations", _override,
+     "non-negative", f"transfer duration for {_DRIVEN[0]} -> {_DRIVEN[1]}"),
+]
+
+
+@pytest.mark.parametrize("call, rule, name", [pytest.param(*row[1:], id=row[0])
+                                              for row in _REAL_ARGUMENTS])
+def test_each_real_argument_is_held_to_its_rule(model, call, rule, name):
+    refused, accepted = _RULES[rule]
+    for value in refused:
+        message = f"{re.escape(name)} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(model, value)
+    for value in accepted:
+        call(model, value)
+
+
+def test_a_model_with_a_bool_rate_is_never_saved(model, tmp_path):
+    # A bool would be saved as a JSON boolean, which load_error_model refuses.
+    with pytest.raises(ValueError, match="loss_probability_per_shot must be a probability"):
+        replace(model, loss_probability_per_shot=True)
+    # The float it stands for saves and loads back as the same model.
+    lossy = replace(model, loss_probability_per_shot=1.0)
+    path = tmp_path / "lossy.json"
+    sp.save_error_model(lossy, str(path))
+    saved = json.loads(path.read_text())["loss_probability_per_shot"]
+    assert type(saved) is float and saved == 1.0
+    assert sp.load_error_model(str(path)) == lossy

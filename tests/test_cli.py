@@ -632,7 +632,7 @@ def test_bias_scan_command(tmp_path):
 
 
 @pytest.mark.parametrize("grid, message", [
-    *[pytest.param(grid, "finite and positive", id=grid)
+    *[pytest.param(grid, "duration ratio must be finite and > 0", id=grid)
       for grid in ["nan", "0.8,inf", "1.0,-0.5", "0.8,nan"]],
     pytest.param("abc", "--t-grid must be a comma-separated float list, got 'abc'", id="abc"),
     pytest.param(",", "--t-grid must contain at least one ratio", id=","),
