@@ -22,7 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import DecayChannel, ErrorModel, decay_probability, default_model
+from .channels import (DecayChannel, ErrorModel, TransferPulse, decay_probability,
+                       default_model, pulse_success_probability)
 from .detection import (
     _check_count, _check_nonnegative, _check_positive, _check_probability, _gauss_newton,
 )
@@ -322,9 +323,9 @@ def correct_bias_simplified(
 class BiasFamily:
     """One bias-scan curve: which pulses are detuned and which state suffers.
 
-    Detuning the listed pulses to duration t makes the affected basis state's
-    acceptance sin^2(pi t / 2 t_pi) per pulse, so a one-pulse family follows a
-    sin^2 law and a two-pulse family sin^4.
+    Detuning the listed pulses to t = ratio * t_pi, a finite ratio > 0, makes
+    the affected basis state's acceptance the product of their success
+    probabilities as perfect pulses, sin^2(pi ratio / 2) each: sin^2 or sin^4.
     """
 
     name: str
@@ -333,8 +334,9 @@ class BiasFamily:
     dipped_state: int
 
     def acceptance(self, ratio: float) -> float:
-        single = math.sin(0.5 * math.pi * ratio) ** 2
-        return single ** len(self.scanned)
+        _check_positive("duration ratio", ratio)
+        return math.prod(pulse_success_probability(ratio, TransferPulse(a, b, 0.0, 1.0))
+                         for a, b in self.scanned)
 
     def gamma(self, ratio: float) -> float:
         acceptance = self.acceptance(ratio)

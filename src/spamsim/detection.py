@@ -45,6 +45,12 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a probability, got {value!r}")
 
 
+def _check_finite(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is a finite real."""
+    if isinstance(value, bool) or not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _check_nonnegative(name: str, value: float) -> None:
     """Refuse ``value`` unless it is a finite real >= 0."""
     if isinstance(value, bool) or not 0 <= value < math.inf:
@@ -184,25 +190,22 @@ def mean_counts(fluorescing_fraction: float | np.ndarray, model: DetectionModel)
     return fraction * model.mean_bright + (1.0 - fraction) * model.mean_dark
 
 
-def draw_counts(mean: np.ndarray, model: DetectionModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw int64 counts of the same shape as the Poisson means ``mean``.
+def draw_counts(mean: float | np.ndarray, shape: tuple[int, ...], model: DetectionModel,
+                rng: np.random.Generator) -> np.ndarray:
+    """Draw int64 counts of shape ``shape`` around the Poisson mean ``mean``:
+    one value for every window, or an array of that shape.
 
     One Poisson draw per window and then, with read noise, one normal draw per
-    window; the sum is rounded to the nearest integer.  When every window has
-    the same mean it goes to ``rng.poisson`` as a scalar: numpy calls the same
-    per-element sampler on either path, so the values and the stream are
-    unchanged, and the scalar path skips the broadcast iterator.  With read
-    noise a call holds two arrays, the Poisson int64 one it returns and one
-    float64 one, and no third.
+    window; the sum is rounded to the nearest integer.  numpy draws the same
+    values for a scalar mean as for an array of it.  With read noise a call
+    holds two arrays, the Poisson int64 one it returns and one float64 one,
+    and no third.
     """
-    lam = mean
-    if mean.size and mean.min() == mean.max():
-        lam = mean.flat[0]
-    counts = rng.poisson(lam, mean.shape)
+    counts = rng.poisson(mean, shape)
     if model.read_noise_sigma > 0:
         # The Poisson counts go into the noise array, which is rounded in
         # place and cast back into the Poisson array: every sum is integral.
-        noisy = rng.normal(0.0, model.read_noise_sigma, mean.shape)
+        noisy = rng.normal(0.0, model.read_noise_sigma, shape)
         noisy += counts
         np.copyto(counts, np.rint(noisy, out=noisy), casting="unsafe")
     return counts
@@ -216,7 +219,8 @@ def sample_counts(
     :func:`mean_counts` followed by :func:`draw_counts`.  A scalar fraction
     gives one ``int``; an array gives int64 counts of the same shape.
     """
-    counts = draw_counts(mean_counts(fluorescing_fraction, model), model, rng)
+    mean = mean_counts(fluorescing_fraction, model)
+    counts = draw_counts(mean, mean.shape, model, rng)
     return int(counts) if counts.ndim == 0 else counts
 
 
@@ -255,6 +259,10 @@ def equal_density_crossing(
     widths give the midpoint.  A zero dark width gives the dark mean, the
     limit of the root.
     """
+    _check_finite("mu_low", mu_low)
+    _check_nonnegative("sigma_low", sigma_low)
+    _check_finite("mu_high", mu_high)
+    _check_nonnegative("sigma_high", sigma_high)
     if mu_low > mu_high:
         mu_low, mu_high = mu_high, mu_low
         sigma_low, sigma_high = sigma_high, sigma_low

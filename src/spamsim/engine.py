@@ -42,7 +42,6 @@ the ion in ``WrongGround`` before the next step.
 from __future__ import annotations
 
 import enum
-import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence as SequenceType
@@ -172,21 +171,10 @@ class _Channel:
                                in enumerate(zip(self.to, self.failed_to)) if to != failed_to)
         self.moved = frozenset(label for label, to in enumerate(self.to) if to != label)
         self.failure_probability = 1 - self.probability if self.tests_success else self.probability
-
-    # The chunk runner's arrays, made on its first use: the analytic
-    # interpreters read the lists and sets alone.
-    @functools.cached_property
-    def split(self) -> np.ndarray:
-        """Over label ids: whether the two branches send the label apart."""
-        return self.success != self.failure
-
-    @functools.cached_property
-    def success(self) -> np.ndarray:
-        return np.array(self.to, dtype=np.int16)
-
-    @functools.cached_property
-    def failure(self) -> np.ndarray:
-        return np.array(self.failed_to, dtype=np.int16)
+        # The chunk runner's label tables; ``split`` marks the labels sent apart.
+        self.success = np.array(self.to, dtype=np.int16)
+        self.failure = np.array(self.failed_to, dtype=np.int16)
+        self.split = self.success != self.failure
 
 
 @dataclass(frozen=True)
@@ -230,10 +218,10 @@ class _Compiled:
     channel that sends the ideal label apart.  ``detection`` and
     ``lifetime`` carry the rest of the model that the interpreters use;
     nothing after :func:`_compile` reads the model itself.  ``fluor`` and
-    ``mean_counts`` are per-label tables;
-    ``mean_counts`` holds the Poisson mean of a whole window in each label,
-    from :func:`~spamsim.detection.mean_counts`, so it is exactly
-    ``mean_bright`` for a fluorescing label and ``mean_dark`` for any other.
+    ``mean_counts`` are per-label tables; ``mean_counts`` holds the Poisson
+    mean of a whole window in each label, from
+    :func:`~spamsim.detection.mean_counts`, so it is exactly ``mean_bright``
+    for a fluorescing label and ``mean_dark`` for any other.
     """
 
     labels: list[StateLabel]
@@ -444,35 +432,34 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> np.ndarray | 
     channel maps ``present`` through its success map, adding the failure
     map's image of those labels if a shot failed, so ``present`` holds every
     occupied label on every pass, retry rounds included.  The detect op
-    reads each shot's mean count from ``compiled.mean_counts`` after its
-    decay channel, rewrites it only for the shots that decayed inside the
-    window, and draws the counts with :func:`~spamsim.detection.draw_counts`:
-    the same two steps as :func:`~spamsim.detection.sample_counts`, and sets
-    the window's bit of ``chunk.pattern``.
+    takes its Poisson mean from ``compiled.mean_counts``: per shot, rewritten
+    where a shot decayed inside the window; else the one mean of the labels in
+    ``present``, if they share one; else per shot.  It draws the counts with
+    :func:`~spamsim.detection.draw_counts` and sets the window's bit of
+    ``chunk.pattern``.
     """
-    rng = chunk.rng
     decayed = None
     for channel in op.channels:
         decayed = _apply_channel(chunk, channel)
     if op.detect is not None:
-        det = compiled.detection
-        # The decay channel's success map is the identity; a shot that decayed
-        # inside the window fluoresced for part of it only.
-        mean = compiled.mean_counts.take(chunk.state)
+        det, table = compiled.detection, compiled.mean_counts
         if decayed is not None and decayed.size:
-            # The instant is drawn for every shot to keep the stream fixed,
-            # but only the decayed shots need it.
-            u = rng.random(chunk.size).take(decayed)
+            # The decay channel's success map is the identity; a shot that
+            # decayed inside the window fluoresced for part of it only.  The
+            # instant is drawn for every shot to keep the stream fixed, but
+            # only the decayed shots need it.
+            mean = table.take(chunk.state)
+            u = chunk.rng.random(chunk.size).take(decayed)
             p = op.channels[0].probability
-            instant = np.minimum(
-                -compiled.lifetime * np.log1p(-u * p), det.total_duration
-            )
-            mean[decayed] = mean_counts(
-                (det.total_duration - instant) / det.total_duration, det
-            )
-        elif decayed is not None:
-            _skip(rng, chunk.size)
-        counts = draw_counts(mean, det, rng)
+            instant = np.minimum(-compiled.lifetime * np.log1p(-u * p), det.total_duration)
+            mean[decayed] = mean_counts((det.total_duration - instant) / det.total_duration, det)
+        else:
+            if decayed is not None:
+                _skip(chunk.rng, chunk.size)
+            # One mean goes as a scalar: the same draws, with no broadcast.
+            means = {table[label] for label in chunk.present}
+            mean = means.pop() if len(means) == 1 else table.take(chunk.state)
+        counts = draw_counts(mean, chunk.state.shape, det, chunk.rng)
         # A retry re-reads R1, so the op clears its bit before setting it.
         bit = np.uint8(1 << op.detect)
         chunk.pattern &= ~bit

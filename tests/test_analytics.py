@@ -326,7 +326,8 @@ def test_rejection_contributions_decay_mode(model):
      "p_accept_given_zero must be a probability, got 2.0"),
     (lambda: sp.correct_bias_simplified(0.5, 0.5, math.inf, 0.5),
      "p_accept_given_zero must be finite and > 0, got inf"),
-    (lambda: sp.bias_family("metastable-zero").gamma(0.0), "acceptance vanishes at t/t_pi = 0.0"),
+    (lambda: sp.bias_family("metastable-zero").gamma(1e-170),
+     "acceptance vanishes at t/t_pi = 1e-170"),
     (lambda: sp.sample_decay_events([1.0], 0, 27.2, np.random.default_rng(0)),
      "shots_per_delay must be an integer >= 1, got 0"),
     (lambda: sp.sample_decay_events([1.0], 10.5, 27.2, np.random.default_rng(0)),

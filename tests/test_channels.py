@@ -241,6 +241,7 @@ def test_model_requires_pump_target_in_ground():
 # lifetime is > 0 with inf meaning no decay.
 _RULES = {
     "probability": ([math.nan, math.inf, -1.0, 1.5, True], [0.0, 1.0]),
+    "finite": ([math.nan, math.inf, -math.inf, True], [-1.0, 0.0]),
     "non-negative": ([math.nan, math.inf, -math.inf, -1.0, True], [0.0]),
     "positive": ([math.nan, math.inf, -math.inf, 0.0, -1.0, True], []),
     "acceptance": ([math.nan, math.inf, 0.0, -1.0, 2.0, True], [1.0]),
@@ -314,6 +315,20 @@ _REAL_ARGUMENTS = [
     ("bias_scan.ratios",
      lambda m, v: sp.bias_scan(sp.bias_family("metastable-zero"), [v], 1_000),
      "positive", "duration ratio"),
+    ("BiasFamily.acceptance", lambda m, v: sp.bias_family("optical-one").acceptance(v),
+     "positive", "duration ratio"),
+    ("BiasFamily.gamma", lambda m, v: sp.bias_family("metastable-zero").gamma(v),
+     "positive", "duration ratio"),
+    ("BiasFamily.predicted_bias", lambda m, v: sp.bias_family("ground-zero").predicted_bias(v),
+     "positive", "duration ratio"),
+    ("equal_density_crossing.mu_low", lambda m, v: sp.equal_density_crossing(v, 1.0, 5.0, 1.0),
+     "finite", "mu_low"),
+    ("equal_density_crossing.sigma_low",
+     lambda m, v: sp.equal_density_crossing(0.0, v, 5.0, 1.0), "non-negative", "sigma_low"),
+    ("equal_density_crossing.mu_high", lambda m, v: sp.equal_density_crossing(5.0, 1.0, v, 1.0),
+     "finite", "mu_high"),
+    ("equal_density_crossing.sigma_high",
+     lambda m, v: sp.equal_density_crossing(0.0, 0.0, 5.0, v), "non-negative", "sigma_high"),
     # Each delay is the duration of a decay_probability call.
     ("sample_decay_events.delays",
      lambda m, v: sp.sample_decay_events([v], 10, 27.2, np.random.default_rng(0)),

@@ -22,11 +22,12 @@ import re
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 from scipy.optimize import curve_fit
 
 import spamsim as sp
 from spamsim import engine
+from spamsim.channels import decay_probability
 from spamsim.detection import count_pmf, draw_counts, mean_counts, sample_counts
 from spamsim.sequence import Prepare
 
@@ -87,6 +88,17 @@ def test_identical_fits_have_no_crossing():
     for sigma_a, sigma_b in [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]:
         with pytest.raises(sp.ThresholdSeparationError, match="both fits have mean 5.00"):
             sp.equal_density_crossing(5.0, sigma_a, 5.0, sigma_b)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 1.0, 2.0, 1.0), "mu_low"), ((0.0, math.inf, 2.0, 1.0), "sigma_low"),
+    ((0.0, 1.0, math.inf, 1.0), "mu_high"), ((0.0, 1.0, 2.0, math.nan), "sigma_high"),
+])
+def test_a_non_finite_fit_is_refused_by_name_not_as_inseparable(args, name):
+    # The CLI exits 4 on a ThresholdSeparationError and 2 on any other ValueError.
+    with pytest.raises(ValueError, match=f"{name} must be") as info:
+        sp.equal_density_crossing(*args)
+    assert not isinstance(info.value, sp.ThresholdSeparationError)
 
 
 def decimal_crossing(m1, s1, m2, s2):
@@ -193,7 +205,7 @@ def test_draw_counts_follow_count_pmf(model, fraction):
     # with adjacent counts pooled until each bin expects at least 5.
     det = model.detection
     mean = mean_counts(np.full(100_000, fraction), det)
-    counts = draw_counts(mean, det, np.random.default_rng(2024))
+    counts = draw_counts(mean, mean.shape, det, np.random.default_rng(2024))
     lowest, pmf = count_pmf(mean[0], det)
     observed = np.bincount(counts - lowest, minlength=pmf.size)
     assert observed.size == pmf.size
@@ -210,6 +222,93 @@ def test_draw_counts_follow_count_pmf(model, fraction):
     assert observed_bins.sum() == counts.size
     statistic = float(np.sum((observed_bins - expected_bins) ** 2 / expected_bins))
     assert stats.chi2.sf(statistic, len(edges) - 1) >= 1e-3
+
+
+def decayed_read_pmf(det, lifetime):
+    """The law of the counts, before read noise, of a window whose shot starts
+    dark and decays inside it: ``pmf[k]`` for k = 0, 1, ...
+
+    The engine draws the decay instant t as an exponential of ``lifetime``
+    truncated to the window T and reads Poisson(lam) with
+    lam = d + (b - d)(T - t)/T, so lam has density e^(-c lam)/Z on [d, b] with
+    c = -T / (lifetime (b - d)) and Z = e^(-cd) (-expm1(-c (b - d))) / c.
+    Integrating the Poisson pmf against it,
+
+        P(k) = (1 + c)^-(k + 1) [F(k; (1 + c) d) - F(k; (1 + c) b)] / Z
+
+    with F the Poisson CDF, each difference taken from its small tail.  It
+    holds for c > -1, a lifetime above T / (b - d).
+    """
+    b, d, window = det.mean_bright, det.mean_dark, det.total_duration
+    c = -window / (lifetime * (b - d))
+    assert c > -1
+    ks = np.arange(int(b + 14.0 * math.sqrt(b + 1.0)) + 11)
+    low, high = (1 + c) * d, (1 + c) * b
+    between = np.where(ks < high, stats.poisson.cdf(ks, low) - stats.poisson.cdf(ks, high),
+                       stats.poisson.sf(ks, high) - stats.poisson.sf(ks, low))
+    z = math.exp(-c * d) * -math.expm1(-c * (b - d)) / c
+    return (1 + c) ** -(ks + 1.0) * between / z
+
+
+@pytest.mark.parametrize("lifetime", [2e-4, 5e-3, 27.2])
+def test_decayed_read_law_matches_quadrature(model, lifetime):
+    det = model.detection
+    b, d, window = det.mean_bright, det.mean_dark, det.total_duration
+    pmf = decayed_read_pmf(det, lifetime)
+    assert (pmf >= 0).all()
+    assert math.fsum(pmf) == pytest.approx(1.0, rel=0, abs=1e-12)
+    # The instant's density, integrated directly over the mean it gives.
+    rate = window / (lifetime * (b - d))
+    for k in (120, 160, 200):
+        integral, _ = integrate.quad(
+            lambda lam: math.exp(rate * (lam - b)) * stats.poisson.pmf(k, lam), d, b,
+            epsabs=0, epsrel=1e-13, limit=200)
+        expected = integral * rate / -math.expm1(-rate * (b - d))
+        assert pmf[k] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 6.0])
+@pytest.mark.parametrize("lifetime, seed", [(5e-3, 1), (2e-4, 7)])
+def test_reads_that_decay_inside_the_window_follow_the_exact_law(model, lifetime, seed, sigma):
+    # One 100000-shot M one chunk, run op by op with perfect channels: the R2
+    # counts of the shots dark before R2 follow (1 - p) pmf(d) + p law, with
+    # p the window's decay probability and the law convolved with the rounded
+    # read noise.  At 0.2 ms nine in ten of them decay inside the window, so
+    # a partial mean taken from the wrong side of the instant shows there.
+    det = dataclasses.replace(model.detection, read_noise_sigma=sigma)
+    decaying = dataclasses.replace(model.with_perfect_channels(), detection=det,
+                                   decay=sp.DecayChannel(lifetime))
+    compiled = engine._compile(sp.build_sequence("M", Prepare.ONE), decaying)
+    in_b = np.array([label.in_manifold(sp.Manifold.B) for label in compiled.labels])
+    chunk = engine._ChunkState.start(100_000, np.random.default_rng(seed), 1)
+    for op in compiled.ops:
+        dark = in_b.take(chunk.state)
+        counts = engine._apply_op(chunk, compiled, op)
+        if op.detect == sp.DetectLabel.R2:
+            break
+    counts = counts[dark]
+    assert counts.size > 9000
+
+    p = decay_probability(det.total_duration, decaying.decay)
+    lowest, undecayed = count_pmf(det.mean_dark, det)
+    _, noise = count_pmf(0.0, det)  # the rounded read noise alone, from ``lowest``
+    decayed = np.convolve(decayed_read_pmf(det, lifetime), noise)
+    law = p * decayed
+    law[:undecayed.size] += (1 - p) * undecayed
+    observed = np.bincount(counts - lowest, minlength=law.size)
+    assert observed.size == law.size
+    # Adjacent counts pooled until each bin expects at least 5.
+    expected = law * counts.size
+    edges, total = [], 0.0
+    for index, value in enumerate(expected):
+        total += value
+        if total >= 5:
+            edges.append(index + 1)
+            total = 0.0
+    edges[-1] = law.size  # the last bin takes the short tail
+    observed_bins = np.add.reduceat(observed, [0] + edges[:-1])
+    expected_bins = np.add.reduceat(expected, [0] + edges[:-1])
+    assert stats.chisquare(observed_bins, expected_bins).pvalue > 1e-4
 
 
 def test_histogram_basics():
@@ -433,7 +532,7 @@ def test_sample_counts_is_mean_then_draw(model, fraction, sigma):
         model.detection, read_noise_sigma=sigma)
     whole_rng, split_rng = np.random.default_rng(91), np.random.default_rng(91)
     whole = sample_counts(fraction, det, whole_rng)
-    split = draw_counts(mean_counts(fraction, det), det, split_rng)
+    split = draw_counts(mean_counts(fraction, det), np.shape(fraction), det, split_rng)
     assert split.dtype == np.int64 and split.shape == np.shape(fraction)
     if np.ndim(fraction) == 0:
         assert type(whole) is int and whole == int(split)
@@ -453,7 +552,7 @@ def _per_window_counts(mean, det, rng):
 
 @pytest.mark.parametrize("sigma", [None, 0.0])
 @pytest.mark.parametrize("fraction", [
-    np.ones(1000), np.zeros(1000),  # one mean: the scalar path
+    np.ones(1000), np.zeros(1000),  # one mean in every window
     np.array([0.0, 1.0, 0.5, 0.25]), np.linspace(0.0, 1.0, 12).reshape(3, 4),
     np.ones(1), np.zeros(0),
 ])
@@ -462,7 +561,7 @@ def test_draw_counts_matches_the_per_window_path(model, fraction, sigma):
         model.detection, read_noise_sigma=sigma)
     mean = mean_counts(fraction, det)
     got_rng, want_rng = np.random.default_rng(92), np.random.default_rng(92)
-    got = draw_counts(mean, det, got_rng)
+    got = draw_counts(mean, mean.shape, det, got_rng)
     want = _per_window_counts(mean, det, want_rng)
     assert got.dtype == np.int64 and got.shape == mean.shape
     np.testing.assert_array_equal(got, want)
@@ -492,3 +591,18 @@ def test_threshold_must_be_an_integer_of_at_least_zero(model, threshold):
     message = re.escape(f"threshold must be an integer >= 0, got {threshold!r}")
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(model.detection, threshold=threshold)
+
+
+@pytest.mark.parametrize("sigma", [None, 0.0])
+def test_draw_counts_takes_a_scalar_mean_as_the_array_of_it(model, sigma):
+    # The detect op passes a chunk's one mean as a scalar: numpy's scalar and
+    # array Poisson paths must draw the same values and use up the same draws.
+    det = model.detection if sigma is None else dataclasses.replace(
+        model.detection, read_noise_sigma=sigma)
+    scalar_rng, array_rng = np.random.default_rng(93), np.random.default_rng(93)
+    for mean in (det.mean_dark, det.mean_bright, 3.0, 0.0):
+        scalar = draw_counts(mean, (5000,), det, scalar_rng)
+        array = draw_counts(np.full(5000, mean), (5000,), det, array_rng)
+        assert scalar.dtype == np.int64 and scalar.shape == (5000,)
+        np.testing.assert_array_equal(scalar, array)
+        assert scalar_rng.bit_generator.state == array_rng.bit_generator.state

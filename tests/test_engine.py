@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -352,15 +353,15 @@ _TRANSFERS = [sp.Transfer(*pair) for pulse in sp.default_model().pulses
 
 
 @st.composite
-def _step_lists(draw):
+def _step_lists(draw, rewind=True):
     """A step list that ``Sequence._validate`` admits and no encoding builds.
 
     The detections, the shelving transfer before R1, the readout transfers
     into A before R3 and R4, the deshelve before R5 and, as in every built
-    list, a cool (a retry's rewind point) and a pump after R0 are fixed.
-    Each gap between them holds up to three random fillers (transfers either
-    way, cools, pumps and deshelves), and one gap may hold the list's one
-    ``Rotate``.
+    list, a pump and (unless ``rewind`` is False) a cool, a retry's rewind
+    point, after R0 are fixed.  Each gap between them holds up to three
+    random fillers (transfers either way, cools, pumps and deshelves), and
+    one gap may hold the list's one ``Rotate``.
     """
     def into(manifold):
         return st.sampled_from([t for t in _TRANSFERS if t.to_state.in_manifold(manifold)])
@@ -372,10 +373,10 @@ def _step_lists(draw):
     if rotate is not None:
         gaps[rotate].insert(draw(st.integers(0, len(gaps[rotate]))), Rotate())
     detect = [sp.Detect(label) for label in sp.DetectLabel]
-    steps = [sp.Cool(), detect[0], sp.Cool(), Pump(), *gaps[0], draw(into(sp.Manifold.B)),
-             *gaps[1], detect[1], *gaps[2], detect[2], *gaps[3], draw(into(sp.Manifold.A)),
-             detect[3], *gaps[4], draw(into(sp.Manifold.A)), detect[4], *gaps[5], sp.Deshelve(),
-             detect[5]]
+    steps = [sp.Cool(), detect[0], *([sp.Cool()] if rewind else []), Pump(), *gaps[0],
+             draw(into(sp.Manifold.B)), *gaps[1], detect[1], *gaps[2], detect[2], *gaps[3],
+             draw(into(sp.Manifold.A)), detect[3], *gaps[4], draw(into(sp.Manifold.A)), detect[4],
+             *gaps[5], sp.Deshelve(), detect[5]]
     return Sequence(sp.encoding_catalog(draw(st.sampled_from("OMG"))), tuple(steps))
 
 
@@ -391,6 +392,25 @@ def test_random_step_lists_match_propagator(sequence):
         engine._apply_op(chunk, compiled, op)
         assert set(np.flatnonzero(np.bincount(chunk.state)).tolist()) <= chunk.present
     _patterns_follow(np.bincount(chunk.pattern, minlength=64), compiled)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(sequence=_step_lists(rewind=False))
+def test_random_step_lists_without_a_rewind_cool_are_refused_by_name(sequence):
+    # A retry rewinds to the first cool between R0 and R1; a list that
+    # ``Sequence._validate`` admits without one is refused in either mode,
+    # before any shot runs.
+    r0, r1 = sequence.detect_index(sp.DetectLabel.R0), sequence.prep_end
+    cools = [index for index in range(r0 + 1, r1) if isinstance(sequence.steps[index], sp.Cool)]
+    if cools:
+        assert sequence.retry_start == cools[0]
+        return
+    for mode, max_attempts in ((sp.Mode.POST_SELECT, 1), (sp.Mode.REPEAT_UNTIL_SUCCESS, 3)):
+        config = sp.ExperimentConfig(model=sp.default_model(), encoding=sequence.encoding.name,
+                                     shots=100, mode=mode, max_attempts=max_attempts)
+        with mock.patch.object(engine, "build_sequence", lambda encoding, prepare: sequence):
+            with pytest.raises(ValueError, match="lacks a second cooling step"):
+                sp.run_experiment(config)
 
 
 def test_more_pump_error_means_more_rejections(model):
