@@ -26,9 +26,7 @@ def main(argv=None):
         )
         run = sp.run_experiment(config, workers=args.threads, collect_histograms=False)
         for state, tally in run.states.items():
-            sequence = sp.build_sequence(
-                encoding, Prepare.ZERO if state == "zero" else Prepare.ONE
-            )
+            sequence = sp.build_sequence(encoding, Prepare(state))
             first = sp.predict_rejection(sequence, model)
             exact = sp.predict_rejection_exact(sequence, model)
             se = math.sqrt(exact * (1.0 - exact) / args.shots)

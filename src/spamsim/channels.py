@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
 from .detection import DetectionModel, _check_nonnegative, _check_positive, _check_probability
@@ -31,7 +31,7 @@ from .states import (
 
 
 class ConfigError(ValueError):
-    """Raised when a configuration document violates the schema."""
+    """Raised when a configuration document violates the schema or a model check."""
 
 
 @dataclass(frozen=True)
@@ -178,11 +178,7 @@ def validate_document(document: dict, schema_name: str) -> None:
 def model_to_config(model: ErrorModel) -> dict:
     """Serialize an :class:`ErrorModel` to its JSON document form."""
     return {
-        "pump": {
-            "target": format_state(model.pump.target),
-            "error_rate": model.pump.error_rate,
-            "duration": model.pump.duration,
-        },
+        "pump": {**asdict(model.pump), "target": format_state(model.pump.target)},
         "pulses": [
             {
                 "from": format_state(p.from_state),
@@ -194,13 +190,7 @@ def model_to_config(model: ErrorModel) -> dict:
         ],
         # JSON has no infinity; null is the config form of "no decay".
         "decay": {"lifetime": None if model.decay.disabled else model.decay.lifetime},
-        "detection": {
-            "mean_bright": model.detection.mean_bright,
-            "mean_dark": model.detection.mean_dark,
-            "read_noise_sigma": model.detection.read_noise_sigma,
-            "total_duration": model.detection.total_duration,
-            "threshold": model.detection.threshold,
-        },
+        "detection": asdict(model.detection),
         "durations": {"cooling": model.cooling_duration},
         "loss_probability_per_shot": model.loss_probability_per_shot,
     }
@@ -209,8 +199,10 @@ def model_to_config(model: ErrorModel) -> dict:
 def model_from_config(document: dict) -> ErrorModel:
     """Validate a JSON document against ``config.schema.json`` and build its model.
 
-    Raises :class:`ConfigError` when the document violates the schema (with
-    jsonschema's message) or when a value fails a dataclass check.
+    The schema checks the document's shape: its keys, each value's JSON type,
+    the state strings and the pulse order.  The dataclass checks judge every
+    value.  Raises :class:`ConfigError` with jsonschema's message for a shape
+    violation, or with the message of the failed check, which names the field.
     """
     from jsonschema.exceptions import ValidationError
 
@@ -224,40 +216,25 @@ def model_from_config(document: dict) -> ErrorModel:
 def _build_model(document: dict) -> ErrorModel:
     """Build an :class:`ErrorModel` from a document that matches the schema.
 
-    No jsonschema runs here; the dataclass checks do, and a failed one is
-    raised as :class:`ConfigError`.
+    No jsonschema runs here; the dataclass checks judge every value, and a
+    failed one is raised as :class:`ConfigError`.
     """
     try:
-        pump = PumpChannel(
-            target=parse_state(document["pump"]["target"]),
-            error_rate=document["pump"]["error_rate"],
-            duration=document["pump"]["duration"],
-        )
-        pulses = tuple(
-            TransferPulse(
-                from_state=parse_state(entry["from"]),
-                to_state=parse_state(entry["to"]),
-                error_rate=entry["error_rate"],
-                t_pi=entry["t_pi"],
-            )
-            for entry in document["pulses"]
-        )
-        det = document["detection"]
-        detection = DetectionModel(
-            mean_bright=det["mean_bright"],
-            mean_dark=det["mean_dark"],
-            read_noise_sigma=det["read_noise_sigma"],
-            total_duration=det["total_duration"],
-            threshold=det["threshold"],
-        )
-        decay_entry = document["decay"]["lifetime"]
-        decay = DecayChannel(lifetime=math.inf if decay_entry is None else decay_entry)
+        pump, lifetime = document["pump"], document["decay"]["lifetime"]
         durations = document.get("durations", {})
         return ErrorModel(
-            pump=pump,
-            pulses=pulses,
-            decay=decay,
-            detection=detection,
+            pump=PumpChannel(**{**pump, "target": parse_state(pump["target"])}),
+            pulses=tuple(
+                TransferPulse(
+                    from_state=parse_state(entry["from"]),
+                    to_state=parse_state(entry["to"]),
+                    error_rate=entry["error_rate"],
+                    t_pi=entry["t_pi"],
+                )
+                for entry in document["pulses"]
+            ),
+            decay=DecayChannel(lifetime=math.inf if lifetime is None else lifetime),
+            detection=DetectionModel(**document["detection"]),
             cooling_duration=durations.get("cooling", 1e-3),
             loss_probability_per_shot=document.get("loss_probability_per_shot", 0.0),
         )

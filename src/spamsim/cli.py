@@ -128,7 +128,7 @@ def _write_if_out(args, name: str, document: dict) -> None:
 # =========================================================================
 
 _RECORD_HEADER = "shot,prepared,R0,R1,R2,R3,R4,R5,flagged,reason,inferred\r\n"
-_STATE_NAMES = ("", "zero", "one")  # indexed by code + 1, code -1 meaning none
+_STATE_NAMES = ("", Prepare.ZERO.value, Prepare.ONE.value)  # indexed by code + 1; code -1 is none
 _TAILS = tuple(f"{tail:03d}" for tail in range(1000))
 # Rows of each records file per write(): what one block holds is bounded by it.
 _RECORD_BLOCK_ROWS = 2048
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=[m.value for m in Mode], default="post-select")
     run.add_argument("--max-attempts", type=int, default=None,
                      help="retry budget in rus mode (default 3); post-select allows only 1")
-    run.add_argument("--prepare", choices=["both", "zero", "one", "superposition"],
+    run.add_argument("--prepare", choices=["both", *(p.value for p in Prepare)],
                      default="both")
     run.add_argument("--strict-flags", action="store_true",
                      help="also flag the R3 bright, R4 dark pattern")

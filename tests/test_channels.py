@@ -218,17 +218,23 @@ def test_config_rejects_bad_documents(model):
         ("durations.cooling", math.nan), ("durations.cooling", math.inf),
         ("pulses.0.t_pi", math.nan), ("pulses.0.t_pi", math.inf),
     ]:
-        document = sp.model_to_config(model)
-        *parents, last = [int(key) if key.isdigit() else key for key in path.split(".")]
-        entry = document
-        for key in parents:
-            entry = entry[key]
-        entry[last] = value
-        document = json.loads(json.dumps(document))
+        document = _document_with(model, path, value)
         with pytest.raises(sp.ConfigError):
             sp.model_from_config(document)
         with pytest.raises(sp.ConfigError):
             _build_model(document)
+
+
+def _document_with(model, path, value):
+    """``model``'s config document with ``value`` at the dotted ``path``, as
+    Python's ``json`` reads it back (``NaN`` and ``Infinity`` included)."""
+    document = sp.model_to_config(model)
+    *parents, last = [int(key) if key.isdigit() else key for key in path.split(".")]
+    entry = document
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+    return json.loads(json.dumps(document))
 
 
 def test_model_requires_pump_target_in_ground():
@@ -238,7 +244,8 @@ def test_model_requires_pump_target_in_ground():
 
 # Each rule for a real argument: the values it refuses and the boundary values
 # it accepts.  An acceptance is a probability that must also be > 0, and a
-# lifetime is > 0 with inf meaning no decay.
+# lifetime is > 0 with inf meaning no decay.  The count rule, for the detection
+# threshold, takes an int >= 0 only.
 _RULES = {
     "probability": ([math.nan, math.inf, -1.0, 1.5, True], [0.0, 1.0]),
     "finite": ([math.nan, math.inf, -math.inf, True], [-1.0, 0.0]),
@@ -246,6 +253,7 @@ _RULES = {
     "positive": ([math.nan, math.inf, -math.inf, 0.0, -1.0, True], []),
     "acceptance": ([math.nan, math.inf, 0.0, -1.0, 2.0, True], [1.0]),
     "lifetime": ([math.nan, -math.inf, 0.0, -1.0, True], [math.inf]),
+    "count": ([-1, 161.0, True], [0]),
 }
 _DRIVEN = (sp.B_2_M1, sp.A_2_0)  # a transfer that every M run drives
 
@@ -352,6 +360,79 @@ def test_each_real_argument_is_held_to_its_rule(model, call, rule, name):
             call(model, value)
     for value in accepted:
         call(model, value)
+
+
+# One row per numeric config field: its dotted path in the document, its rule,
+# and the name its refusal carries.  The schema checks each value's JSON type
+# only, so the model's check is the one judge of every number.
+_CONFIG_FIELDS = [
+    ("pump.error_rate", "probability", "error_rate"),
+    ("pump.duration", "non-negative", "duration"),
+    ("pulses.0.error_rate", "probability", "error_rate"),
+    ("pulses.0.t_pi", "positive", "t_pi"),
+    ("decay.lifetime", "lifetime", "lifetime"),
+    ("detection.mean_bright", "non-negative", "mean_bright"),
+    ("detection.mean_dark", "non-negative", "mean_dark"),
+    ("detection.read_noise_sigma", "non-negative", "read_noise_sigma"),
+    ("detection.total_duration", "positive", "total_duration"),
+    ("detection.threshold", "count", "threshold"),
+    ("durations.cooling", "non-negative", "cooling_duration"),
+    ("loss_probability_per_shot", "probability", "loss_probability_per_shot"),
+]
+
+
+@pytest.mark.parametrize("path, rule, name", [pytest.param(*row, id=row[0])
+                                              for row in _CONFIG_FIELDS])
+def test_each_config_value_is_judged_by_its_model_check(model, tmp_path, path, rule, name):
+    refused, accepted = _RULES[rule]
+    saved = tmp_path / "model.json"
+    for value in refused:
+        document = _document_with(model, path, value)
+        # A JSON true is not a number: the schema refuses it by its type.
+        message = ("True is not of type " if value is True
+                   else f"{re.escape(name)} must be .*, got {re.escape(repr(value))}$")
+        with pytest.raises(sp.ConfigError, match=f"^invalid configuration: {message}"):
+            sp.model_from_config(document)
+        saved.write_text(json.dumps(document))
+        with pytest.raises(sp.ConfigError, match=f"^invalid configuration: {message}"):
+            sp.load_error_model(str(saved))
+    for value in accepted:
+        document = _document_with(model, path, value)
+        saved.write_text(json.dumps(document))
+        assert sp.load_error_model(str(saved)) == sp.model_from_config(document)
+
+
+def _at_lower_bounds(model):
+    """Every value at the lower boundary of its rule; inf is the no-decay lifetime."""
+    return replace(
+        model,
+        pump=replace(model.pump, error_rate=0.0, duration=0.0),
+        pulses=tuple(replace(p, error_rate=0.0) for p in model.pulses),
+        decay=sp.DecayChannel(math.inf),
+        detection=replace(model.detection, mean_bright=0.0, mean_dark=0.0,
+                          read_noise_sigma=0.0, threshold=0),
+        cooling_duration=0.0,
+        loss_probability_per_shot=0.0,
+    )
+
+
+def _at_certain_failure(model):
+    """Every probability at 1."""
+    return replace(
+        model,
+        pump=replace(model.pump, error_rate=1.0),
+        pulses=tuple(replace(p, error_rate=1.0) for p in model.pulses),
+        loss_probability_per_shot=1.0,
+    )
+
+
+@pytest.mark.parametrize("bound", [_at_lower_bounds, _at_certain_failure],
+                         ids=["lower", "probabilities-one"])
+def test_models_at_every_rule_boundary_survive_save_and_load(model, tmp_path, bound):
+    boundary = bound(model)
+    path = tmp_path / "boundary.json"
+    sp.save_error_model(boundary, str(path))
+    assert sp.load_error_model(str(path)) == boundary
 
 
 def test_a_model_with_a_bool_rate_is_never_saved(model, tmp_path):

@@ -250,8 +250,10 @@ SCHEMA_VERDICTS = [
     ("manifest", ("config_path",), 3, False),
     ("config", ("decay", "lifetime"), 27.2, True),
     ("config", ("decay", "lifetime"), None, True),
-    ("config", ("decay", "lifetime"), 0, False),
-    ("config", ("decay", "lifetime"), -1, False),
+    # The schema checks a value's type only; the model's check refuses these
+    # (tests/test_channels.py::test_each_config_value_is_judged_by_its_model_check).
+    ("config", ("decay", "lifetime"), 0, True),
+    ("config", ("decay", "lifetime"), -1, True),
     ("config", ("decay", "lifetime"), "x", False),
 ]
 
@@ -285,7 +287,7 @@ def test_bundled_schemas_give_each_document_its_verdict(valid_documents, name, p
 def test_invalid_config_message_matches_jsonschema(tmp_path, model, capsys):
     # The CLI reports the message jsonschema.validate gives for the same document.
     document = sp.model_to_config(model)
-    document["decay"]["lifetime"] = -1.0
+    document["decay"]["lifetime"] = "x"
     with pytest.raises(jsonschema.ValidationError) as expected:
         jsonschema.validate(document, load_schema("config.schema.json"))
     with pytest.raises(sp.ConfigError) as raised:

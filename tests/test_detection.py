@@ -199,6 +199,19 @@ def test_count_pmf_at_large_means_matches_stirling(model, mean):
     assert pmf[k - lowest] == pytest.approx(math.exp(log_mode), rel=1e-14, abs=0)
 
 
+def pooled_bins(observed, expected):
+    """``observed`` and ``expected`` counts with adjacent counts pooled until
+    each bin expects at least 5, the last bin taking the short tail."""
+    starts, total = [0], 0.0
+    for index, value in enumerate(expected):
+        total += value
+        if total >= 5:
+            starts.append(index + 1)
+            total = 0.0
+    starts = starts[:-1]  # the short tail joins the last full bin
+    return np.add.reduceat(observed, starts), np.add.reduceat(expected, starts)
+
+
 @pytest.mark.parametrize("fraction", [0.0, 1.0], ids=["dark", "bright"])
 def test_draw_counts_follow_count_pmf(model, fraction):
     # A chi-square test of 10^5 draws against the exact law, at a fixed seed,
@@ -209,19 +222,10 @@ def test_draw_counts_follow_count_pmf(model, fraction):
     lowest, pmf = count_pmf(mean[0], det)
     observed = np.bincount(counts - lowest, minlength=pmf.size)
     assert observed.size == pmf.size
-    expected = pmf * counts.size
-    edges, total = [], 0.0
-    for index, value in enumerate(expected):
-        total += value
-        if total >= 5:
-            edges.append(index + 1)
-            total = 0.0
-    edges[-1] = pmf.size  # the last bin takes the short tail
-    observed_bins = np.add.reduceat(observed, [0] + edges[:-1])
-    expected_bins = np.add.reduceat(expected, [0] + edges[:-1])
+    observed_bins, expected_bins = pooled_bins(observed, pmf * counts.size)
     assert observed_bins.sum() == counts.size
     statistic = float(np.sum((observed_bins - expected_bins) ** 2 / expected_bins))
-    assert stats.chi2.sf(statistic, len(edges) - 1) >= 1e-3
+    assert stats.chi2.sf(statistic, observed_bins.size - 1) >= 1e-3
 
 
 def decayed_read_pmf(det, lifetime):
@@ -297,17 +301,7 @@ def test_reads_that_decay_inside_the_window_follow_the_exact_law(model, lifetime
     law[:undecayed.size] += (1 - p) * undecayed
     observed = np.bincount(counts - lowest, minlength=law.size)
     assert observed.size == law.size
-    # Adjacent counts pooled until each bin expects at least 5.
-    expected = law * counts.size
-    edges, total = [], 0.0
-    for index, value in enumerate(expected):
-        total += value
-        if total >= 5:
-            edges.append(index + 1)
-            total = 0.0
-    edges[-1] = law.size  # the last bin takes the short tail
-    observed_bins = np.add.reduceat(observed, [0] + edges[:-1])
-    expected_bins = np.add.reduceat(expected, [0] + edges[:-1])
+    observed_bins, expected_bins = pooled_bins(observed, law * counts.size)
     assert stats.chisquare(observed_bins, expected_bins).pvalue > 1e-4
 
 

@@ -173,7 +173,7 @@ print(json.dumps({"code": code, "err": err.getvalue()}))
 
 def test_invalid_config_still_fails_with_the_jsonschema_message(model, tmp_path):
     document = sp.model_to_config(model)
-    document["decay"]["lifetime"] = -1.0
+    document["decay"]["lifetime"] = "x"
     schema = json.loads(resources.files("spamsim.schemas")
                         .joinpath("config.schema.json").read_text())
     with pytest.raises(jsonschema.ValidationError) as expected:
