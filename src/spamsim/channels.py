@@ -217,24 +217,36 @@ def _build_model(document: dict) -> ErrorModel:
     """Build an :class:`ErrorModel` from a document that matches the schema.
 
     No jsonschema runs here; the dataclass checks judge every value, and a
-    failed one is raised as :class:`ConfigError`.
+    failed one is raised as :class:`ConfigError`.  The refusal of a value in
+    a block names the block (``pump``, ``pulses[3]``, ``decay`` or
+    ``detection``), since the blocks share field names such as ``error_rate``.
     """
+    def block(name: str, build, *args):
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise ConfigError(f"invalid configuration: {name}: {exc}") from exc
+
+    def pulse(entry: dict) -> TransferPulse:
+        return TransferPulse(
+            from_state=parse_state(entry["from"]),
+            to_state=parse_state(entry["to"]),
+            error_rate=entry["error_rate"],
+            t_pi=entry["t_pi"],
+        )
+
+    pump, lifetime = document["pump"], document["decay"]["lifetime"]
+    durations = document.get("durations", {})
+    parts = dict(
+        pump=block("pump", lambda: PumpChannel(**{**pump, "target": parse_state(pump["target"])})),
+        pulses=tuple(block(f"pulses[{index}]", pulse, entry)
+                     for index, entry in enumerate(document["pulses"])),
+        decay=block("decay", DecayChannel, math.inf if lifetime is None else lifetime),
+        detection=block("detection", lambda: DetectionModel(**document["detection"])),
+    )
     try:
-        pump, lifetime = document["pump"], document["decay"]["lifetime"]
-        durations = document.get("durations", {})
         return ErrorModel(
-            pump=PumpChannel(**{**pump, "target": parse_state(pump["target"])}),
-            pulses=tuple(
-                TransferPulse(
-                    from_state=parse_state(entry["from"]),
-                    to_state=parse_state(entry["to"]),
-                    error_rate=entry["error_rate"],
-                    t_pi=entry["t_pi"],
-                )
-                for entry in document["pulses"]
-            ),
-            decay=DecayChannel(lifetime=math.inf if lifetime is None else lifetime),
-            detection=DetectionModel(**document["detection"]),
+            **parts,
             cooling_duration=durations.get("cooling", 1e-3),
             loss_probability_per_shot=document.get("loss_probability_per_shot", 0.0),
         )

@@ -133,95 +133,57 @@ class Sequence:
         return self.detect_index(DetectLabel.R1)
 
 
-def _detects(*labels: DetectLabel) -> list[SequenceStep]:
-    return [Detect(label) for label in labels]
+_R0, _R1, _R2, _R3, _R4, _R5 = (Detect(label) for label in DetectLabel)
+
+# Every shot starts by checking for the ion and pumping it into A:F=2,mF=0,
+# and ends by emptying B and checking that the ion survived.
+_HEAD: tuple[SequenceStep, ...] = (Cool(), _R0, Cool(), Pump())
+_TAIL: tuple[SequenceStep, ...] = (Deshelve(), _R5)
+
+# The readout of O and M: zero is read first (R3), then one (R4), each by a
+# transfer from its B level into the bright A:F=2,mF=0.
+_READ_B_TO_A = (Transfer(B_2_M1, A_2_0), _R3, Transfer(B_1_M1, A_2_0), _R4)
+# The readout of G: both qubit states are shelved for R2, then each is
+# returned to its own ground level and read.
+_READ_G = (
+    Transfer(A_2_0, B_2_P1), Transfer(A_1_0, B_1_M1), _R2,
+    Transfer(B_2_P1, A_2_0), _R3, Transfer(B_1_M1, A_1_0), _R4,
+)
+
+# The steps between the pump and the deshelve step, one entry per encoding
+# and target preparation.  A superposition is prepared in zero, and the ideal
+# pi/2 rotation follows the herald detection R1 (and precedes R2), so the
+# measurement portion carries both mapping branches.
+_BODIES: dict[tuple[str, Prepare], tuple[SequenceStep, ...]] = {
+    ("O", Prepare.ZERO): (Transfer(A_2_0, B_2_M1), _R1, _R2, *_READ_B_TO_A),
+    # Prepare one by shelving and returning through the spectator level,
+    # then map the (bright) one state back into B for readout.
+    ("O", Prepare.ONE): (
+        Transfer(A_2_0, B_1_M1), _R1, Transfer(B_1_M1, A_2_0), Transfer(A_2_0, B_1_M1), _R2,
+        *_READ_B_TO_A,
+    ),
+    ("O", Prepare.SUPERPOSITION): (
+        Transfer(A_2_0, B_2_M1), _R1, Rotate(), Transfer(A_2_0, B_1_M1), _R2, *_READ_B_TO_A,
+    ),
+    ("M", Prepare.ZERO): (Transfer(A_2_0, B_2_M1), _R1, _R2, *_READ_B_TO_A),
+    ("M", Prepare.ONE): (Transfer(A_2_0, B_1_M1), _R1, _R2, *_READ_B_TO_A),
+    ("M", Prepare.SUPERPOSITION): (Transfer(A_2_0, B_2_M1), _R1, Rotate(), _R2, *_READ_B_TO_A),
+    ("G", Prepare.ZERO): (Transfer(A_2_0, B_2_M1), _R1, Transfer(B_2_M1, A_2_0), *_READ_G),
+    ("G", Prepare.ONE): (Transfer(A_2_0, B_2_M1), _R1, Transfer(B_2_M1, A_1_0), *_READ_G),
+    ("G", Prepare.SUPERPOSITION): (
+        Transfer(A_2_0, B_2_M1), _R1, Transfer(B_2_M1, A_2_0), Rotate(), *_READ_G,
+    ),
+}
 
 
 def build_sequence(encoding: QubitEncoding | str, prepare: Prepare) -> Sequence:
-    """The full step list for one encoding and target preparation.
-
-    For ``Prepare.SUPERPOSITION`` the state is prepared in zero, an ideal
-    pi/2 rotation is inserted after the herald detection, and the measurement
-    portion carries both mapping branches.
-    """
+    """The full step list for one encoding and target preparation."""
     if isinstance(encoding, str):
         encoding = encoding_catalog(encoding)
-
-    head: list[SequenceStep] = [Cool(), Detect(DetectLabel.R0), Cool(), Pump()]
-    tail: list[SequenceStep] = [Deshelve(), Detect(DetectLabel.R5)]
-
-    if encoding.name == "O":
-        body = _optical_body(prepare)
-    elif encoding.name == "M":
-        body = _metastable_body(prepare)
-    elif encoding.name == "G":
-        body = _ground_body(prepare)
-    else:
-        raise ValueError(f"no sequence defined for encoding {encoding.name!r}")
-
-    return Sequence(encoding, tuple(head + body + tail))
-
-
-def _optical_body(prepare: Prepare) -> list[SequenceStep]:
-    readout = [
-        Transfer(B_2_M1, A_2_0),
-        Detect(DetectLabel.R3),
-        Transfer(B_1_M1, A_2_0),
-        Detect(DetectLabel.R4),
-    ]
-    if prepare is Prepare.ZERO:
-        return (
-            [Transfer(A_2_0, B_2_M1)]
-            + _detects(DetectLabel.R1, DetectLabel.R2)
-            + readout
-        )
-    if prepare is Prepare.ONE:
-        # Prepare one by shelving and returning through the spectator level,
-        # then map the (bright) one state back into B for readout.
-        return (
-            [Transfer(A_2_0, B_1_M1), Detect(DetectLabel.R1)]
-            + [Transfer(B_1_M1, A_2_0), Transfer(A_2_0, B_1_M1)]
-            + [Detect(DetectLabel.R2)]
-            + readout
-        )
-    return (
-        [Transfer(A_2_0, B_2_M1), Detect(DetectLabel.R1)]
-        + [Rotate(), Transfer(A_2_0, B_1_M1)]
-        + [Detect(DetectLabel.R2)]
-        + readout
-    )
-
-
-def _metastable_body(prepare: Prepare) -> list[SequenceStep]:
-    target = B_2_M1 if prepare in (Prepare.ZERO, Prepare.SUPERPOSITION) else B_1_M1
-    body: list[SequenceStep] = [Transfer(A_2_0, target), Detect(DetectLabel.R1)]
-    if prepare is Prepare.SUPERPOSITION:
-        body.append(Rotate())
-    body += _detects(DetectLabel.R2) + [
-        Transfer(B_2_M1, A_2_0),
-        Detect(DetectLabel.R3),
-        Transfer(B_1_M1, A_2_0),
-        Detect(DetectLabel.R4),
-    ]
-    return body
-
-
-def _ground_body(prepare: Prepare) -> list[SequenceStep]:
-    target = A_2_0 if prepare in (Prepare.ZERO, Prepare.SUPERPOSITION) else A_1_0
-    body: list[SequenceStep] = [
-        Transfer(A_2_0, B_2_M1),
-        Detect(DetectLabel.R1),
-        Transfer(B_2_M1, target),
-    ]
-    if prepare is Prepare.SUPERPOSITION:
-        body.append(Rotate())
-    body += [
-        Transfer(A_2_0, B_2_P1),
-        Transfer(A_1_0, B_1_M1),
-        Detect(DetectLabel.R2),
-        Transfer(B_2_P1, A_2_0),
-        Detect(DetectLabel.R3),
-        Transfer(B_1_M1, A_1_0),
-        Detect(DetectLabel.R4),
-    ]
-    return body
+    if not isinstance(prepare, Prepare):
+        raise ValueError(f"prepare must be a Prepare, got {prepare!r}")
+    try:
+        body = _BODIES[encoding.name, prepare]
+    except KeyError:
+        raise ValueError(f"no sequence defined for encoding {encoding.name!r}") from None
+    return Sequence(encoding, _HEAD + body + _TAIL)

@@ -144,5 +144,5 @@ def encoding_catalog(name: str) -> QubitEncoding:
     """Look up one of the supported encodings ``O``, ``M`` or ``G``."""
     try:
         return _CATALOG[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown encoding {name!r}; expected one of {sorted(_CATALOG)}") from None

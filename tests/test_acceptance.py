@@ -43,9 +43,7 @@ BUDGET_AVERAGE = 8.5999776e-6
 
 
 def _sequence(encoding, state):
-    return sp.build_sequence(
-        encoding, Prepare.ZERO if state == "zero" else Prepare.ONE
-    )
+    return sp.build_sequence(encoding, Prepare(state))
 
 
 def test_monte_carlo_rejection_table(model, acceptance):

@@ -138,13 +138,13 @@ def test_detection_error_budget_composition():
 
 @pytest.mark.parametrize("encoding,state", sorted(FIRST_ORDER))
 def test_first_order_rejection_frozen(model, encoding, state):
-    seq = sp.build_sequence(encoding, Prepare.ZERO if state == "zero" else Prepare.ONE)
+    seq = sp.build_sequence(encoding, Prepare(state))
     assert sp.predict_rejection(seq, model) == pytest.approx(FIRST_ORDER[encoding, state], abs=1e-12)
 
 
 @pytest.mark.parametrize("encoding,state", sorted(EXACT))
 def test_exact_rejection_frozen(model, encoding, state):
-    seq = sp.build_sequence(encoding, Prepare.ZERO if state == "zero" else Prepare.ONE)
+    seq = sp.build_sequence(encoding, Prepare(state))
     assert sp.predict_rejection_exact(seq, model) == pytest.approx(EXACT[encoding, state], abs=5e-8)
 
 
@@ -161,7 +161,7 @@ def assert_exact_below_first_order(seq, model, strict=False):
 
 @pytest.mark.parametrize("encoding,state", sorted(EXACT))
 def test_exact_sits_below_first_order_by_second_order_terms(model, encoding, state):
-    seq = sp.build_sequence(encoding, Prepare.ZERO if state == "zero" else Prepare.ONE)
+    seq = sp.build_sequence(encoding, Prepare(state))
     assert_exact_below_first_order(seq, model)
 
 

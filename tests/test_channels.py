@@ -364,18 +364,19 @@ def test_each_real_argument_is_held_to_its_rule(model, call, rule, name):
 
 # One row per numeric config field: its dotted path in the document, its rule,
 # and the name its refusal carries.  The schema checks each value's JSON type
-# only, so the model's check is the one judge of every number.
+# only, so the model's check is the one judge of every number.  A field of a
+# block is named after its block, as blocks share field names.
 _CONFIG_FIELDS = [
-    ("pump.error_rate", "probability", "error_rate"),
-    ("pump.duration", "non-negative", "duration"),
-    ("pulses.0.error_rate", "probability", "error_rate"),
-    ("pulses.0.t_pi", "positive", "t_pi"),
-    ("decay.lifetime", "lifetime", "lifetime"),
-    ("detection.mean_bright", "non-negative", "mean_bright"),
-    ("detection.mean_dark", "non-negative", "mean_dark"),
-    ("detection.read_noise_sigma", "non-negative", "read_noise_sigma"),
-    ("detection.total_duration", "positive", "total_duration"),
-    ("detection.threshold", "count", "threshold"),
+    ("pump.error_rate", "probability", "pump: error_rate"),
+    ("pump.duration", "non-negative", "pump: duration"),
+    ("pulses.0.error_rate", "probability", "pulses[0]: error_rate"),
+    ("pulses.0.t_pi", "positive", "pulses[0]: t_pi"),
+    ("decay.lifetime", "lifetime", "decay: lifetime"),
+    ("detection.mean_bright", "non-negative", "detection: mean_bright"),
+    ("detection.mean_dark", "non-negative", "detection: mean_dark"),
+    ("detection.read_noise_sigma", "non-negative", "detection: read_noise_sigma"),
+    ("detection.total_duration", "positive", "detection: total_duration"),
+    ("detection.threshold", "count", "detection: threshold"),
     ("durations.cooling", "non-negative", "cooling_duration"),
     ("loss_probability_per_shot", "probability", "loss_probability_per_shot"),
 ]

@@ -568,7 +568,7 @@ def test_predict_rejection_all_encodings(tmp_path, model):
     assert len(document["rows"]) == 6
     by_key = {(r["encoding"], r["prepared"]): r for r in document["rows"]}
     for (enc, prepared), row in by_key.items():
-        seq = sp.build_sequence(enc, Prepare.ZERO if prepared == "zero" else Prepare.ONE)
+        seq = sp.build_sequence(enc, Prepare(prepared))
         assert row["first_order"] == pytest.approx(sp.predict_rejection(seq, model))
         assert row["exact"] == pytest.approx(sp.predict_rejection_exact(seq, model))
         assert row["contributions"]

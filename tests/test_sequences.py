@@ -1,4 +1,5 @@
 import itertools
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +38,52 @@ def test_common_shape(encoding, prepare):
     # Rotations appear only when preparing a superposition.
     rotations = [s for s in seq.steps if isinstance(s, Rotate)]
     assert bool(rotations) == (prepare is Prepare.SUPERPOSITION)
+
+
+_A20, _A10, _B2M1, _B1M1, _B2P1 = "A:F=2,mF=0", "A:F=1,mF=0", "B:F=2,mF=-1", "B:F=1,mF=-1", "B:F=2,mF=1"
+
+# Every step list the package builds, one step a word: a transfer as
+# ``from>to``, a detection by its label, any other step by its type.
+_STEP_LISTS = {
+    ("O", Prepare.ZERO): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 R2 "
+                         f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
+    ("O", Prepare.ONE): f"Cool R0 Cool Pump {_A20}>{_B1M1} R1 {_B1M1}>{_A20} {_A20}>{_B1M1} R2 "
+                        f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
+    ("O", Prepare.SUPERPOSITION): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 Rotate {_A20}>{_B1M1} R2 "
+                                  f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
+    ("M", Prepare.ZERO): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 R2 "
+                         f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
+    ("M", Prepare.ONE): f"Cool R0 Cool Pump {_A20}>{_B1M1} R1 R2 "
+                        f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
+    ("M", Prepare.SUPERPOSITION): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 Rotate R2 "
+                                  f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
+    ("G", Prepare.ZERO): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 {_B2M1}>{_A20} "
+                         f"{_A20}>{_B2P1} {_A10}>{_B1M1} R2 "
+                         f"{_B2P1}>{_A20} R3 {_B1M1}>{_A10} R4 Deshelve R5",
+    ("G", Prepare.ONE): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 {_B2M1}>{_A10} "
+                        f"{_A20}>{_B2P1} {_A10}>{_B1M1} R2 "
+                        f"{_B2P1}>{_A20} R3 {_B1M1}>{_A10} R4 Deshelve R5",
+    ("G", Prepare.SUPERPOSITION): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 {_B2M1}>{_A20} Rotate "
+                                  f"{_A20}>{_B2P1} {_A10}>{_B1M1} R2 "
+                                  f"{_B2P1}>{_A20} R3 {_B1M1}>{_A10} R4 Deshelve R5",
+}
+
+
+def _short(step):
+    if isinstance(step, Transfer):
+        return f"{step.from_state}>{step.to_state}"
+    if isinstance(step, Detect):
+        return step.label.name
+    return type(step).__name__
+
+
+def test_every_step_list_is_pinned():
+    assert set(_STEP_LISTS) == set(all_builds())
+    for (encoding, prepare), expected in _STEP_LISTS.items():
+        steps = sp.build_sequence(encoding, prepare).steps
+        assert " ".join(map(_short, steps)) == expected, (encoding, prepare)
+    # O and M zero are both held in B:F=2,mF=-1 and take the same steps.
+    assert sp.build_sequence("O", Prepare.ZERO).steps == sp.build_sequence("M", Prepare.ZERO).steps
 
 
 def test_metastable_one_exact_steps():
@@ -184,6 +231,15 @@ def test_build_sequence_accepts_encoding_objects():
     with pytest.raises(ValueError, match="no sequence defined for encoding 'X'"):
         sp.build_sequence(custom, Prepare.ZERO)
 
+
+
+@pytest.mark.parametrize("encoding", ["O", "M", "G"])
+@pytest.mark.parametrize("bad", ["zero", "one", None, 0])
+def test_build_sequence_refuses_a_prepare_that_is_not_a_prepare(encoding, bad):
+    # A state's name is not its Prepare: it would otherwise build another
+    # state's step list.
+    with pytest.raises(ValueError, match=f"^prepare must be a Prepare, got {re.escape(repr(bad))}$"):
+        sp.build_sequence(encoding, bad)
 
 def test_detect_labels_cover_all_six_rounds():
     labels = [label.name for label in DetectLabel]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,6 +81,15 @@ def test_encoding_catalog():
         assert enc.zero != enc.one
     with pytest.raises(ValueError):
         sp.encoding_catalog("X")
+
+
+def test_an_unhashable_encoding_name_is_refused_by_name(model):
+    # A list is no key of the catalog; it is refused as any unknown name is.
+    message = re.escape("unknown encoding ['M']; expected one of ['G', 'M', 'O']")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sp.encoding_catalog(["M"])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sp.ExperimentConfig(model=model, encoding=["M"])
 
 
 def test_encoding_rejects_degenerate_basis():
