@@ -20,7 +20,7 @@ def main(argv=None):
 
     model = sp.default_model()
     print(f"{'sequence':<12} {'monte carlo':>14} {'first order':>12} {'exact':>10}")
-    for encoding in ("O", "M", "G"):
+    for encoding in sp.ENCODINGS:
         config = sp.ExperimentConfig(
             model=model, encoding=encoding, shots=args.shots, seed=args.seed
         )

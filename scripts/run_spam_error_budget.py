@@ -17,7 +17,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--shots", type=int, default=10_000_000)
     parser.add_argument("--seed", type=int, default=21)
-    parser.add_argument("--encoding", default="M", choices=["O", "M", "G"])
+    parser.add_argument("--encoding", default="M", choices=sp.ENCODINGS)
     parser.add_argument("--threads", type=int, default=8)
     parser.add_argument("--z", type=float, default=1.96)
     args = parser.parse_args(argv)

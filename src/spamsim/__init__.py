@@ -82,6 +82,7 @@ from .states import (
     B_1_M1,
     B_2_M1,
     B_2_P1,
+    ENCODINGS,
     LOST,
     WRONG_GROUND,
     Manifold,

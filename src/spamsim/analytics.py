@@ -170,7 +170,7 @@ def rejection_contributions(
     events: list[_Channel] = []
     points = [(_WG, 0)]  # the ideal path, then one point per event in ``events``
     for op in compiled.ops:
-        if op.rotate:
+        if op.rotate is not None:
             raise ValueError("rejection contributions need a basis-state preparation")
         for channel in op.channels:
             ideal, pattern = points[0]

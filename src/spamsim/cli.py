@@ -53,13 +53,13 @@ from .engine import (
     run_experiment,
 )
 from .sequence import Prepare, build_sequence
+from .states import ENCODINGS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_SEPARATION = 4
 
-_ENCODINGS = ("O", "M", "G")
 _THREADS_HELP = "threads in all, the calling one included (1 starts no other)"
 
 
@@ -284,7 +284,7 @@ def cmd_calibrate_threshold(args) -> int:
 
 def cmd_predict_rejection(args) -> int:
     model = _load_model(args)
-    encodings = _ENCODINGS if args.encoding == "all" else (args.encoding,)
+    encodings = ENCODINGS if args.encoding == "all" else (args.encoding,)
     rows = []
     for encoding in encodings:
         for prepare in (Prepare.ZERO, Prepare.ONE):
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(run)
     run.add_argument("--shots", type=int, default=1_000_000, help="shots per prepared state")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--encoding", choices=_ENCODINGS, default="M")
+    run.add_argument("--encoding", choices=ENCODINGS, default="M")
     run.add_argument("--mode", choices=[m.value for m in Mode], default="post-select")
     run.add_argument("--max-attempts", type=int, default=None,
                      help="retry budget in rus mode (default 3); post-select allows only 1")
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred = commands.add_parser("predict-rejection",
                                help="closed-form rejected-fraction table")
     _add_model_flags(pred)
-    pred.add_argument("--encoding", choices=_ENCODINGS + ("all",), default="all")
+    pred.add_argument("--encoding", choices=ENCODINGS + ("all",), default="all")
     pred.add_argument("--strict-flags", action="store_true")
     pred.add_argument("--include-decay", action="store_true",
                       help="add metastable-decay contributions to the first-order "

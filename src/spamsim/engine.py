@@ -183,18 +183,18 @@ class _Op:
 
     channels: tuple[_Channel, ...] = ()
     detect: int | None = None  # the R label a Detect step reads
-    rotate: bool = False  # a Rotate step, whose one channel is the Born projection
+    rotate: tuple[int, int] | None = None  # the (zero, one) label ids a Rotate splits
 
 
 @dataclass
 class _Compiled:
     """A sequence bound to a model: integer state labels plus one op per step.
 
-    Every step but ``Detect`` compiles to channels only
-    (:class:`_Channel`).  A channel holds a probability and two maps over
-    label ids, a success map ``to`` and a failure map ``failed_to``; a
-    uniform draw per shot picks the branch, and a shot in label ``l`` goes to
-    ``to[l]`` or to ``failed_to[l]``.  The channels are:
+    Every step compiles to channels (:class:`_Channel`), and a Detect or
+    Rotate op names its window or its two labels.  A channel holds a
+    probability and two maps over label ids, a success map ``to`` and a failure
+    map ``failed_to``; a uniform draw per shot picks the branch, and a shot in
+    label ``l`` goes to ``to[l]`` or to ``failed_to[l]``.  The channels are:
 
     * decay over a step's duration, first in its op (a detection window's
       too): the failure map sends B labels to ``WrongGround``;
@@ -204,19 +204,19 @@ class _Compiled:
       the identity, and the draw tests ``u < p_success``;
     * deshelve: one map, the same on both branches, so it draws nothing;
     * Born projection (``Rotate``): the draw tests ``u < 1/2``, the exact
-      weight, and the maps send the zero and one labels to zero and to one;
+      weight, and the maps send the two ``rotate`` labels to zero and to one;
     * per-shot ion loss, first in op 0: the failure map sends
       ``WrongGround`` to ``Lost``.
 
     A decay or loss channel of probability 0 is left out.  Three readers
-    interpret ``ops``, and only ``detect`` has code of its own in each: the
-    chunk runner (:func:`_apply_op`) draws a branch for every shot of a chunk
-    and records a Rotate's outcome as the prepared value;
+    interpret ``ops``; each has code of its own for ``detect``, and two for
+    ``rotate``.  The chunk runner (:func:`_apply_op`) draws a branch for every
+    shot of a chunk and records a Rotate's outcome as the prepared value;
     ``analytics._propagate`` splits each label's exact probability between
     the two maps; ``analytics.rejection_contributions`` follows the success
-    maps (the ideal path) and forks one point to the failure map of each
-    channel that sends the ideal label apart.  ``detection`` and
-    ``lifetime`` carry the rest of the model that the interpreters use;
+    maps (the ideal path), forks one point to the failure map of each channel
+    that sends the ideal label apart, and refuses a Rotate.  ``detection``
+    and ``lifetime`` carry the rest of the model that the interpreters use;
     nothing after :func:`_compile` reads the model itself.  ``fluor`` and
     ``mean_counts`` are per-label tables; ``mean_counts`` holds the Poisson
     mean of a whole window in each label, from
@@ -226,8 +226,6 @@ class _Compiled:
 
     labels: list[StateLabel]
     fluor: np.ndarray
-    zero_id: int
-    one_id: int
     ops: list[_Op]
     retry_at: int  # op index a repeat-until-success retry rewinds to
     prep_end: int  # op index of the R1 detection
@@ -250,11 +248,10 @@ def _compile(
     def intern(state: StateLabel) -> int:
         return ids.setdefault(state, len(ids))
 
-    encoding = sequence.encoding
-    zero_id, one_id = intern(encoding.zero), intern(encoding.one)
     target_id = intern(model.pump.target)
-    moves = {index: (intern(step.from_state), intern(step.to_state))
-             for index, step in enumerate(sequence.steps) if isinstance(step, Transfer)}
+    # Label ids of the levels a transfer (from, to) or a Rotate (zero, one) names: its fields.
+    pairs = {index: tuple(map(intern, vars(step).values()))
+             for index, step in enumerate(sequence.steps) if isinstance(step, (Transfer, Rotate))}
 
     labels = list(ids)
     fluor = np.array([label.fluoresces() for label in labels])
@@ -278,7 +275,7 @@ def _compile(
         channels.append(_Channel(-1, "ion loss", model.loss_probability_per_shot,
                                  identity, relabel({_WG}, _LOST)))
     for index, step in enumerate(sequence.steps):
-        detect = None
+        detect = rotate = None
         if isinstance(step, Cool):
             channels += decay(index, model.cooling_duration)
         elif isinstance(step, Pump):
@@ -290,7 +287,7 @@ def _compile(
             duration = durations.get((step.from_state, step.to_state), pulse.t_pi)
             p_success = pulse_success_probability(duration, pulse)
             channels += decay(index, duration)
-            source, target = moves[index]
+            source, target = pairs[index]
             channels.append(_Channel(
                 index, f"transfer {step.from_state} -> {step.to_state} failure", p_success,
                 relabel({source}, target), identity, True))
@@ -300,19 +297,17 @@ def _compile(
         elif isinstance(step, Deshelve):
             channels.append(_Channel(index, "deshelve", 0.0, strand, strand))
         elif isinstance(step, Rotate):
-            qubit = {zero_id, one_id}
-            channels.append(_Channel(index, "Born projection", 0.5, relabel(qubit, zero_id),
-                                     relabel(qubit, one_id), True))
+            rotate = zero, one = pairs[index]
+            channels.append(_Channel(index, "Born projection", 0.5, relabel({zero, one}, zero),
+                                     relabel({zero, one}, one), True))
         else:
             raise TypeError(f"unknown step type {type(step).__name__}")
-        ops.append(_Op(tuple(channels), detect, isinstance(step, Rotate)))
+        ops.append(_Op(tuple(channels), detect, rotate))
         channels = []
 
     return _Compiled(
         labels=labels,
         fluor=fluor,
-        zero_id=zero_id,
-        one_id=one_id,
         ops=ops,
         retry_at=sequence.retry_start,
         prep_end=sequence.prep_end,
@@ -465,10 +460,9 @@ def _apply_op(chunk: _ChunkState, compiled: _Compiled, op: _Op) -> np.ndarray | 
         chunk.pattern &= ~bit
         chunk.pattern |= classify(counts, det.threshold).view(np.uint8) * bit
         return counts
-    if op.rotate:
-        state = chunk.state  # a shot outside the qubit keeps its prepared value
-        np.copyto(chunk.prepared, state == compiled.one_id,
-                  where=(state == compiled.zero_id) | (state == compiled.one_id))
+    if op.rotate is not None:  # a shot outside the qubit keeps its prepared value
+        (zero, one), state = op.rotate, chunk.state
+        np.copyto(chunk.prepared, state == one, where=(state == zero) | (state == one))
     return None
 
 

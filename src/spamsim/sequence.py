@@ -20,8 +20,8 @@ from .states import (
     B_1_M1,
     B_2_M1,
     B_2_P1,
+    _CATALOG,
     Manifold,
-    QubitEncoding,
     StateLabel,
     encoding_catalog,
     transition_allowed,
@@ -77,13 +77,19 @@ class Deshelve:
 class Rotate:
     """The ideal pi/2 rotation that makes the equal superposition of zero and one."""
 
+    zero: StateLabel
+    one: StateLabel
+
+    def __post_init__(self) -> None:
+        if self.zero == self.one:
+            raise ValueError("zero and one must differ")
+
 
 SequenceStep = Union[Cool, Detect, Pump, Transfer, Deshelve, Rotate]
 
 
 @dataclass(frozen=True)
 class Sequence:
-    encoding: QubitEncoding
     steps: tuple[SequenceStep, ...]
 
     def __post_init__(self) -> None:
@@ -149,6 +155,8 @@ _READ_G = (
     Transfer(A_2_0, B_2_P1), Transfer(A_1_0, B_1_M1), _R2,
     Transfer(B_2_P1, A_2_0), _R3, Transfer(B_1_M1, A_1_0), _R4,
 )
+# Each encoding's pi/2 rotation, between its two levels in the catalog.
+_ROTATE = {name: Rotate(qubit.zero, qubit.one) for name, qubit in _CATALOG.items()}
 
 # The steps between the pump and the deshelve step, one entry per encoding
 # and target preparation.  A superposition is prepared in zero, and the ideal
@@ -163,27 +171,22 @@ _BODIES: dict[tuple[str, Prepare], tuple[SequenceStep, ...]] = {
         *_READ_B_TO_A,
     ),
     ("O", Prepare.SUPERPOSITION): (
-        Transfer(A_2_0, B_2_M1), _R1, Rotate(), Transfer(A_2_0, B_1_M1), _R2, *_READ_B_TO_A,
+        Transfer(A_2_0, B_2_M1), _R1, _ROTATE["O"], Transfer(A_2_0, B_1_M1), _R2, *_READ_B_TO_A,
     ),
     ("M", Prepare.ZERO): (Transfer(A_2_0, B_2_M1), _R1, _R2, *_READ_B_TO_A),
     ("M", Prepare.ONE): (Transfer(A_2_0, B_1_M1), _R1, _R2, *_READ_B_TO_A),
-    ("M", Prepare.SUPERPOSITION): (Transfer(A_2_0, B_2_M1), _R1, Rotate(), _R2, *_READ_B_TO_A),
+    ("M", Prepare.SUPERPOSITION): (Transfer(A_2_0, B_2_M1), _R1, _ROTATE["M"], _R2, *_READ_B_TO_A),
     ("G", Prepare.ZERO): (Transfer(A_2_0, B_2_M1), _R1, Transfer(B_2_M1, A_2_0), *_READ_G),
     ("G", Prepare.ONE): (Transfer(A_2_0, B_2_M1), _R1, Transfer(B_2_M1, A_1_0), *_READ_G),
     ("G", Prepare.SUPERPOSITION): (
-        Transfer(A_2_0, B_2_M1), _R1, Transfer(B_2_M1, A_2_0), Rotate(), *_READ_G,
+        Transfer(A_2_0, B_2_M1), _R1, Transfer(B_2_M1, A_2_0), _ROTATE["G"], *_READ_G,
     ),
 }
 
 
-def build_sequence(encoding: QubitEncoding | str, prepare: Prepare) -> Sequence:
-    """The full step list for one encoding and target preparation."""
-    if isinstance(encoding, str):
-        encoding = encoding_catalog(encoding)
+def build_sequence(encoding: str, prepare: Prepare) -> Sequence:
+    """The full step list for one catalog encoding and target preparation."""
+    encoding_catalog(encoding)  # the catalog and ``_BODIES`` share their names
     if not isinstance(prepare, Prepare):
         raise ValueError(f"prepare must be a Prepare, got {prepare!r}")
-    try:
-        body = _BODIES[encoding.name, prepare]
-    except KeyError:
-        raise ValueError(f"no sequence defined for encoding {encoding.name!r}") from None
-    return Sequence(encoding, _HEAD + body + _TAIL)
+    return Sequence(_HEAD + _BODIES[encoding, prepare] + _TAIL)

@@ -138,6 +138,7 @@ _CATALOG = {
     # Ground-level qubit: both states bright, shelved through the metastable manifold.
     "G": QubitEncoding("G", zero=A_2_0, one=A_1_0),
 }
+ENCODINGS = tuple(_CATALOG)  # the names, in catalog order
 
 
 def encoding_catalog(name: str) -> QubitEncoding:

@@ -273,7 +273,7 @@ def test_a_chunk_with_histograms_keeps_no_count_matrix(model, encoding, prepare,
     compiled = engine._compile(sp.build_sequence(encoding, prepare), model)
     args = (compiled, engine.CHUNK_SHOTS, np.random.SeedSequence(5),
             engine._PREPARED_CODES[prepare], max_attempts, False, True, False)
-    engine._run_chunk(*args)  # the channels make their arrays on first use
+    engine._run_chunk(*args)  # fills the interpreter's and numpy's one-time caches first
     tracemalloc.start()
     try:
         engine._run_chunk(*args)
@@ -361,7 +361,8 @@ def _step_lists(draw, rewind=True):
     list, a pump and (unless ``rewind`` is False) a cool, a retry's rewind
     point, after R0 are fixed.  Each gap between them holds up to three
     random fillers (transfers either way, cools, pumps and deshelves), and
-    one gap may hold the list's one ``Rotate``.
+    one gap may hold the list's one ``Rotate``, between the two levels of a
+    catalog encoding.
     """
     def into(manifold):
         return st.sampled_from([t for t in _TRANSFERS if t.to_state.in_manifold(manifold)])
@@ -370,14 +371,18 @@ def _step_lists(draw, rewind=True):
                        max_size=3)
     gaps = [draw(fillers) for _ in range(6)]
     rotate = draw(st.none() | st.integers(0, len(gaps) - 1))
+    at = None if rotate is None else draw(st.integers(0, len(gaps[rotate])))
+    shelve, read_zero, read_one = (draw(into(sp.Manifold.B)), draw(into(sp.Manifold.A)),
+                                   draw(into(sp.Manifold.A)))
+    # The encoding whose two levels the Rotate splits, drawn last.
+    qubit = sp.encoding_catalog(draw(st.sampled_from("OMG")))
     if rotate is not None:
-        gaps[rotate].insert(draw(st.integers(0, len(gaps[rotate]))), Rotate())
+        gaps[rotate].insert(at, Rotate(qubit.zero, qubit.one))
     detect = [sp.Detect(label) for label in sp.DetectLabel]
     steps = [sp.Cool(), detect[0], *([sp.Cool()] if rewind else []), Pump(), *gaps[0],
-             draw(into(sp.Manifold.B)), *gaps[1], detect[1], *gaps[2], detect[2], *gaps[3],
-             draw(into(sp.Manifold.A)), detect[3], *gaps[4], draw(into(sp.Manifold.A)), detect[4],
-             *gaps[5], sp.Deshelve(), detect[5]]
-    return Sequence(sp.encoding_catalog(draw(st.sampled_from("OMG"))), tuple(steps))
+             shelve, *gaps[1], detect[1], *gaps[2], detect[2], *gaps[3], read_zero, detect[3],
+             *gaps[4], read_one, detect[4], *gaps[5], sp.Deshelve(), detect[5]]
+    return Sequence(tuple(steps))
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -406,7 +411,7 @@ def test_random_step_lists_without_a_rewind_cool_are_refused_by_name(sequence):
         assert sequence.retry_start == cools[0]
         return
     for mode, max_attempts in ((sp.Mode.POST_SELECT, 1), (sp.Mode.REPEAT_UNTIL_SUCCESS, 3)):
-        config = sp.ExperimentConfig(model=sp.default_model(), encoding=sequence.encoding.name,
+        config = sp.ExperimentConfig(model=sp.default_model(), encoding="M",
                                      shots=100, mode=mode, max_attempts=max_attempts)
         with mock.patch.object(engine, "build_sequence", lambda encoding, prepare: sequence):
             with pytest.raises(ValueError, match="lacks a second cooling step"):
@@ -619,11 +624,13 @@ def test_prepared_is_the_rotate_outcome(model):
     at_rotate = None
     for op in compiled.ops:
         engine._apply_op(chunk, compiled, op)
-        if op.rotate:
+        if op.rotate is not None:
             at_rotate = chunk.state.copy()
     expected = np.full(chunk.size, -1)
-    expected[at_rotate == compiled.zero_id] = 0
-    expected[at_rotate == compiled.one_id] = 1
+    qubit = sp.encoding_catalog("M")
+    zero, one = compiled.labels.index(qubit.zero), compiled.labels.index(qubit.one)
+    expected[at_rotate == zero] = 0
+    expected[at_rotate == one] = 1
     assert np.array_equal(chunk.prepared, expected)
     assert set(expected.tolist()) == {-1, 0, 1}
 
@@ -993,10 +1000,11 @@ def test_skip_advances_pcg64():
 def _rotate_before_shelving():
     # O's one label is A:F=2,mF=0, so a Rotate right after the pump moves
     # shots into B (zero, B:F=2,mF=-1) before any transfer does.
-    steps = [s for s in sp.build_sequence("O", Prepare.SUPERPOSITION).steps
-             if not isinstance(s, Rotate)]
-    steps.insert(next(i for i, s in enumerate(steps) if isinstance(s, Pump)) + 1, Rotate())
-    return Sequence(sp.encoding_catalog("O"), tuple(steps))
+    steps = list(sp.build_sequence("O", Prepare.SUPERPOSITION).steps)
+    rotate = next(s for s in steps if isinstance(s, Rotate))
+    steps.remove(rotate)
+    steps.insert(next(i for i, s in enumerate(steps) if isinstance(s, Pump)) + 1, rotate)
+    return Sequence(tuple(steps))
 
 
 _FLAG_SEQUENCES = {f"{e}-{p.value}": (p, functools.partial(sp.build_sequence, e, p))
@@ -1090,8 +1098,8 @@ def test_channel_maps_are_label_tables(model, name):
     # Rotate's one channel is the Born projection.
     for op, step in zip(compiled.ops, sequence.steps):
         assert (op.detect is not None) == isinstance(step, sp.Detect)
-        assert op.rotate == isinstance(step, Rotate)
-        if op.rotate:
+        assert (op.rotate is not None) == isinstance(step, Rotate)
+        if op.rotate is not None:
             assert [channel.event for channel in op.channels] == ["Born projection"]
 
 

@@ -142,16 +142,21 @@ def test_superposition_rotation_follows_the_preparation_check():
         r2 = next(i for i, s in enumerate(seq.steps)
                   if isinstance(s, Detect) and s.label is DetectLabel.R2)
         assert r1 < rotate < r2
+        # It splits the encoding's two levels in the catalog.
+        qubit = sp.encoding_catalog(encoding)
+        assert (seq.steps[rotate].zero, seq.steps[rotate].one) == (qubit.zero, qubit.one)
         # A pi/2 rotation: one channel projects each basis state to zero with
         # probability exactly 1/2, and to one otherwise.
         compiled = engine._compile(seq, sp.default_model())
         op = compiled.ops[rotate]
-        assert op.rotate and op.detect is None
+        assert op.detect is None
+        zero, one = op.rotate
+        assert (compiled.labels[zero], compiled.labels[one]) == (qubit.zero, qubit.one)
         (born,) = op.channels
         assert (born.probability, born.tests_success) == (0.5, True)
-        for label in (compiled.zero_id, compiled.one_id):
-            assert (born.to[label], born.failed_to[label]) == (compiled.zero_id, compiled.one_id)
-        assert born.apart == {compiled.zero_id, compiled.one_id}
+        for label in (zero, one):
+            assert (born.to[label], born.failed_to[label]) == (zero, one)
+        assert born.apart == {zero, one}
 
 
 @pytest.mark.parametrize("encoding", ["O", "M", "G"])
@@ -160,9 +165,14 @@ def test_second_rotation_is_rejected(encoding):
     # when no second coherent operation follows.
     seq = sp.build_sequence(encoding, Prepare.SUPERPOSITION)
     rotate = next(i for i, s in enumerate(seq.steps) if isinstance(s, Rotate))
-    steps = seq.steps[: rotate + 1] + (Rotate(),) + seq.steps[rotate + 1 :]
+    steps = seq.steps[: rotate + 1] + seq.steps[rotate : rotate + 1] + seq.steps[rotate + 1 :]
     with pytest.raises(ValueError, match="at most one Rotate"):
-        sp.Sequence(seq.encoding, steps)
+        sp.Sequence(steps)
+
+
+def test_rotate_refuses_equal_levels():
+    with pytest.raises(ValueError, match="zero and one must differ"):
+        Rotate(sp.A_2_0, sp.A_2_0)
 
 
 # build_sequence("M", Prepare.ONE): Cool R0 Cool Pump T R1 R2 T R3 T R4 Deshelve R5
@@ -182,21 +192,21 @@ def test_second_rotation_is_rejected(encoding):
 def test_malformed_step_lists_are_rejected(edit, message):
     steps = sp.build_sequence("M", Prepare.ONE).steps
     with pytest.raises(ValueError, match=message):
-        sp.Sequence(sp.encoding_catalog("M"), edit(steps))
+        sp.Sequence(edit(steps))
 
 
 def test_step_lists_the_engine_cannot_run(model):
     steps = sp.build_sequence("M", Prepare.ONE).steps
     # One cooling step is a valid sequence, but a retry has nowhere to rewind to.
-    single_cool = sp.Sequence(sp.encoding_catalog("M"), steps[:2] + steps[3:])
+    single_cool = sp.Sequence(steps[:2] + steps[3:])
     with pytest.raises(ValueError, match="lacks a second cooling step"):
         engine._compile(single_cool, model)
     # Nor when both cooling steps come before R0: a retry would repeat R0.
-    cools_before_r0 = sp.Sequence(sp.encoding_catalog("M"), (Cool(),) + steps[:2] + steps[3:])
+    cools_before_r0 = sp.Sequence((Cool(),) + steps[:2] + steps[3:])
     with pytest.raises(ValueError, match="lacks a second cooling step"):
         engine._compile(cools_before_r0, model)
     # A step of no known type passes the structural checks, and the compiler names it.
-    unknown = sp.Sequence(sp.encoding_catalog("M"), ("wait",) + steps)
+    unknown = sp.Sequence(("wait",) + steps)
     with pytest.raises(TypeError, match="unknown step type str"):
         engine._compile(unknown, model)
     # Every Sequence holds all six detections, so only a bare step list lacks one.
@@ -220,17 +230,16 @@ def test_compile_binds_transfer_durations_to_matching_pairs_only(model):
     ]
 
 
-def test_build_sequence_accepts_encoding_objects():
-    by_name = sp.build_sequence("O", Prepare.ZERO)
-    by_obj = sp.build_sequence(sp.encoding_catalog("O"), Prepare.ZERO)
-    assert by_name.steps == by_obj.steps
-    with pytest.raises(ValueError):
-        sp.build_sequence("Q", Prepare.ZERO)
-    # An encoding outside the catalog has no step list.
-    custom = sp.QubitEncoding("X", zero=sp.B_2_M1, one=sp.A_2_0)
-    with pytest.raises(ValueError, match="no sequence defined for encoding 'X'"):
-        sp.build_sequence(custom, Prepare.ZERO)
-
+@pytest.mark.parametrize("encoding", [
+    pytest.param("Q", id="unknown-name"),
+    # An encoding is a catalog name, never an object: one that reuses a
+    # catalog name with other levels would otherwise get M's steps.
+    pytest.param(sp.QubitEncoding("M", zero=sp.A_2_0, one=sp.A_1_0), id="foreign-levels"),
+    pytest.param(sp.encoding_catalog("M"), id="catalog-entry"),
+])
+def test_build_sequence_takes_only_a_catalog_name(encoding):
+    with pytest.raises(ValueError, match=f"^unknown encoding {re.escape(repr(encoding))};"):
+        sp.build_sequence(encoding, Prepare.ZERO)
 
 
 @pytest.mark.parametrize("encoding", ["O", "M", "G"])
