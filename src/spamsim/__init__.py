@@ -1,9 +1,9 @@
 """Stochastic simulator and analytics for heralded SPAM of trapped-ion qubits.
 
 The package is layered bottom-up: :mod:`spamsim.states` names the level
-structure and qubit encodings, :mod:`spamsim.channels` and
-:mod:`spamsim.detection` model the error channels and photon counting,
-:mod:`spamsim.sequence` builds the per-encoding step lists,
+structure, :mod:`spamsim.channels` and :mod:`spamsim.detection` model the
+error channels and photon counting, :mod:`spamsim.sequence` names the qubit
+encodings and builds their step lists,
 :mod:`spamsim.engine` executes shots, and :mod:`spamsim.analytics` provides
 the closed-form predictions the simulations are checked against.
 """
@@ -65,6 +65,7 @@ from .engine import (
     run_experiment,
 )
 from .sequence import (
+    ENCODINGS,
     Cool,
     Deshelve,
     Detect,
@@ -82,13 +83,10 @@ from .states import (
     B_1_M1,
     B_2_M1,
     B_2_P1,
-    ENCODINGS,
     LOST,
     WRONG_GROUND,
     Manifold,
-    QubitEncoding,
     StateLabel,
-    encoding_catalog,
     parse_state,
     transition_allowed,
 )

@@ -62,11 +62,6 @@ class RateEstimate:
         return 0.5 * (self.interval[1] - self.interval[0])
 
 
-def check_z(z: float) -> None:
-    """Reject an interval quantile ``z`` unless it is finite and > 0."""
-    _check_positive("z", z)
-
-
 def wilson_interval(successes: int, trials: int, z: float = 1.0) -> RateEstimate:
     """Wilson score interval for ``successes`` out of ``trials`` at quantile ``z``.
 
@@ -80,7 +75,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.0) -> RateEstimate
     _check_count("successes", successes, 0)
     if successes > trials:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
-    check_z(z)
+    _check_positive("z", z)
     p_hat = successes / trials
     scale = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / scale
@@ -542,7 +537,7 @@ def spam_summary(result: ExperimentResult, z: float = 1.0) -> dict:
     both basis states ran, the two are averaged with half-widths combined in
     quadrature.
     """
-    check_z(z)
+    _check_positive("z", z)
     if not result.states:
         raise ValueError("no batches to summarize")
     config = result.config

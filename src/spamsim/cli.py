@@ -32,7 +32,6 @@ from .analytics import (
     BIAS_FAMILIES,
     bias_family,
     bias_scan,
-    check_z,
     first_order_rate,
     fit_lifetime,
     predict_rejection_exact,
@@ -42,6 +41,7 @@ from .analytics import (
 from .channels import ConfigError, default_model, load_error_model, validate_document
 from .detection import (
     ThresholdSeparationError,
+    _check_positive,
     calibrate_threshold,
     read_histogram_csv,
     write_histogram_csv,
@@ -52,8 +52,7 @@ from .engine import (
     evaluate_flags,
     run_experiment,
 )
-from .sequence import Prepare, build_sequence
-from .states import ENCODINGS
+from .sequence import ENCODINGS, Prepare, build_sequence
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -197,7 +196,7 @@ def _write_records(directory: str, records: dict, strict: bool) -> list[str]:
 
 def cmd_run_spam(args) -> int:
     # A bad quantile fails before any shot runs or --out is made.
-    check_z(args.z)
+    _check_positive("z", args.z)
     model = _load_model(args)
     args.seed = _resolve_seed(args.seed)
     max_attempts = args.max_attempts

@@ -63,9 +63,10 @@ from .sequence import (
     Rotate,
     Sequence,
     Transfer,
+    _check_encoding,
     build_sequence,
 )
-from .states import LOST, WRONG_GROUND, Manifold, StateLabel, encoding_catalog
+from .states import LOST, WRONG_GROUND, Manifold, StateLabel
 
 CHUNK_SHOTS = 16384
 
@@ -585,9 +586,10 @@ class ExperimentConfig:
     ``transfer_durations`` overrides the duration of specific pulses, keyed by
     oriented (from, to) state pairs; the bias scans use this to detune single
     transfers away from their calibrated length.  The overrides bind in
-    :func:`_compile`; :func:`run_experiment` rejects a pair given twice,
-    driven by no transfer of the run's sequences, or with a duration that is
-    not finite and non-negative.
+    :func:`_compile`; :func:`run_experiment` rejects an entry that is not
+    ``((StateLabel, StateLabel), duration)``, a pair given twice or driven by
+    no transfer of the run's sequences, and a duration that is not finite and
+    non-negative.
 
     Random streams depend on ``seed``, the batch index and the chunk index
     only.  Two configurations run at one seed therefore draw the same numbers
@@ -607,7 +609,7 @@ class ExperimentConfig:
     transfer_durations: tuple[tuple[tuple[StateLabel, StateLabel], float], ...] = ()
 
     def __post_init__(self) -> None:
-        encoding_catalog(self.encoding)
+        _check_encoding(self.encoding)
         _check_count("shots", self.shots, 1)
         _check_count("seed", self.seed, 0)
         if self.prepare is not None and not isinstance(self.prepare, Prepare):
@@ -779,7 +781,12 @@ def run_experiment(
     driven = {(step.from_state, step.to_state) for sequence in sequences
               for step in sequence.steps if isinstance(step, Transfer)}
     durations: dict[tuple[StateLabel, StateLabel], float] = {}
-    for pair, duration in config.transfer_durations:
+    for entry in config.transfer_durations:
+        if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], tuple)
+                and len(entry[0]) == 2 and all(isinstance(s, StateLabel) for s in entry[0])):
+            raise ValueError("transfer_durations entries must be "
+                             f"((StateLabel, StateLabel), duration), got {entry!r}")
+        pair, duration = entry
         name = f"transfer duration for {pair[0]} -> {pair[1]}"
         if pair in durations:
             raise ValueError(f"{name} is given twice")

@@ -14,18 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from .states import (
-    A_1_0,
-    A_2_0,
-    B_1_M1,
-    B_2_M1,
-    B_2_P1,
-    _CATALOG,
-    Manifold,
-    StateLabel,
-    encoding_catalog,
-    transition_allowed,
-)
+from .states import A_1_0, A_2_0, B_1_M1, B_2_M1, B_2_P1, Manifold, StateLabel, transition_allowed
 
 
 class DetectLabel(enum.IntEnum):
@@ -155,13 +144,11 @@ _READ_G = (
     Transfer(A_2_0, B_2_P1), Transfer(A_1_0, B_1_M1), _R2,
     Transfer(B_2_P1, A_2_0), _R3, Transfer(B_1_M1, A_1_0), _R4,
 )
-# Each encoding's pi/2 rotation, between its two levels in the catalog.
-_ROTATE = {name: Rotate(qubit.zero, qubit.one) for name, qubit in _CATALOG.items()}
-
 # The steps between the pump and the deshelve step, one entry per encoding
 # and target preparation.  A superposition is prepared in zero, and the ideal
-# pi/2 rotation follows the herald detection R1 (and precedes R2), so the
-# measurement portion carries both mapping branches.
+# pi/2 rotation between the encoding's two levels follows the herald
+# detection R1 (and precedes R2), so the measurement portion carries both
+# mapping branches.
 _BODIES: dict[tuple[str, Prepare], tuple[SequenceStep, ...]] = {
     ("O", Prepare.ZERO): (Transfer(A_2_0, B_2_M1), _R1, _R2, *_READ_B_TO_A),
     # Prepare one by shelving and returning through the spectator level,
@@ -170,23 +157,36 @@ _BODIES: dict[tuple[str, Prepare], tuple[SequenceStep, ...]] = {
         Transfer(A_2_0, B_1_M1), _R1, Transfer(B_1_M1, A_2_0), Transfer(A_2_0, B_1_M1), _R2,
         *_READ_B_TO_A,
     ),
+    # Optical qubit: one state per manifold.
     ("O", Prepare.SUPERPOSITION): (
-        Transfer(A_2_0, B_2_M1), _R1, _ROTATE["O"], Transfer(A_2_0, B_1_M1), _R2, *_READ_B_TO_A,
+        Transfer(A_2_0, B_2_M1), _R1, Rotate(B_2_M1, A_2_0), Transfer(A_2_0, B_1_M1), _R2,
+        *_READ_B_TO_A,
     ),
     ("M", Prepare.ZERO): (Transfer(A_2_0, B_2_M1), _R1, _R2, *_READ_B_TO_A),
     ("M", Prepare.ONE): (Transfer(A_2_0, B_1_M1), _R1, _R2, *_READ_B_TO_A),
-    ("M", Prepare.SUPERPOSITION): (Transfer(A_2_0, B_2_M1), _R1, _ROTATE["M"], _R2, *_READ_B_TO_A),
+    # Metastable qubit: both states dark, read out through the ground manifold.
+    ("M", Prepare.SUPERPOSITION): (
+        Transfer(A_2_0, B_2_M1), _R1, Rotate(B_2_M1, B_1_M1), _R2, *_READ_B_TO_A,
+    ),
     ("G", Prepare.ZERO): (Transfer(A_2_0, B_2_M1), _R1, Transfer(B_2_M1, A_2_0), *_READ_G),
     ("G", Prepare.ONE): (Transfer(A_2_0, B_2_M1), _R1, Transfer(B_2_M1, A_1_0), *_READ_G),
+    # Ground-level qubit: both states bright, shelved through the metastable manifold.
     ("G", Prepare.SUPERPOSITION): (
-        Transfer(A_2_0, B_2_M1), _R1, Transfer(B_2_M1, A_2_0), _ROTATE["G"], *_READ_G,
+        Transfer(A_2_0, B_2_M1), _R1, Transfer(B_2_M1, A_2_0), Rotate(A_2_0, A_1_0), *_READ_G,
     ),
 }
+ENCODINGS = tuple(dict.fromkeys(name for name, _ in _BODIES))  # the names, in table order
+
+
+def _check_encoding(encoding: str) -> None:
+    """Refuse anything but one of the names in :data:`ENCODINGS`."""
+    if not (isinstance(encoding, str) and encoding in ENCODINGS):
+        raise ValueError(f"unknown encoding {encoding!r}; expected one of {sorted(ENCODINGS)}")
 
 
 def build_sequence(encoding: str, prepare: Prepare) -> Sequence:
-    """The full step list for one catalog encoding and target preparation."""
-    encoding_catalog(encoding)  # the catalog and ``_BODIES`` share their names
+    """The full step list for one encoding of :data:`ENCODINGS` and target preparation."""
+    _check_encoding(encoding)
     if not isinstance(prepare, Prepare):
         raise ValueError(f"prepare must be a Prepare, got {prepare!r}")
     return Sequence(_HEAD + _BODIES[encoding, prepare] + _TAIL)

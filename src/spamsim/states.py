@@ -116,34 +116,3 @@ def transition_allowed(from_state: StateLabel, to_state: StateLabel) -> bool:
         return False
     return from_state.manifold is not to_state.manifold
 
-
-@dataclass(frozen=True)
-class QubitEncoding:
-    """Computational basis assignment: the levels holding zero and one."""
-
-    name: str
-    zero: StateLabel
-    one: StateLabel
-
-    def __post_init__(self) -> None:
-        if self.zero == self.one:
-            raise ValueError("zero and one must differ")
-
-
-_CATALOG = {
-    # Optical qubit: one state per manifold.
-    "O": QubitEncoding("O", zero=B_2_M1, one=A_2_0),
-    # Metastable qubit: both states dark, read out through the ground manifold.
-    "M": QubitEncoding("M", zero=B_2_M1, one=B_1_M1),
-    # Ground-level qubit: both states bright, shelved through the metastable manifold.
-    "G": QubitEncoding("G", zero=A_2_0, one=A_1_0),
-}
-ENCODINGS = tuple(_CATALOG)  # the names, in catalog order
-
-
-def encoding_catalog(name: str) -> QubitEncoding:
-    """Look up one of the supported encodings ``O``, ``M`` or ``G``."""
-    try:
-        return _CATALOG[name]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown encoding {name!r}; expected one of {sorted(_CATALOG)}") from None

@@ -361,8 +361,8 @@ def _step_lists(draw, rewind=True):
     list, a pump and (unless ``rewind`` is False) a cool, a retry's rewind
     point, after R0 are fixed.  Each gap between them holds up to three
     random fillers (transfers either way, cools, pumps and deshelves), and
-    one gap may hold the list's one ``Rotate``, between the two levels of a
-    catalog encoding.
+    one gap may hold the list's one ``Rotate``: an encoding's own, from its
+    superposition step list.
     """
     def into(manifold):
         return st.sampled_from([t for t in _TRANSFERS if t.to_state.in_manifold(manifold)])
@@ -374,10 +374,11 @@ def _step_lists(draw, rewind=True):
     at = None if rotate is None else draw(st.integers(0, len(gaps[rotate])))
     shelve, read_zero, read_one = (draw(into(sp.Manifold.B)), draw(into(sp.Manifold.A)),
                                    draw(into(sp.Manifold.A)))
-    # The encoding whose two levels the Rotate splits, drawn last.
-    qubit = sp.encoding_catalog(draw(st.sampled_from("OMG")))
+    # The encoding whose superposition Rotate the list takes, drawn last.
+    encoding = draw(st.sampled_from("OMG"))
     if rotate is not None:
-        gaps[rotate].insert(at, Rotate(qubit.zero, qubit.one))
+        superposition = sp.build_sequence(encoding, Prepare.SUPERPOSITION).steps
+        gaps[rotate].insert(at, next(s for s in superposition if isinstance(s, Rotate)))
     detect = [sp.Detect(label) for label in sp.DetectLabel]
     steps = [sp.Cool(), detect[0], *([sp.Cool()] if rewind else []), Pump(), *gaps[0],
              shelve, *gaps[1], detect[1], *gaps[2], detect[2], *gaps[3], read_zero, detect[3],
@@ -502,6 +503,9 @@ def test_transfer_duration_override_needs_only_one_batch_to_drive_it(model):
     assert tuned.states["one"].accepted < plain.states["one"].accepted
 
 
+_MALFORMED = "transfer_durations entries must be ((StateLabel, StateLabel), duration)"
+
+
 @pytest.mark.parametrize("prepare, overrides, problem", [
     (None, [((sp.A_2_0, sp.B_2_P1), 20e-6)], "A:F=2,mF=0 -> B:F=2,mF=1 matches no transfer"),
     (None, [((sp.A_2_0, sp.A_1_0), 20e-6)], "A:F=2,mF=0 -> A:F=1,mF=0 matches no transfer"),
@@ -511,18 +515,25 @@ def test_transfer_duration_override_needs_only_one_batch_to_drive_it(model):
     *[(None, [((sp.B_2_M1, sp.A_2_0), bad)],
        f"B:F=2,mF=-1 -> A:F=2,mF=0 must be finite and non-negative, got {bad}")
       for bad in (-1e-6, math.nan, math.inf)],
+    # Entries of another shape, each of which used to fail without a name.
+    (None, [((sp.A_2_0,), 1e-6)], _MALFORMED),
+    (None, [[sp.B_2_M1, sp.A_2_0], 1e-6], _MALFORMED),
+    (None, [([sp.B_2_M1, sp.A_2_0], 1e-6)], _MALFORMED),
+    (None, [((sp.B_2_M1, sp.A_2_0), 1e-6, 2e-6)], _MALFORMED),
 ])
 def test_transfer_duration_overrides_name_a_driven_transfer_once(
         model, monkeypatch, prepare, overrides, problem):
-    # Each of these used to run as the default run; the override is checked
-    # against every batch's transfers before any chunk runs.
+    # Each of these used to run as the default run, or to fail without naming
+    # the override; every entry is checked against every batch's transfers
+    # before any chunk runs.
     def no_runs(*args):
         raise AssertionError("a chunk ran before the overrides were checked")
 
     monkeypatch.setattr(engine, "_run_chunk", no_runs)
     cfg = sp.ExperimentConfig(model=model, shots=2_000, seed=1, prepare=prepare,
                               transfer_durations=tuple(overrides))
-    with pytest.raises(ValueError, match=f"transfer duration for {problem}"):
+    message = problem if problem == _MALFORMED else f"transfer duration for {problem}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         sp.run_experiment(cfg)
 
 
@@ -627,8 +638,7 @@ def test_prepared_is_the_rotate_outcome(model):
         if op.rotate is not None:
             at_rotate = chunk.state.copy()
     expected = np.full(chunk.size, -1)
-    qubit = sp.encoding_catalog("M")
-    zero, one = compiled.labels.index(qubit.zero), compiled.labels.index(qubit.one)
+    zero, one = next(op.rotate for op in compiled.ops if op.rotate is not None)
     expected[at_rotate == zero] = 0
     expected[at_rotate == one] = 1
     assert np.array_equal(chunk.prepared, expected)

@@ -2,6 +2,7 @@ import itertools
 import re
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import spamsim as sp
@@ -43,19 +44,21 @@ def test_common_shape(encoding, prepare):
 _A20, _A10, _B2M1, _B1M1, _B2P1 = "A:F=2,mF=0", "A:F=1,mF=0", "B:F=2,mF=-1", "B:F=1,mF=-1", "B:F=2,mF=1"
 
 # Every step list the package builds, one step a word: a transfer as
-# ``from>to``, a detection by its label, any other step by its type.
+# ``from>to``, a rotation as ``Rotate(zero|one)``, a detection by its label,
+# any other step by its type.
 _STEP_LISTS = {
     ("O", Prepare.ZERO): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 R2 "
                          f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
     ("O", Prepare.ONE): f"Cool R0 Cool Pump {_A20}>{_B1M1} R1 {_B1M1}>{_A20} {_A20}>{_B1M1} R2 "
                         f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
-    ("O", Prepare.SUPERPOSITION): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 Rotate {_A20}>{_B1M1} R2 "
+    ("O", Prepare.SUPERPOSITION): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 Rotate({_B2M1}|{_A20}) "
+                                  f"{_A20}>{_B1M1} R2 "
                                   f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
     ("M", Prepare.ZERO): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 R2 "
                          f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
     ("M", Prepare.ONE): f"Cool R0 Cool Pump {_A20}>{_B1M1} R1 R2 "
                         f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
-    ("M", Prepare.SUPERPOSITION): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 Rotate R2 "
+    ("M", Prepare.SUPERPOSITION): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 Rotate({_B2M1}|{_B1M1}) R2 "
                                   f"{_B2M1}>{_A20} R3 {_B1M1}>{_A20} R4 Deshelve R5",
     ("G", Prepare.ZERO): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 {_B2M1}>{_A20} "
                          f"{_A20}>{_B2P1} {_A10}>{_B1M1} R2 "
@@ -63,7 +66,7 @@ _STEP_LISTS = {
     ("G", Prepare.ONE): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 {_B2M1}>{_A10} "
                         f"{_A20}>{_B2P1} {_A10}>{_B1M1} R2 "
                         f"{_B2P1}>{_A20} R3 {_B1M1}>{_A10} R4 Deshelve R5",
-    ("G", Prepare.SUPERPOSITION): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 {_B2M1}>{_A20} Rotate "
+    ("G", Prepare.SUPERPOSITION): f"Cool R0 Cool Pump {_A20}>{_B2M1} R1 {_B2M1}>{_A20} Rotate({_A20}|{_A10}) "
                                   f"{_A20}>{_B2P1} {_A10}>{_B1M1} R2 "
                                   f"{_B2P1}>{_A20} R3 {_B1M1}>{_A10} R4 Deshelve R5",
 }
@@ -72,12 +75,15 @@ _STEP_LISTS = {
 def _short(step):
     if isinstance(step, Transfer):
         return f"{step.from_state}>{step.to_state}"
+    if isinstance(step, Rotate):
+        return f"Rotate({step.zero}|{step.one})"
     if isinstance(step, Detect):
         return step.label.name
     return type(step).__name__
 
 
 def test_every_step_list_is_pinned():
+    assert sp.ENCODINGS == ("O", "M", "G")  # the table's order, which the CLI shows
     assert set(_STEP_LISTS) == set(all_builds())
     for (encoding, prepare), expected in _STEP_LISTS.items():
         steps = sp.build_sequence(encoding, prepare).steps
@@ -142,9 +148,15 @@ def test_superposition_rotation_follows_the_preparation_check():
         r2 = next(i for i, s in enumerate(seq.steps)
                   if isinstance(s, Detect) and s.label is DetectLabel.R2)
         assert r1 < rotate < r2
-        # It splits the encoding's two levels in the catalog.
-        qubit = sp.encoding_catalog(encoding)
-        assert (seq.steps[rotate].zero, seq.steps[rotate].one) == (qubit.zero, qubit.one)
+        # It splits the encoding's two levels: one per manifold for O, both
+        # dark for M, both bright for G.
+        qubit = seq.steps[rotate]
+        assert [(level.in_manifold(sp.Manifold.A), level.in_manifold(sp.Manifold.B))
+                for level in (qubit.zero, qubit.one)] == {
+            "O": [(False, True), (True, False)],
+            "M": [(False, True), (False, True)],
+            "G": [(True, False), (True, False)],
+        }[encoding]
         # A pi/2 rotation: one channel projects each basis state to zero with
         # probability exactly 1/2, and to one otherwise.
         compiled = engine._compile(seq, sp.default_model())
@@ -232,14 +244,25 @@ def test_compile_binds_transfer_durations_to_matching_pairs_only(model):
 
 @pytest.mark.parametrize("encoding", [
     pytest.param("Q", id="unknown-name"),
-    # An encoding is a catalog name, never an object: one that reuses a
-    # catalog name with other levels would otherwise get M's steps.
-    pytest.param(sp.QubitEncoding("M", zero=sp.A_2_0, one=sp.A_1_0), id="foreign-levels"),
-    pytest.param(sp.encoding_catalog("M"), id="catalog-entry"),
+    # An encoding is a name of sp.ENCODINGS, never an object with levels,
+    # not even M's own superposition Rotate.
+    pytest.param(Rotate(sp.A_2_0, sp.A_1_0), id="foreign-levels"),
+    pytest.param(Rotate(sp.B_2_M1, sp.B_1_M1), id="m-superposition-rotate"),
 ])
 def test_build_sequence_takes_only_a_catalog_name(encoding):
     with pytest.raises(ValueError, match=f"^unknown encoding {re.escape(repr(encoding))};"):
         sp.build_sequence(encoding, Prepare.ZERO)
+
+
+@pytest.mark.parametrize("name", [["M"], np.array(["M"])], ids=["list", "array"])
+def test_an_unhashable_encoding_name_is_refused_by_name(model, name):
+    # Neither is a name of sp.ENCODINGS, though the array compares equal to
+    # "M"; each is refused as any unknown name is.
+    message = re.escape(f"unknown encoding {name!r}; expected one of ['G', 'M', 'O']")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sp.build_sequence(name, Prepare.ZERO)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sp.ExperimentConfig(model=model, encoding=name)
 
 
 @pytest.mark.parametrize("encoding", ["O", "M", "G"])

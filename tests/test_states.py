@@ -1,5 +1,3 @@
-import re
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,30 +66,3 @@ def test_transfer_pulses_bridge_manifolds_only():
     assert not sp.transition_allowed(WRONG_GROUND, sp.B_2_M1)
     assert not sp.transition_allowed(sp.A_2_0, LOST)
 
-
-def test_encoding_catalog():
-    opt = sp.encoding_catalog("O")
-    met = sp.encoding_catalog("M")
-    gnd = sp.encoding_catalog("G")
-    # One state per manifold / both dark / both bright.
-    assert opt.zero.in_manifold(Manifold.B) and opt.one.in_manifold(Manifold.A)
-    assert met.zero.in_manifold(Manifold.B) and met.one.in_manifold(Manifold.B)
-    assert gnd.zero.in_manifold(Manifold.A) and gnd.one.in_manifold(Manifold.A)
-    for enc in (sp.encoding_catalog(name) for name in "OMG"):
-        assert enc.zero != enc.one
-    with pytest.raises(ValueError):
-        sp.encoding_catalog("X")
-
-
-def test_an_unhashable_encoding_name_is_refused_by_name(model):
-    # A list is no key of the catalog; it is refused as any unknown name is.
-    message = re.escape("unknown encoding ['M']; expected one of ['G', 'M', 'O']")
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        sp.encoding_catalog(["M"])
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        sp.ExperimentConfig(model=model, encoding=["M"])
-
-
-def test_encoding_rejects_degenerate_basis():
-    with pytest.raises(ValueError):
-        sp.QubitEncoding("bad", zero=sp.A_2_0, one=sp.A_2_0)
