@@ -454,8 +454,11 @@ def sample_decay_events(
     """Draw binned decayed-or-not counts at each delay for a known lifetime."""
     _check_count("shots_per_delay", shots_per_delay, 1)
     decay = DecayChannel(lifetime)
-    return [(float(delay), int(rng.binomial(shots_per_delay, decay_probability(delay, decay))),
-             shots_per_delay) for delay in delays]
+    rows = []
+    for delay in delays:
+        p = decay_probability(delay, decay)  # judges the delay before float() reads it
+        rows.append((float(delay), int(rng.binomial(shots_per_delay, p)), shots_per_delay))
+    return rows
 
 
 def _decay_row(row: tuple) -> tuple[float, float, float]:

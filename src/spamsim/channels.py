@@ -20,7 +20,9 @@ import math
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
-from .detection import DetectionModel, _check_nonnegative, _check_positive, _check_probability
+from .detection import (
+    DetectionModel, _check_nonnegative, _check_positive, _check_probability, _is_real,
+)
 from .states import (
     Manifold,
     StateLabel,
@@ -74,7 +76,7 @@ class DecayChannel:
     lifetime: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.lifetime, bool) or not self.lifetime > 0:
+        if not (_is_real(self.lifetime) and self.lifetime > 0):
             raise ValueError(f"lifetime must be positive, got {self.lifetime!r}")
 
     @property
@@ -111,6 +113,14 @@ class ErrorModel:
     loss_probability_per_shot: float
 
     def __post_init__(self) -> None:
+        for name, kind in (("pump", PumpChannel), ("decay", DecayChannel),
+                           ("detection", DetectionModel)):
+            block = getattr(self, name)
+            if not isinstance(block, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {block!r}")
+        if not (isinstance(self.pulses, tuple)
+                and all(isinstance(pulse, TransferPulse) for pulse in self.pulses)):
+            raise ValueError(f"pulses must be a tuple of TransferPulse, got {self.pulses!r}")
         _check_probability("loss_probability_per_shot", self.loss_probability_per_shot)
         _check_nonnegative("cooling_duration", self.cooling_duration)
         pairs = [_pair_key(pulse.from_state, pulse.to_state) for pulse in self.pulses]

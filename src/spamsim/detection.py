@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,29 +38,35 @@ def _check_count(name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-# The rules for a real argument refuse a bool, which a saved model would
-# write as a JSON boolean the schema refuses, and NaN.
+# The rules for a real argument refuse NaN, a bool, which a saved model would
+# write as a JSON boolean the schema refuses, and anything that is not a
+# ``numbers.Real``: a str or None would fail the comparison without a name,
+# and a Decimal would pass it and fail later in float arithmetic.
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_probability(name: str, value: float) -> None:
     """Refuse ``value`` unless it is a probability: a real in [0, 1]."""
-    if isinstance(value, bool) or not 0 <= value <= 1:
+    if not (_is_real(value) and 0 <= value <= 1):
         raise ValueError(f"{name} must be a probability, got {value!r}")
 
 
 def _check_finite(name: str, value: float) -> None:
     """Refuse ``value`` unless it is a finite real."""
-    if isinstance(value, bool) or not -math.inf < value < math.inf:
+    if not (_is_real(value) and -math.inf < value < math.inf):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _check_nonnegative(name: str, value: float) -> None:
     """Refuse ``value`` unless it is a finite real >= 0."""
-    if isinstance(value, bool) or not 0 <= value < math.inf:
+    if not (_is_real(value) and 0 <= value < math.inf):
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def _check_positive(name: str, value: float) -> None:
     """Refuse ``value`` unless it is a finite real > 0."""
-    if isinstance(value, bool) or not 0 < value < math.inf:
+    if not (_is_real(value) and 0 < value < math.inf):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 

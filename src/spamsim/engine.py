@@ -580,16 +580,18 @@ class ExperimentConfig:
 
     ``shots`` counts shots per prepared state.  ``shots`` and ``max_attempts``
     must be ``int``s >= 1 and ``seed`` an ``int`` >= 0: not a bool, a float or
-    a numpy integer.  With ``prepare`` None (the default) both basis states
-    run: a zero batch, then a one batch.  A :class:`Prepare` value runs that
-    state alone, as batch 0.
+    a numpy integer.  ``prepare`` sets the :attr:`batches`: None (the
+    default) runs both basis states, a :class:`Prepare` value that state alone.
     ``transfer_durations`` overrides the duration of specific pulses, keyed by
     oriented (from, to) state pairs; the bias scans use this to detune single
-    transfers away from their calibrated length.  The overrides bind in
-    :func:`_compile`; :func:`run_experiment` rejects an entry that is not
-    ``((StateLabel, StateLabel), duration)``, a pair given twice or driven by
-    no transfer of the run's sequences, and a duration that is not finite and
-    non-negative.
+    transfers away from their calibrated length.  It is a tuple, since a list
+    could change after it was judged; the overrides bind in :func:`_compile`.
+
+    Every field is judged when the config is built.  Besides the rules above,
+    ``model`` must be an :class:`ErrorModel`, and each override an entry
+    ``((StateLabel, StateLabel), duration)`` whose pair is given once and
+    driven by a transfer of one of the run's :attr:`batches`, with a finite
+    duration >= 0.
 
     Random streams depend on ``seed``, the batch index and the chunk index
     only.  Two configurations run at one seed therefore draw the same numbers
@@ -609,6 +611,8 @@ class ExperimentConfig:
     transfer_durations: tuple[tuple[tuple[StateLabel, StateLabel], float], ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model, ErrorModel):
+            raise ValueError(f"model must be an ErrorModel, got {self.model!r}")
         _check_encoding(self.encoding)
         _check_count("shots", self.shots, 1)
         _check_count("seed", self.seed, 0)
@@ -621,6 +625,30 @@ class ExperimentConfig:
         _check_count("max_attempts", self.max_attempts, 1)
         if self.mode is Mode.POST_SELECT and self.max_attempts != 1:
             raise ValueError("max_attempts only applies to repeat-until-success mode")
+        if not isinstance(self.transfer_durations, tuple):
+            raise ValueError(f"transfer_durations must be a tuple, got {self.transfer_durations!r}")
+        driven = {(step.from_state, step.to_state) for prepare in self.batches
+                  for step in build_sequence(self.encoding, prepare).steps
+                  if isinstance(step, Transfer)}
+        pairs = set()
+        for entry in self.transfer_durations:
+            if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], tuple)
+                    and len(entry[0]) == 2 and all(isinstance(s, StateLabel) for s in entry[0])):
+                raise ValueError("transfer_durations entries must be "
+                                 f"((StateLabel, StateLabel), duration), got {entry!r}")
+            pair, duration = entry
+            name = f"transfer duration for {pair[0]} -> {pair[1]}"
+            if pair in pairs:
+                raise ValueError(f"{name} is given twice")
+            if pair not in driven:
+                raise ValueError(f"{name} matches no transfer of this run")
+            _check_nonnegative(name, duration)
+            pairs.add(pair)
+
+    @property
+    def batches(self) -> tuple[Prepare, ...]:
+        """The states the run prepares, in batch order: zero then one, or ``prepare`` alone."""
+        return (Prepare.ZERO, Prepare.ONE) if self.prepare is None else (self.prepare,)
 
 
 @dataclass
@@ -773,32 +801,14 @@ def run_experiment(
     ``keep_records`` is.
     """
     _check_count("workers", workers, 1)
-    batches = [Prepare.ZERO, Prepare.ONE] if config.prepare is None else [config.prepare]
     sizes = [min(CHUNK_SHOTS, config.shots - start)
              for start in range(0, config.shots, CHUNK_SHOTS)]
-
-    sequences = [build_sequence(config.encoding, prepare) for prepare in batches]
-    driven = {(step.from_state, step.to_state) for sequence in sequences
-              for step in sequence.steps if isinstance(step, Transfer)}
-    durations: dict[tuple[StateLabel, StateLabel], float] = {}
-    for entry in config.transfer_durations:
-        if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], tuple)
-                and len(entry[0]) == 2 and all(isinstance(s, StateLabel) for s in entry[0])):
-            raise ValueError("transfer_durations entries must be "
-                             f"((StateLabel, StateLabel), duration), got {entry!r}")
-        pair, duration = entry
-        name = f"transfer duration for {pair[0]} -> {pair[1]}"
-        if pair in durations:
-            raise ValueError(f"{name} is given twice")
-        if pair not in driven:
-            raise ValueError(f"{name} matches no transfer of this run")
-        _check_nonnegative(name, duration)
-        durations[pair] = duration
+    durations = dict(config.transfer_durations)
 
     # Tasks are numbered batch by batch, chunk by chunk, and merge in that order.
     tasks = []
-    for batch_index, (prepare, sequence) in enumerate(zip(batches, sequences)):
-        compiled = _compile(sequence, config.model, durations)
+    for batch_index, prepare in enumerate(config.batches):
+        compiled = _compile(build_sequence(config.encoding, prepare), config.model, durations)
         for chunk_index, size in enumerate(sizes):
             seed_seq = np.random.SeedSequence(
                 entropy=config.seed, spawn_key=(batch_index, chunk_index)
@@ -816,7 +826,7 @@ def run_experiment(
     states: dict[str, BatchTally] = {}
     accepted_r3: dict[str, CountHistogram] = {}
     records: dict[str, dict[str, np.ndarray]] = {}
-    for batch_index, prepare in enumerate(batches):
+    for batch_index, prepare in enumerate(config.batches):
         chunk_results = outputs[batch_index * len(sizes) : (batch_index + 1) * len(sizes)]
         name = prepare.value
         states[name] = _batch_tally(

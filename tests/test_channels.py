@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -79,12 +80,11 @@ def test_infinite_pulse_duration_is_rejected_by_name(model):
     # in math.sin with "math domain error".
     with pytest.raises(ValueError, match="duration must be finite and non-negative, got inf"):
         pulse_success_probability(math.inf, pulse(rate=0.04))
-    # An override is checked before it reaches the pulse, and the error names its transfer.
-    cfg = sp.ExperimentConfig(model=model, shots=100,
-                              transfer_durations=(((sp.B_2_M1, sp.A_2_0), math.inf),))
+    # An override is judged when its config is built, and the error names its transfer.
     with pytest.raises(ValueError, match="transfer duration for B:F=2,mF=-1 -> A:F=2,mF=0 "
                                          "must be finite and non-negative, got inf"):
-        sp.run_experiment(cfg)
+        sp.ExperimentConfig(model=model, shots=100,
+                            transfer_durations=(((sp.B_2_M1, sp.A_2_0), math.inf),))
 
 
 def test_default_model_parameters(model):
@@ -126,6 +126,20 @@ def test_config_rejects_a_second_pulse_for_one_transition(model, reverse):
     with pytest.raises(sp.ConfigError,
                        match="duplicate pulse for transition A:F=2,mF=0 <-> B:F=2,mF=-1"):
         sp.model_from_config(document)
+
+
+# Each block of the wrong type used to build, and the run then failed
+# without a name (or the build failed inside the pulse loop).
+@pytest.mark.parametrize("block, value, kind", [
+    ("pump", None, "a PumpChannel"),
+    ("decay", 27.2, "a DecayChannel"),  # a bare lifetime
+    ("detection", {}, "a DetectionModel"),
+    ("pulses", None, "a tuple of TransferPulse"),
+    ("pulses", (None,), "a tuple of TransferPulse"),
+], ids=["pump-none", "decay-lifetime", "detection-dict", "pulses-none", "pulses-of-none"])
+def test_error_model_refuses_a_block_of_the_wrong_type_by_name(model, block, value, kind):
+    with pytest.raises(ValueError, match=f"^{block} must be {kind}, got {re.escape(repr(value))}$"):
+        replace(model, **{block: value})
 
 
 def test_perfect_channels_keep_detection(model):
@@ -259,8 +273,7 @@ _DRIVEN = (sp.B_2_M1, sp.A_2_0)  # a transfer that every M run drives
 
 
 def _override(model, duration):
-    config = sp.ExperimentConfig(model=model, shots=100, transfer_durations=((_DRIVEN, duration),))
-    return sp.run_experiment(config)
+    return sp.ExperimentConfig(model=model, shots=100, transfer_durations=((_DRIVEN, duration),))
 
 
 # One row per public real-valued argument: its entry point, the call that
@@ -345,7 +358,7 @@ _REAL_ARGUMENTS = [
     ("sample_decay_events.lifetime",
      lambda m, v: sp.sample_decay_events([], 10, v, np.random.default_rng(0)),
      "lifetime", "lifetime"),
-    ("run_experiment.transfer_durations", _override,
+    ("ExperimentConfig.transfer_durations", _override,
      "non-negative", f"transfer duration for {_DRIVEN[0]} -> {_DRIVEN[1]}"),
 ]
 
@@ -354,7 +367,10 @@ _REAL_ARGUMENTS = [
                                               for row in _REAL_ARGUMENTS])
 def test_each_real_argument_is_held_to_its_rule(model, call, rule, name):
     refused, accepted = _RULES[rule]
-    for value in refused:
+    # Values that are not real numbers, refused before any comparison.  They
+    # stay out of _RULES, whose values also go through JSON, where the schema
+    # judges types.
+    for value in (*refused, "1e-6", None, Decimal("0.5")):
         message = f"{re.escape(name)} must be .*, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             call(model, value)

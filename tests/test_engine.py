@@ -522,19 +522,30 @@ _MALFORMED = "transfer_durations entries must be ((StateLabel, StateLabel), dura
     (None, [((sp.B_2_M1, sp.A_2_0), 1e-6, 2e-6)], _MALFORMED),
 ])
 def test_transfer_duration_overrides_name_a_driven_transfer_once(
-        model, monkeypatch, prepare, overrides, problem):
+        model, prepare, overrides, problem):
     # Each of these used to run as the default run, or to fail without naming
     # the override; every entry is checked against every batch's transfers
-    # before any chunk runs.
-    def no_runs(*args):
-        raise AssertionError("a chunk ran before the overrides were checked")
-
-    monkeypatch.setattr(engine, "_run_chunk", no_runs)
-    cfg = sp.ExperimentConfig(model=model, shots=2_000, seed=1, prepare=prepare,
-                              transfer_durations=tuple(overrides))
+    # when the config is built.
     message = problem if problem == _MALFORMED else f"transfer duration for {problem}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        sp.run_experiment(cfg)
+        sp.ExperimentConfig(model=model, shots=2_000, seed=1, prepare=prepare,
+                            transfer_durations=tuple(overrides))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("transfer_durations", None, "transfer_durations must be a tuple, got None"),
+    # A list could change after the config judged it.
+    ("transfer_durations", [((sp.B_2_M1, sp.A_2_0), 1e-6)],
+     "transfer_durations must be a tuple, got ["),
+    ("model", None, "model must be an ErrorModel, got None"),
+    ("model", sp.model_to_config, "model must be an ErrorModel, got {"),  # its JSON form
+], ids=["durations-none", "durations-list", "model-none", "model-document"])
+def test_a_config_field_of_the_wrong_type_is_refused_when_built(model, field, value, message):
+    # Each of these used to build, and its run then failed without a name
+    # (or, for the list, ran).
+    fields = {"model": model, field: value(model) if callable(value) else value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        sp.ExperimentConfig(**fields)
 
 
 def test_strict_mode_matches_lax_under_perfect_channels(perfect):
