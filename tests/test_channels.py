@@ -273,7 +273,8 @@ _DRIVEN = (sp.B_2_M1, sp.A_2_0)  # a transfer that every M run drives
 
 
 def _override(model, duration):
-    return sp.ExperimentConfig(model=model, shots=100, transfer_durations=((_DRIVEN, duration),))
+    return sp.run_experiment(sp.ExperimentConfig(model=model, shots=100,
+                                                 transfer_durations=((_DRIVEN, duration),)))
 
 
 # One row per public real-valued argument: its entry point, the call that
