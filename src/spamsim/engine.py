@@ -301,8 +301,6 @@ def _compile(
             rotate = zero, one = pairs[index]
             channels.append(_Channel(index, "Born projection", 0.5, relabel({zero, one}, zero),
                                      relabel({zero, one}, one), True))
-        else:
-            raise TypeError(f"unknown step type {type(step).__name__}")
         ops.append(_Op(tuple(channels), detect, rotate))
         channels = []
 

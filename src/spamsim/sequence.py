@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 from .states import A_1_0, A_2_0, B_1_M1, B_2_M1, B_2_P1, Manifold, StateLabel, transition_allowed
 
@@ -70,6 +70,10 @@ class Rotate:
     one: StateLabel
 
     def __post_init__(self) -> None:
+        for name in ("zero", "one"):
+            level = getattr(self, name)
+            if not (isinstance(level, StateLabel) and not level.is_sentinel):
+                raise ValueError(f"{name} must be a hyperfine StateLabel, got {level!r}")
         if self.zero == self.one:
             raise ValueError("zero and one must differ")
 
@@ -85,6 +89,13 @@ class Sequence:
         self._validate()
 
     def _validate(self) -> None:
+        if not isinstance(self.steps, tuple):
+            raise ValueError(f"steps must be a tuple, got {type(self.steps).__name__}")
+        kinds = get_args(SequenceStep)
+        for step in self.steps:
+            if not isinstance(step, kinds):
+                names = ", ".join(kind.__name__ for kind in kinds)
+                raise ValueError(f"steps must each be one of {names}, got {step!r}")
         labels = [s.label for s in self.steps if isinstance(s, Detect)]
         if labels != list(DetectLabel):
             raise ValueError(f"detections must be R0..R5 in order, got {labels}")
@@ -105,6 +116,7 @@ class Sequence:
         # would differ from projecting at the first step that tells zero from one.
         if sum(isinstance(s, Rotate) for s in self.steps) > 1:
             raise ValueError("a sequence may hold at most one Rotate")
+        self.retry_start  # raises if a retry has no cooling step to rewind to
 
     def detect_index(self, label: DetectLabel) -> int:
         for i, step in enumerate(self.steps):

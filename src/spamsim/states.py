@@ -110,9 +110,10 @@ def transition_allowed(from_state: StateLabel, to_state: StateLabel) -> bool:
     """True iff a transfer pulse may connect the two states.
 
     Transfer pulses always bridge the manifolds, and sentinels are not
-    addressable.
+    addressable; anything that is not a :class:`StateLabel` is no level.
     """
-    if from_state.is_sentinel or to_state.is_sentinel:
+    if not all(isinstance(state, StateLabel) and not state.is_sentinel
+               for state in (from_state, to_state)):
         return False
     return from_state.manifold is not to_state.manifold
 

@@ -28,6 +28,8 @@ def test_pulse_validation():
     with pytest.raises(ValueError):
         # same-manifold pair is not addressable
         sp.TransferPulse(sp.A_2_0, sp.A_1_0, error_rate=0.1, t_pi=25e-6)
+    with pytest.raises(ValueError, match="^pulse must bridge the manifolds: a -> b$"):
+        sp.TransferPulse("a", "b", 0.01, 1e-6)
 
 
 def test_pulse_success_probability_endpoints():
@@ -113,6 +115,8 @@ def test_pulse_lookup_is_orientation_free(model):
         model.pulse_for(sp.A_1_0, sp.B_2_P1)
     with pytest.raises(ValueError):
         model.pulse_for(sp.A_2_0, sp.A_1_0)
+    with pytest.raises(ValueError, match="^no transition a -> b$"):
+        model.pulse_for("a", "b")
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["same", "reversed"])
@@ -451,6 +455,8 @@ def test_models_at_every_rule_boundary_survive_save_and_load(model, tmp_path, bo
     path = tmp_path / "boundary.json"
     sp.save_error_model(boundary, str(path))
     assert sp.load_error_model(str(path)) == boundary
+    # And runs: the lower one with zero pump and cooling durations.
+    sp.run_experiment(sp.ExperimentConfig(model=boundary, shots=100, seed=1))
 
 
 def test_a_model_with_a_bool_rate_is_never_saved(model, tmp_path):

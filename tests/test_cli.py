@@ -51,13 +51,19 @@ def test_run_spam_writes_validated_outputs(tmp_path):
     assert (out / "histogram_R3_accepted_one.csv").exists()
 
 
-def test_run_spam_is_reproducible_byte_for_byte(tmp_path):
-    args = ["run-spam", "--shots", "2000", "--seed", "9", "--encoding", "O", "--records"]
+@pytest.mark.parametrize("args, names", [
+    pytest.param(["run-spam", "--shots", "2000", "--seed", "9", "--encoding", "O", "--records"],
+                 ["summary.json", "records_zero.csv", "records_one.csv",
+                  *(f"histogram_R{index}.csv" for index in range(6))], id="run-spam"),
+    # 20000 shots a point: two chunks each.
+    pytest.param(["bias-scan", "--family", "metastable-zero", "--shots", "20000",
+                  "--t-grid", "0.8,1.0", "--seed", "5"], ["bias_metastable-zero.csv"],
+                 id="bias-scan"),
+])
+def test_run_spam_is_reproducible_byte_for_byte(tmp_path, args, names):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(args + ["--threads", "1", "--out", str(a)]) == 0
     assert cli.main(args + ["--threads", "2", "--out", str(b)]) == 0
-    names = ["summary.json", "records_zero.csv", "records_one.csv"]
-    names += [f"histogram_R{index}.csv" for index in range(6)]
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 

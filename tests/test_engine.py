@@ -7,7 +7,6 @@ import re
 import sys
 import threading
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,18 +64,25 @@ def test_summary_is_worker_invariant(model):
     assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
 
-@pytest.mark.parametrize("mode, max_attempts", [
-    (sp.Mode.POST_SELECT, 1),
-    (sp.Mode.REPEAT_UNTIL_SUCCESS, 3),
+@pytest.mark.parametrize("options, workers", [
+    pytest.param(dict(mode=sp.Mode.POST_SELECT, max_attempts=1), 3, id="Mode.POST_SELECT-1"),
+    pytest.param(dict(mode=sp.Mode.REPEAT_UNTIL_SUCCESS, max_attempts=3), 3,
+                 id="Mode.REPEAT_UNTIL_SUCCESS-3"),
+    # Strict flags on superposition records, whose prepared column holds -1, 0 and 1.
+    pytest.param(dict(prepare=Prepare.SUPERPOSITION, strict_flags=True), 3,
+                 id="strict-superposition"),
+    # More workers than the run's six chunks: five helpers start.
+    pytest.param({}, 64, id="more-workers-than-chunks"),
 ])
-def test_records_and_histograms_are_worker_invariant(model, mode, max_attempts):
+def test_records_and_histograms_are_worker_invariant(model, options, workers):
     # Three chunks per batch, the last one partial, so batches and chunks
     # must be put back together in order whatever the workers' schedule.
     cfg = sp.ExperimentConfig(model=model, encoding="M", shots=2 * engine.CHUNK_SHOTS + 123,
-                              seed=19, mode=mode, max_attempts=max_attempts)
-    serial, threaded = (sp.run_experiment(cfg, workers=workers, keep_records=True)
-                        for workers in (1, 3))
-    assert serial.records.keys() == threaded.records.keys() == {"zero", "one"}
+                              seed=19, **options)
+    serial, threaded = (sp.run_experiment(cfg, workers=count, keep_records=True)
+                        for count in (1, workers))
+    names = {"superposition"} if cfg.prepare else {"zero", "one"}
+    assert serial.records.keys() == threaded.records.keys() == names
     for name, columns in serial.records.items():
         assert columns.keys() == threaded.records[name].keys()
         for key, column in columns.items():
@@ -86,7 +92,7 @@ def test_records_and_histograms_are_worker_invariant(model, mode, max_attempts):
             np.testing.assert_array_equal(column, other, err_msg=f"{name} {key}")
     assert serial.histograms == threaded.histograms
     assert serial.accepted_r3 == threaded.accepted_r3
-    assert len(serial.histograms) == 6 and set(serial.accepted_r3) == {"zero", "one"}
+    assert len(serial.histograms) == 6 and set(serial.accepted_r3) == names
 
 
 # Two batches of three chunks: task indices 0-2 are batch 0, 3-5 batch 1.
@@ -354,12 +360,13 @@ _TRANSFERS = [sp.Transfer(*pair) for pulse in sp.default_model().pulses
 
 @st.composite
 def _step_lists(draw, rewind=True):
-    """A step list that ``Sequence._validate`` admits and no encoding builds.
+    """A step list that no encoding builds.
 
     The detections, the shelving transfer before R1, the readout transfers
     into A before R3 and R4, the deshelve before R5 and, as in every built
     list, a pump and (unless ``rewind`` is False) a cool, a retry's rewind
-    point, after R0 are fixed.  Each gap between them holds up to three
+    point, after R0 are fixed, so ``Sequence._validate`` admits the list if
+    it has a cool between R0 and R1.  Each gap between them holds up to three
     random fillers (transfers either way, cools, pumps and deshelves), and
     one gap may hold the list's one ``Rotate``: an encoding's own, from its
     superposition step list.
@@ -383,16 +390,16 @@ def _step_lists(draw, rewind=True):
     steps = [sp.Cool(), detect[0], *([sp.Cool()] if rewind else []), Pump(), *gaps[0],
              shelve, *gaps[1], detect[1], *gaps[2], detect[2], *gaps[3], read_zero, detect[3],
              *gaps[4], read_one, detect[4], *gaps[5], sp.Deshelve(), detect[5]]
-    return Sequence(tuple(steps))
+    return tuple(steps)
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
-@given(sequence=_step_lists())
-def test_random_step_lists_match_propagator(sequence):
+@given(steps=_step_lists())
+def test_random_step_lists_match_propagator(steps):
     # The chunk runner against the exact propagator on lists no encoding
     # builds, with every channel able to fail; after each op ``present``
     # holds every label a shot is in.
-    compiled = engine._compile(sequence, _noiseless(sp.default_model(), pulse_error=0.15))
+    compiled = engine._compile(Sequence(steps), _noiseless(sp.default_model(), pulse_error=0.15))
     chunk = engine._ChunkState.start(100_000, np.random.default_rng(53), -1)
     for op in compiled.ops:
         engine._apply_op(chunk, compiled, op)
@@ -401,22 +408,17 @@ def test_random_step_lists_match_propagator(sequence):
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
-@given(sequence=_step_lists(rewind=False))
-def test_random_step_lists_without_a_rewind_cool_are_refused_by_name(sequence):
-    # A retry rewinds to the first cool between R0 and R1; a list that
-    # ``Sequence._validate`` admits without one is refused in either mode,
-    # before any shot runs.
-    r0, r1 = sequence.detect_index(sp.DetectLabel.R0), sequence.prep_end
-    cools = [index for index in range(r0 + 1, r1) if isinstance(sequence.steps[index], sp.Cool)]
+@given(steps=_step_lists(rewind=False))
+def test_random_step_lists_without_a_rewind_cool_are_refused_by_name(steps):
+    # A retry rewinds to the first cool between R0 and R1; a list without one
+    # is refused when its Sequence is built, so no run in either mode sees it.
+    r0, r1 = (steps.index(sp.Detect(label)) for label in (sp.DetectLabel.R0, sp.DetectLabel.R1))
+    cools = [index for index in range(r0 + 1, r1) if isinstance(steps[index], sp.Cool)]
     if cools:
-        assert sequence.retry_start == cools[0]
+        assert Sequence(steps).retry_start == cools[0]
         return
-    for mode, max_attempts in ((sp.Mode.POST_SELECT, 1), (sp.Mode.REPEAT_UNTIL_SUCCESS, 3)):
-        config = sp.ExperimentConfig(model=sp.default_model(), encoding="M",
-                                     shots=100, mode=mode, max_attempts=max_attempts)
-        with mock.patch.object(engine, "build_sequence", lambda encoding, prepare: sequence):
-            with pytest.raises(ValueError, match="lacks a second cooling step"):
-                sp.run_experiment(config)
+    with pytest.raises(ValueError, match="lacks a second cooling step"):
+        Sequence(steps)
 
 
 def test_more_pump_error_means_more_rejections(model):

@@ -9,6 +9,7 @@ import spamsim as sp
 from spamsim import engine
 from spamsim.channels import decay_probability, pulse_success_probability
 from spamsim.sequence import Cool, Deshelve, Detect, DetectLabel, Prepare, Pump, Rotate, Transfer
+from spamsim.states import LOST, WRONG_GROUND
 
 
 def all_builds():
@@ -200,6 +201,22 @@ def test_rotate_refuses_equal_levels():
     # A transfer between two levels of one manifold is refused as it is made.
     pytest.param(lambda s: s[:4] + (Transfer(sp.A_2_0, sp.A_1_0),) + s[5:],
                  "illegal transfer A:F=2,mF=0 -> A:F=1,mF=0", id="illegal-transfer"),
+    # So is a transfer between two things that are not levels.
+    pytest.param(lambda s: s[:4] + (Transfer("a", "b"),) + s[5:], "^illegal transfer a -> b$",
+                 id="transfer-between-strings"),
+    # The steps are a tuple, so they cannot change after they were judged.
+    pytest.param(list, "^steps must be a tuple, got list$", id="list-of-steps"),
+    pytest.param(lambda s: (None,) + s, "^steps must each be one of Cool, .*, got None$",
+                 id="none-step"),
+    # A Rotate splits two hyperfine levels: neither may be a sentinel or a non-level.
+    pytest.param(lambda s: s[:6] + (Rotate("a", "b"),) + s[6:],
+                 "^zero must be a hyperfine StateLabel, got 'a'$", id="rotate-strings"),
+    pytest.param(lambda s: s[:6] + (Rotate(sp.B_2_M1, None),) + s[6:],
+                 "^one must be a hyperfine StateLabel, got None$", id="rotate-none"),
+    pytest.param(lambda s: s[:6] + (Rotate(WRONG_GROUND, sp.B_1_M1),) + s[6:],
+                 "^zero must be a hyperfine StateLabel, got ", id="rotate-wrong-ground"),
+    pytest.param(lambda s: s[:6] + (Rotate(sp.B_2_M1, LOST),) + s[6:],
+                 "^one must be a hyperfine StateLabel, got ", id="rotate-lost"),
 ])
 def test_malformed_step_lists_are_rejected(edit, message):
     steps = sp.build_sequence("M", Prepare.ONE).steps
@@ -207,20 +224,18 @@ def test_malformed_step_lists_are_rejected(edit, message):
         sp.Sequence(edit(steps))
 
 
-def test_step_lists_the_engine_cannot_run(model):
+def test_step_lists_the_engine_cannot_run():
     steps = sp.build_sequence("M", Prepare.ONE).steps
-    # One cooling step is a valid sequence, but a retry has nowhere to rewind to.
-    single_cool = sp.Sequence(steps[:2] + steps[3:])
+    # With one cooling step a retry has nowhere to rewind to, so the list is
+    # refused when it is built.
     with pytest.raises(ValueError, match="lacks a second cooling step"):
-        engine._compile(single_cool, model)
-    # Nor when both cooling steps come before R0: a retry would repeat R0.
-    cools_before_r0 = sp.Sequence((Cool(),) + steps[:2] + steps[3:])
+        sp.Sequence(steps[:2] + steps[3:])
+    # So is a list whose cooling steps both come before R0: a retry would repeat R0.
     with pytest.raises(ValueError, match="lacks a second cooling step"):
-        engine._compile(cools_before_r0, model)
-    # A step of no known type passes the structural checks, and the compiler names it.
-    unknown = sp.Sequence(("wait",) + steps)
-    with pytest.raises(TypeError, match="unknown step type str"):
-        engine._compile(unknown, model)
+        sp.Sequence((Cool(),) + steps[:2] + steps[3:])
+    # A step of no known type is refused by name too.
+    with pytest.raises(ValueError, match="^steps must each be one of .*, got 'wait'$"):
+        sp.Sequence(("wait",) + steps)
     # Every Sequence holds all six detections, so only a bare step list lacks one.
     with pytest.raises(ValueError, match="sequence has no detection R3"):
         sp.Sequence.detect_index(SimpleNamespace(steps=steps[:8]), DetectLabel.R3)

@@ -65,4 +65,7 @@ def test_transfer_pulses_bridge_manifolds_only():
     assert not sp.transition_allowed(sp.B_2_M1, sp.B_1_M1)
     assert not sp.transition_allowed(WRONG_GROUND, sp.B_2_M1)
     assert not sp.transition_allowed(sp.A_2_0, LOST)
+    # Anything that is not a StateLabel is no level, and connects to none.
+    assert not sp.transition_allowed("a", "b")
+    assert not sp.transition_allowed(sp.A_2_0, None)
 
